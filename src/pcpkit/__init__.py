@@ -71,6 +71,7 @@ from .residuals import (
     leading_min_map,
     min_phi,
     min_phi_values,
+    natural_jacobian,
     natural_map,
     natural_residual_norm,
     phi_residual,
@@ -122,6 +123,7 @@ __all__ = [
     "min_phi_values",
     "monomials_up_to",
     "naive_exponent",
+    "natural_jacobian",
     "natural_map",
     "natural_residual_norm",
     "p_function_probe",

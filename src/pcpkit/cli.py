@@ -34,9 +34,12 @@ from .residuals import min_phi, natural_map, r_residual
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not np.isfinite(values).all():
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def _ints(text: str) -> list[int]:

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .exceptions import ParseError
+from .exceptions import InputError, ParseError
 from .polynomials import PolyMap, Polynomial
 from .residuals import PcpInstance
 
@@ -150,11 +150,17 @@ def serialize_instance(inst: PcpInstance, metadata: dict | None = None) -> str:
 
 
 def report_document(command: str, config: dict, payload: dict) -> str:
-    """Report JSON with a config echo; floats keep shortest round-trip form."""
+    """Report JSON with a config echo; floats keep shortest round-trip form.
+
+    NaN and infinite values (an overflowed residual) raise InputError.
+    """
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": config,
         "payload": payload,
     }
-    return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    try:
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    except ValueError as error:
+        raise InputError(f"report holds a non-finite number: {error}") from None

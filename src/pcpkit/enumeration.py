@@ -3,7 +3,8 @@
 Every solution of the complementarity problem satisfies, for some index
 set I, the square polynomial system {f_i = 0 on I, g_j = 0 off I}.  The
 enumerator therefore sweeps all 2^n subsets, solves each square system
-by multi-start damped Newton from a low-discrepancy start cloud, filters
+by multi-start damped Newton from a low-discrepancy start cloud (the
+same :func:`damped_newton` kernel runs the homotopy corrector), filters
 the roots by sign feasibility, deduplicates, and certifies the
 survivors.  Roots outside the start box can be missed; reports carry the
 box so the completeness claim stays honest.
@@ -11,19 +12,20 @@ box so the completeness claim stays honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from scipy.stats import qmc
 
-from .exceptions import CertificationError, ComplexityGuardError, InputError
-from .polynomials import Polynomial
+from .exceptions import CertificationError, InputError
+from .polynomials import PolyMap
 from .residuals import (
-    MAX_SUBSET_DIMENSION,
     PcpInstance,
+    check_indices,
+    check_subset_dimension,
     min_phi,
-    natural_map,
+    natural_residual_norm,
 )
 
 JACOBIAN_CONDITION_LIMIT = 1e14
@@ -53,15 +55,7 @@ class SolveConfig:
             raise InputError("dedupe_radius must exceed newton_tol")
 
     def to_dict(self) -> dict:
-        return {
-            "newton_tol": self.newton_tol,
-            "max_newton_iters": self.max_newton_iters,
-            "starts_per_subsystem": self.starts_per_subsystem,
-            "start_box_radius": self.start_box_radius,
-            "dedupe_radius": self.dedupe_radius,
-            "feasibility_tol": self.feasibility_tol,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,63 +116,66 @@ class SolutionSet:
 # square subsystem machinery
 
 
-def _subsystem_components(inst: PcpInstance, index_set: frozenset[int]) -> tuple[Polynomial, ...]:
-    return tuple(
-        inst.f.components[i] if i in index_set else inst.g.components[i]
-        for i in range(inst.n)
-    )
+class NewtonResult(NamedTuple):
+    """Per-row outcome of :func:`damped_newton`.
+
+    ``alive`` is False for rows that were abandoned or escaped;
+    ``steps`` counts the accepted Newton steps of each row.
+    """
+
+    points: np.ndarray
+    norms: np.ndarray
+    alive: np.ndarray
+    escaped: np.ndarray
+    steps: np.ndarray
 
 
-def _system_values(components: Sequence[Polynomial], pts: np.ndarray) -> np.ndarray:
-    values = np.empty((pts.shape[0], len(components)))
-    for i, component in enumerate(components):
-        values[:, i] = component.evaluate(pts)
-    return values
-
-
-def _system_jacobians(components: Sequence[Polynomial], pts: np.ndarray) -> np.ndarray:
-    n = len(components)
-    jac = np.empty((pts.shape[0], n, n))
-    for i, component in enumerate(components):
-        for j, part in enumerate(component.gradient):
-            jac[:, i, j] = part.evaluate(pts)
-    return jac
-
-
-def _damped_newton_batch(
-    components: Sequence[Polynomial],
+def damped_newton(
+    values_fn: Callable[[np.ndarray], np.ndarray],
+    jacobian_fn: Callable[[np.ndarray], np.ndarray],
     starts: np.ndarray,
     tol: float,
     max_iters: int,
-) -> np.ndarray:
-    """Run damped Newton from every start at once; return converged points.
+    escape_norm: float = np.inf,
+) -> NewtonResult:
+    """Damped Newton on a square system from every start row at once.
 
-    Starts whose Jacobian condition estimate exceeds the limit, or whose
-    backtracking line search cannot decrease the residual, are abandoned.
+    ``values_fn`` maps a (m, n) batch to (m, n) values and
+    ``jacobian_fn`` to (m, n, n) Jacobians.  A row stops once its
+    residual norm is at most ``tol``.  It is abandoned when its residual
+    is not finite, its Jacobian condition estimate exceeds the limit, or
+    backtracking cannot decrease its residual; it escapes (and stops)
+    when its norm exceeds ``escape_norm`` before a step.
     """
     pts = np.array(starts, dtype=float)
-    values = _system_values(components, pts)
+    values = values_fn(pts)
     norms = np.linalg.norm(values, axis=1)
-    alive = np.isfinite(norms)
-    # drive well below tol so certification at tol has slack
-    target = tol * 1e-2
+    alive = np.ones(len(pts), dtype=bool)
+    escaped = np.zeros(len(pts), dtype=bool)
+    steps = np.zeros(len(pts), dtype=int)
 
     for _ in range(max_iters):
-        working = np.flatnonzero(alive & (norms > target))
+        working = np.flatnonzero(alive & ~(norms <= tol))
         if working.size == 0:
             break
-        jac = _system_jacobians(components, pts[working])
-        finite = np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(values[working]).all(axis=1)
+        escaped[working] = np.linalg.norm(pts[working], axis=1) > escape_norm
+        stopped = escaped[working] | ~np.isfinite(norms[working])
+        alive[working[stopped]] = False
+        working = working[~stopped]
+        if working.size == 0:
+            continue
+        jac = jacobian_fn(pts[working])
+        finite = np.isfinite(jac).all(axis=(1, 2))
         with np.errstate(all="ignore"):
             cond = np.full(len(working), np.inf)
             if finite.any():
                 cond[finite] = np.linalg.cond(jac[finite])
-        good = finite & (cond < JACOBIAN_CONDITION_LIMIT)
+        good = cond < JACOBIAN_CONDITION_LIMIT
         alive[working[~good]] = False
         working = working[good]
         if working.size == 0:
             continue
-        steps = np.linalg.solve(jac[good], -values[working][..., None])[..., 0]
+        newton_steps = np.linalg.solve(jac[good], -values[working][..., None])[..., 0]
 
         # vectorized backtracking: halve the step until the residual drops
         pending = np.arange(working.size)
@@ -186,8 +183,8 @@ def _damped_newton_batch(
         progressed = np.zeros(working.size, dtype=bool)
         for _halving in range(MAX_BACKTRACK_HALVINGS + 1):
             rows = working[pending]
-            trial = pts[rows] + scale[pending, None] * steps[pending]
-            trial_values = _system_values(components, trial)
+            trial = pts[rows] + scale[pending, None] * newton_steps[pending]
+            trial_values = values_fn(trial)
             with np.errstate(invalid="ignore"):
                 trial_norms = np.linalg.norm(trial_values, axis=1)
             better = np.isfinite(trial_norms) & (trial_norms < norms[rows])
@@ -201,9 +198,9 @@ def _damped_newton_batch(
                 break
             scale[pending] *= 0.5
         alive[working[~progressed]] = False
+        steps[working[progressed]] += 1
 
-    converged = alive & (norms <= tol)
-    return pts[converged]
+    return NewtonResult(pts, norms, alive, escaped, steps)
 
 
 def _dedupe_points(
@@ -268,16 +265,19 @@ def solve_subsystem(
     emptiness).
     """
     cfg = cfg or SolveConfig()
-    idx = frozenset(int(i) for i in index_set)
-    for i in idx:
-        if not 0 <= i < inst.n:
-            raise InputError(f"index {i} out of range for dimension {inst.n}")
-    components = _subsystem_components(inst, idx)
+    idx = check_indices(index_set, inst.n)
+    system = PolyMap(tuple(
+        inst.f.components[i] if i in idx else inst.g.components[i] for i in range(inst.n)
+    ))
     starts = _subsystem_starts(inst, idx, cfg, x_ref)
-    roots = _damped_newton_batch(components, starts, cfg.newton_tol, cfg.max_newton_iters)
+    # drive well below tol so certification at tol has slack
+    result = damped_newton(
+        system.evaluate, system.jacobian, starts, cfg.newton_tol * 1e-2, cfg.max_newton_iters
+    )
+    roots = result.points[result.alive & (result.norms <= cfg.newton_tol)]
     if len(roots) == 0:
         return np.zeros((0, inst.n))
-    residuals = np.linalg.norm(_system_values(components, roots), axis=1)
+    residuals = np.linalg.norm(system.evaluate(roots), axis=1)
     unique, _ = _dedupe_points(roots, residuals, cfg.dedupe_radius)
     order = np.lexsort(unique.T[::-1])
     return unique[order]
@@ -289,10 +289,7 @@ def enumerate_solutions(
     """Sweep all 2^n index subsets and certify the feasible roots found."""
     cfg = cfg or SolveConfig()
     n = inst.n
-    if n > MAX_SUBSET_DIMENSION:
-        raise ComplexityGuardError(
-            f"enumeration over 2^{n} subsets refused (cap {MAX_SUBSET_DIMENSION})"
-        )
+    check_subset_dimension(n, "enumeration")
 
     candidates = []
     for mask in range(1 << n):
@@ -338,10 +335,7 @@ def enumerate_solutions(
 def min_abs_subsystem_determinant(inst: PcpInstance, x) -> float:
     """min over all index sets I of |det Jac_I(x)| with rows f_i on I, g_i off I."""
     n = inst.n
-    if n > MAX_SUBSET_DIMENSION:
-        raise ComplexityGuardError(
-            f"determinant scan over 2^{n} subsets refused (cap {MAX_SUBSET_DIMENSION})"
-        )
+    check_subset_dimension(n, "determinant scan")
     jac_f = inst.f.jacobian(x)
     jac_g = inst.g.jacobian(x)
     best = np.inf
@@ -367,8 +361,7 @@ def certify_solution(
     point = np.asarray(x, dtype=float)
     if point.shape != (inst.n,):
         raise InputError(f"point has shape {point.shape}, expected ({inst.n},)")
-    residual = natural_map(inst, point)
-    residual_norm = float(np.linalg.norm(residual))
+    residual_norm = natural_residual_norm(inst, point)
     if residual_norm > cfg.newton_tol:
         raise CertificationError(
             f"natural residual {residual_norm:.3e} exceeds {cfg.newton_tol:.3e}",

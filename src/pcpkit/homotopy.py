@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .enumeration import JACOBIAN_CONDITION_LIMIT, SolveConfig
+from .enumeration import SolveConfig, damped_newton
 from .exceptions import InputError
-from .residuals import PcpInstance, natural_map
+from .residuals import PcpInstance, natural_jacobian, natural_map, natural_residual_norm
 
 CORRECTOR_TOL = 1e-8
 DIVERGENCE_NORM = 1e6
@@ -88,40 +88,19 @@ JFun = Callable[[np.ndarray, float], np.ndarray]
 def _correct(h: HFun, jac: JFun, x: np.ndarray, t: float, tol: float,
              max_iters: int) -> tuple[np.ndarray, float, int] | None:
     """Semismooth Newton on H(., t); None signals corrector failure."""
-    x = x.copy()
-    value = h(x, t)
-    norm = float(np.linalg.norm(value))
-    for iteration in range(1, max_iters + 1):
-        if norm <= tol:
-            return x, norm, iteration - 1
-        if np.linalg.norm(x) > DIVERGENCE_NORM:
-            raise _Diverged(x)
-        j = jac(x, t)
-        if not (np.isfinite(j).all() and np.isfinite(value).all()):
-            return None
-        with np.errstate(all="ignore"):
-            condition = np.linalg.cond(j)
-        if not np.isfinite(condition) or condition > JACOBIAN_CONDITION_LIMIT:
-            return None
-        step = np.linalg.solve(j, -value)
-        scale = 1.0
-        improved = False
-        for _ in range(31):
-            trial = x + scale * step
-            trial_value = h(trial, t)
-            trial_norm = float(np.linalg.norm(trial_value))
-            if np.isfinite(trial_norm) and trial_norm < norm:
-                x, value, norm = trial, trial_value, trial_norm
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            return None
-    return (x, norm, max_iters) if norm <= tol else None
+    result = damped_newton(
+        lambda pts: h(pts, t), lambda pts: jac(pts, t), x[None, :], tol, max_iters,
+        escape_norm=DIVERGENCE_NORM,
+    )
+    if result.escaped[0]:
+        raise _Diverged(result.points[0])
+    if not (result.alive[0] and result.norms[0] <= tol):
+        return None
+    return result.points[0], float(result.norms[0]), int(result.steps[0])
 
 
-def _track(h: HFun, jac: JFun, x0: np.ndarray, cfg: SolveConfig,
-           final_residual: Callable[[np.ndarray], float]) -> HomotopyTrace:
+def _track(inst: PcpInstance, h: HFun, jac: JFun, x0: np.ndarray,
+           cfg: SolveConfig) -> HomotopyTrace:
     x = np.asarray(x0, dtype=float).copy()
     checkpoints = [Checkpoint(0.0, x.copy(), float(np.linalg.norm(h(x, 0.0))))]
     max_norm = float(np.linalg.norm(x))
@@ -174,7 +153,7 @@ def _track(h: HFun, jac: JFun, x0: np.ndarray, cfg: SolveConfig,
         return finish("stalled", message="endpoint polish failed")
     x, _, _ = polished
     max_norm = max(max_norm, float(np.linalg.norm(x)))
-    residual = final_residual(x)
+    residual = natural_residual_norm(inst, x)
     # the polish refines the t = 1 checkpoint in place (t stays strictly increasing)
     if checkpoints and checkpoints[-1].t == 1.0:
         checkpoints[-1] = Checkpoint(1.0, x.copy(), residual)
@@ -183,11 +162,6 @@ def _track(h: HFun, jac: JFun, x0: np.ndarray, cfg: SolveConfig,
     if residual <= cfg.newton_tol:
         return finish("converged", point=x.copy())
     return finish("stalled", message="endpoint residual above newton_tol")
-
-
-def _branch_mask(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """True where the first branch is taken (ties go to the first map)."""
-    return a <= b
 
 
 def track_natural_homotopy(
@@ -209,16 +183,9 @@ def track_natural_homotopy(
         return (1.0 - t) * (x - reference) + t * natural_map(inst, x)
 
     def jac(x: np.ndarray, t: float) -> np.ndarray:
-        fx = inst.f.evaluate(x)
-        gx = inst.g.evaluate(x)
-        take_f = _branch_mask(fx, gx)
-        branch = np.where(take_f[:, None], inst.f.jacobian(x), inst.g.jacobian(x))
-        return (1.0 - t) * eye + t * branch
+        return (1.0 - t) * eye + t * natural_jacobian(inst, x)
 
-    def final_residual(x: np.ndarray) -> float:
-        return float(np.linalg.norm(natural_map(inst, x)))
-
-    return _track(h, jac, reference, cfg, final_residual)
+    return _track(inst, h, jac, reference, cfg)
 
 
 def track_leading_homotopy(
@@ -242,12 +209,9 @@ def track_leading_homotopy(
     def jac(x: np.ndarray, t: float) -> np.ndarray:
         f_t = (1.0 - t) * lead.f.evaluate(x) + t * inst.f.evaluate(x)
         g_t = (1.0 - t) * lead.g.evaluate(x) + t * inst.g.evaluate(x)
-        take_f = _branch_mask(f_t, g_t)
         jac_f = (1.0 - t) * lead.f.jacobian(x) + t * inst.f.jacobian(x)
         jac_g = (1.0 - t) * lead.g.jacobian(x) + t * inst.g.jacobian(x)
-        return np.where(take_f[:, None], jac_f, jac_g)
+        # ties go to the f side, as in natural_jacobian
+        return np.where((f_t <= g_t)[..., None], jac_f, jac_g)
 
-    def final_residual(x: np.ndarray) -> float:
-        return float(np.linalg.norm(natural_map(inst, x)))
-
-    return _track(h, jac, np.zeros(inst.n), cfg, final_residual)
+    return _track(inst, h, jac, np.zeros(inst.n), cfg)

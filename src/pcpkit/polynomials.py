@@ -13,14 +13,17 @@ deterministic.  The zero polynomial has an empty term dict, degree 0 and
 
 A :class:`PolyMap` bundles n polynomials of common arity n into a square
 map R^n -> R^n with vectorized evaluation and exact symbolic Jacobians.
-All values are immutable after construction; every operation is pure.
+It compiles its components and their partials once into one shared
+monomial table; ``Polynomial.evaluate`` is the per-term reference that
+the compiled path reproduces bit for bit.  All values are immutable
+after construction; every operation is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -221,10 +224,6 @@ class PolyMap:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_polynomials(cls, polynomials: Iterable[Polynomial]) -> "PolyMap":
-        return cls(tuple(polynomials))
-
-    @classmethod
     def identity(cls, arity: int) -> "PolyMap":
         return cls(tuple(Polynomial.variable(arity, i) for i in range(arity)))
 
@@ -249,26 +248,53 @@ class PolyMap:
 
     # -- evaluation ---------------------------------------------------
 
+    @cached_property
+    def _compiled(self) -> tuple[np.ndarray, tuple, tuple]:
+        """Union exponent rows, plus (rows, coefficients) per output entry.
+
+        Entries are the n values and the n^2 Jacobian entries (exact
+        partials, row-major), each in its own polynomial's term order, so
+        one gather and one dot product per entry repeat
+        ``Polynomial.evaluate`` bit for bit.  A zero-padded coefficient
+        matrix would reorder the sums and let one entry's overflowing term
+        turn another's zero coefficient into NaN.
+        """
+        rows: dict[Exponents, int] = {}
+
+        def entry(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+            index = [rows.setdefault(key, len(rows)) for key in p.terms]
+            return np.array(index, dtype=np.intp), p._coefficients
+
+        values = tuple(entry(c) for c in self.components)
+        jacobian = tuple(entry(part) for c in self.components for part in c.gradient)
+        exponents = np.array(list(rows), dtype=np.int64).reshape(len(rows), self.arity)
+        return exponents, values, jacobian
+
+    def _entries(self, pts: np.ndarray, entries: tuple) -> np.ndarray:
+        """Evaluate compiled entries on a (m, n) batch into a (m, len) array."""
+        exponents = self._compiled[0]
+        monomials = np.prod(pts[:, None, :] ** exponents[None, :, :], axis=2)
+        # The table is row- or column-major as the input is, and so is each
+        # Polynomial's own table.  Gather in that same order: the dot product
+        # takes another BLAS path, and rounds differently, on the other one.
+        column_major = monomials.strides[0] < monomials.strides[1]
+        out = np.zeros((pts.shape[0], len(entries)))
+        for k, (index, coefficients) in enumerate(entries):
+            if index.size:
+                block = monomials[:, index] if column_major else monomials.take(index, axis=1)
+                out[:, k] = block @ coefficients
+        return out
+
     def evaluate(self, x) -> np.ndarray:
         """Value at a point (n,) -> (n,), or a batch (m, n) -> (m, n)."""
         pts, single = _as_points(x, self.arity)
-        values = np.empty((pts.shape[0], self.arity))
-        for i, component in enumerate(self.components):
-            values[:, i] = component.evaluate(pts)
+        values = self._entries(pts, self._compiled[1])
         return values[0] if single else values
-
-    @cached_property
-    def _gradients(self) -> tuple[tuple[Polynomial, ...], ...]:
-        return tuple(c.gradient for c in self.components)
 
     def jacobian(self, x) -> np.ndarray:
         """Exact Jacobian at a point (n, n), or a batch (m, n, n)."""
         pts, single = _as_points(x, self.arity)
-        n = self.arity
-        jac = np.empty((pts.shape[0], n, n))
-        for i, gradient in enumerate(self._gradients):
-            for j, part in enumerate(gradient):
-                jac[:, i, j] = part.evaluate(pts)
+        jac = self._entries(pts, self._compiled[2]).reshape(-1, self.arity, self.arity)
         return jac[0] if single else jac
 
     # -- leading structure --------------------------------------------

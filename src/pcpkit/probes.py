@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .enumeration import SolutionSet, min_abs_subsystem_determinant
+from .enumeration import SolutionSet
 from .exceptions import DegenerateInputError, EmptyRegionError, InputError
-from .residuals import PcpInstance, natural_map
+from .residuals import PcpInstance, natural_jacobian, natural_map, natural_residual_norm
 
 R0_TOL = 1e-8
 DEGENERACY_TOL = 1e-8
@@ -70,27 +70,16 @@ def _unit_sphere(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return points / norms
 
 
-def _min_map(pair: PcpInstance, x) -> np.ndarray:
-    return np.minimum(pair.f.evaluate(x), pair.g.evaluate(x))
-
-
-def _min_map_norms(pair: PcpInstance, pts: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(_min_map(pair, pts), axis=1)
-
-
 def _refine_on_sphere(
     pair: PcpInstance, start: np.ndarray, radius: float, iters: int
 ) -> np.ndarray:
     """Projected gradient descent for ||min{f, g}||^2 on the radius sphere."""
     x = start * (radius / np.linalg.norm(start))
-    value = float(np.linalg.norm(_min_map(pair, x)) ** 2)
+    residual = natural_map(pair, x)
+    value = float(np.linalg.norm(residual) ** 2)
     step = 0.1 * radius
     for _ in range(iters):
-        fx = pair.f.evaluate(x)
-        gx = pair.g.evaluate(x)
-        take_f = fx <= gx
-        branch_jac = np.where(take_f[:, None], pair.f.jacobian(x), pair.g.jacobian(x))
-        gradient = 2.0 * branch_jac.T @ np.minimum(fx, gx)
+        gradient = 2.0 * natural_jacobian(pair, x).T @ residual
         # tangential component only: stay on the sphere
         gradient -= (gradient @ x) / (radius * radius) * x
         norm = np.linalg.norm(gradient)
@@ -101,9 +90,10 @@ def _refine_on_sphere(
         while step > 1e-14 * radius:
             trial = x - step * direction
             trial *= radius / np.linalg.norm(trial)
-            trial_value = float(np.linalg.norm(_min_map(pair, trial)) ** 2)
+            trial_residual = natural_map(pair, trial)
+            trial_value = float(np.linalg.norm(trial_residual) ** 2)
             if trial_value < value:
-                x, value = trial, trial_value
+                x, residual, value = trial, trial_residual, trial_value
                 step *= 1.5
                 improved = True
                 break
@@ -146,7 +136,7 @@ def r0_test(
     n = inst.n
 
     points = _unit_sphere(rng, samples, n)
-    norms = _min_map_norms(pair, points)
+    norms = natural_residual_norm(pair, points)
     order = np.argsort(norms)
     candidates = points[order[: min(16, samples)]]
 
@@ -154,7 +144,7 @@ def r0_test(
     best_norm = float(norms[order[0]])
     for candidate in candidates:
         refined = _refine_on_sphere(pair, candidate, 1.0, refine_iters)
-        refined_norm = float(np.linalg.norm(_min_map(pair, refined)))
+        refined_norm = natural_residual_norm(pair, refined)
         if refined_norm < best_norm:
             best_point, best_norm = refined, refined_norm
 
@@ -213,10 +203,10 @@ def r0_shifted_pair_probe(
     for radius in radii:
         points = _unit_sphere(rng, samples, inst.n) * radius
         total += samples
-        norms = _min_map_norms(shifted, points)
+        norms = natural_residual_norm(shifted, points)
         k = int(np.argmin(norms))
         refined = _refine_on_sphere(shifted, points[k], radius, refine_iters)
-        refined_norm = float(np.linalg.norm(_min_map(shifted, refined)))
+        refined_norm = natural_residual_norm(shifted, refined)
         if refined_norm < best_norm:
             best_norm, best_point = refined_norm, refined
 
@@ -281,10 +271,10 @@ def coercivity_probe(
     witness = None
     for radius in radii:
         points = _unit_sphere(rng, samples_per_radius, n) * radius
-        norms = np.linalg.norm(natural_map(inst, points), axis=1)
+        norms = natural_residual_norm(inst, points)
         k = int(np.argmin(norms))
         refined = _refine_on_sphere(inst, points[k], radius, refine_iters)
-        refined_norm = float(np.linalg.norm(natural_map(inst, refined)))
+        refined_norm = natural_residual_norm(inst, refined)
         value = min(float(norms[k]), refined_norm)
         best_point = refined if refined_norm <= norms[k] else points[k]
         phi.append(value)
@@ -345,7 +335,7 @@ def xref_boundedness_probe(
     rng = np.random.default_rng(seed)
 
     points = _unit_sphere(rng, samples, inst.n) * radius
-    values = np.einsum("ij,ij->i", points - reference[None, :], _min_map(pair, points))
+    values = np.einsum("ij,ij->i", points - reference[None, :], natural_map(pair, points))
     worst = int(np.argmin(values))
 
     config = {
@@ -362,7 +352,7 @@ def xref_boundedness_probe(
     if values[worst] <= 0.0:
         point = points[worst]
         # re-evaluate the witness against the predicate before reporting
-        pairing = float((point - reference) @ _min_map(pair, point))
+        pairing = float((point - reference) @ natural_map(pair, point))
         witness = {"point": [float(v) for v in point], "pairing": pairing}
         return ProbeReport(
             "xref-boundedness", "counterexample", witness, samples, statistics, config
@@ -443,7 +433,7 @@ def jacobian_degeneracy_scan(
     values = []
     flagged = []
     for certificate in sols.certificates:
-        value = min_abs_subsystem_determinant(inst, certificate.point)
+        value = certificate.min_abs_det_jac
         values.append(value)
         if value <= threshold:
             flagged.append(
@@ -570,9 +560,7 @@ def p_function_probe(
     if np.any(identical):
         ys[identical] = _feasible_region_samples(inst, box, int(identical.sum()), rng)
 
-    products = (inst.f.evaluate(xs) - inst.f.evaluate(ys)) * (
-        inst.g.evaluate(xs) - inst.g.evaluate(ys)
-    )
+    products = pair_products(xs, ys)
     max_products = np.max(products, axis=1)
     failing = np.flatnonzero(max_products <= P_FUNCTION_POSITIVE_TOL)
 

@@ -27,6 +27,14 @@ from .polynomials import PolyMap
 MAX_SUBSET_DIMENSION = 24
 
 
+def check_subset_dimension(n: int, walk: str) -> None:
+    """Refuse ``walk`` over all 2^n index subsets when n is above the cap."""
+    if n > MAX_SUBSET_DIMENSION:
+        raise ComplexityGuardError(
+            f"{walk} over 2^{n} index subsets refused (cap {MAX_SUBSET_DIMENSION})"
+        )
+
+
 def negative_part(a):
     """[-a]_+ = max(-a, 0), elementwise and exact."""
     return np.maximum(-np.asarray(a, dtype=float), 0.0)
@@ -90,6 +98,16 @@ def natural_map(inst: PcpInstance, x) -> np.ndarray:
     return np.minimum(inst.f.evaluate(x), inst.g.evaluate(x))
 
 
+def natural_jacobian(inst: PcpInstance, x) -> np.ndarray:
+    """Active-branch generalized Jacobian of m; batch aware.
+
+    Row i is the gradient of f_i where f_i(x) <= g_i(x) (ties go to f)
+    and of g_i elsewhere.
+    """
+    take_f = inst.f.evaluate(x) <= inst.g.evaluate(x)
+    return np.where(take_f[..., None], inst.f.jacobian(x), inst.g.jacobian(x))
+
+
 def natural_residual_norm(inst: PcpInstance, x) -> float | np.ndarray:
     """Euclidean norm of the natural residual; scalar or (m,) for a batch."""
     m = natural_map(inst, x)
@@ -98,7 +116,7 @@ def natural_residual_norm(inst: PcpInstance, x) -> float | np.ndarray:
     return np.linalg.norm(m, axis=1)
 
 
-def _check_indices(indices: Iterable[int], n: int) -> frozenset[int]:
+def check_indices(indices: Iterable[int], n: int) -> frozenset[int]:
     idx = frozenset(int(i) for i in indices)
     for i in idx:
         if not 0 <= i < n:
@@ -122,7 +140,7 @@ def phi_residual(inst: PcpInstance, indices: Iterable[int], x) -> float:
     complement.  Zero exactly when x solves the complementarity system
     with equalities f_i = 0 on I and g_i = 0 off I.
     """
-    idx = _check_indices(indices, inst.n)
+    idx = check_indices(indices, inst.n)
     inside, outside = _phi_parts(inst, np.asarray(x, dtype=float))
     mask = np.zeros(inst.n, dtype=bool)
     mask[list(idx)] = True
@@ -143,10 +161,7 @@ def min_phi(inst: PcpInstance, x) -> MinPhi:
     strictly smaller.  Refuses n above the subset-enumeration cap, which
     this operation shares contract-wise with the exhaustive walkers.
     """
-    if inst.n > MAX_SUBSET_DIMENSION:
-        raise ComplexityGuardError(
-            f"min over 2^{inst.n} index sets refused (cap {MAX_SUBSET_DIMENSION})"
-        )
+    check_subset_dimension(inst.n, "minimum")
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 1:
         raise InputError("min_phi takes a single point; see min_phi_values for batches")
@@ -158,10 +173,7 @@ def min_phi(inst: PcpInstance, x) -> MinPhi:
 
 def min_phi_values(inst: PcpInstance, xs) -> np.ndarray:
     """Vectorized min_phi values (no witnesses) for a batch of points."""
-    if inst.n > MAX_SUBSET_DIMENSION:
-        raise ComplexityGuardError(
-            f"min over 2^{inst.n} index sets refused (cap {MAX_SUBSET_DIMENSION})"
-        )
+    check_subset_dimension(inst.n, "minimum")
     pts = np.asarray(xs, dtype=float)
     if pts.ndim != 2:
         raise InputError("min_phi_values takes a batch of points")

@@ -207,3 +207,20 @@ class TestErrors:
     def test_missing_required_option(self, capsys, hyperbola_file):
         code, _ = run(capsys, "probe", "coercivity", hyperbola_file)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, point",
+        [
+            ("residual", "nan,0"),
+            ("residual", "inf,1"),
+            ("residual", "1e200,1e200"),
+            ("certify", "nan,0"),
+        ],
+    )
+    def test_non_finite_point(self, capsys, hyperbola_file, command, point):
+        code = run_command([command, hyperbola_file, "--point", point])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

@@ -18,6 +18,7 @@ from pcpkit import (
     natural_map,
     solve_subsystem,
 )
+from pcpkit.enumeration import damped_newton
 
 FAST = SolveConfig(starts_per_subsystem=60)
 
@@ -52,6 +53,35 @@ class TestSolveSubsystem:
                     np.linalg.norm(root - other) <= small.dedupe_radius
                     for other in many
                 )
+
+
+class TestDampedNewton:
+    @staticmethod
+    def cubic(target):
+        # x^3 = target, one variable, rows of a batch independent
+        return (lambda x: x**3 - target), (lambda x: 3.0 * x[:, :, None] ** 2)
+
+    def test_converges_and_counts_steps(self):
+        values, jacobian = self.cubic(8.0)
+        result = damped_newton(values, jacobian, np.array([[1.0], [2.0], [5.0]]), 1e-12, 50)
+        assert result.alive.all() and not result.escaped.any()
+        assert np.allclose(result.points[:, 0], 2.0)
+        assert np.all(result.norms <= 1e-12)
+        # the start at the root takes no step
+        assert result.steps[1] == 0
+        assert result.steps[0] > 0 and result.steps[2] > 0
+
+    def test_escape_ball(self):
+        values, jacobian = self.cubic(1e21)
+        result = damped_newton(values, jacobian, np.array([[1e5]]), 1e-6, 50, escape_norm=1e6)
+        assert result.escaped[0] and not result.alive[0]
+        assert np.linalg.norm(result.points[0]) > 1e6
+
+    def test_singular_jacobian_abandons_row(self):
+        values, jacobian = self.cubic(8.0)
+        result = damped_newton(values, jacobian, np.array([[0.0], [1.0]]), 1e-12, 50)
+        assert list(result.alive) == [False, True]
+        assert not result.escaped.any()
 
 
 class TestEnumerate:

@@ -132,6 +132,78 @@ class TestJacobian:
             assert np.allclose(batch[k], f.jacobian(row))
 
 
+def per_component_reference(poly_map, x):
+    """Values and Jacobian from Polynomial.evaluate of each component and partial."""
+    values = np.stack([c.evaluate(x) for c in poly_map.components], axis=-1)
+    rows = [np.stack([p.evaluate(x) for p in c.gradient], axis=-1) for c in poly_map.components]
+    return values, np.stack(rows, axis=-2)
+
+
+def assert_bit_identical(poly_map, x):
+    values, jacobian = per_component_reference(poly_map, x)
+    assert np.array_equal(poly_map.evaluate(x), values)
+    assert np.array_equal(poly_map.jacobian(x), jacobian)
+
+
+class TestCompiledEvaluation:
+    """PolyMap's shared monomial table reproduces Polynomial.evaluate exactly."""
+
+    def test_random_dense_maps(self):
+        from pcpkit import random_instance
+
+        rng = np.random.default_rng(7)
+        for n in range(2, 6):
+            for degree in range(1, 5):
+                inst = random_instance(n, [degree] * n, [degree] * n, int(rng.integers(2**31)))
+                lead = inst.componentwise_leading_pair
+                for poly_map in (inst.f, inst.g, lead.f, lead.g):
+                    batch = rng.uniform(-3.0, 3.0, size=(9, n))
+                    assert_bit_identical(poly_map, batch)
+                    assert_bit_identical(poly_map, np.asfortranarray(batch))
+                    assert_bit_identical(poly_map, batch[0])
+
+    def test_identity_and_zero_component(self):
+        rng = np.random.default_rng(8)
+        mixed = PolyMap(
+            (
+                Polynomial(3, {(2, 1, 0): 1.5, (0, 0, 1): -2.0}),
+                Polynomial.zero(3),
+                Polynomial(3, {(0, 0, 3): 0.5, (1, 0, 0): 4.0, (0, 0, 0): 1.0}),
+            )
+        )
+        for poly_map in (PolyMap.identity(3), mixed):
+            assert_bit_identical(poly_map, rng.uniform(-2.0, 2.0, size=(5, 3)))
+            assert_bit_identical(poly_map, rng.uniform(-2.0, 2.0, size=3))
+
+    def test_overflowing_term_stays_in_its_component(self):
+        # x^3 overflows at x = 1e200; y + 3 and its partials must stay exact,
+        # which a zero-padded coefficient matrix (0 * inf = nan) would break
+        f = PolyMap(
+            (
+                Polynomial(2, {(3, 0): 1.0, (0, 0): 1.0}),
+                Polynomial(2, {(0, 1): 1.0, (0, 0): 3.0}),
+            )
+        )
+        x = np.array([1e200, 1.0])
+        with np.errstate(over="ignore"):
+            values = f.evaluate(x)
+            jacobian = f.jacobian(x)
+            assert_bit_identical(f, x)
+        assert values[0] == np.inf and values[1] == 4.0
+        assert jacobian[0, 0] == np.inf
+        assert np.array_equal(jacobian[1], [0.0, 1.0])
+
+    def test_single_term_scalar_maps_close(self):
+        # n = 1 with one term: numpy's pow may take a SIMD path on the
+        # per-polynomial table and not on the shared one, so the last bit
+        # can differ; equality is only up to rounding here
+        f = PolyMap((Polynomial(1, {(3,): 1.7}),))
+        x = np.linspace(-2.0, 2.0, 33)[:, None]
+        values, jacobian = per_component_reference(f, x)
+        assert np.allclose(f.evaluate(x), values, rtol=1e-15, atol=0.0)
+        assert np.allclose(f.jacobian(x), jacobian, rtol=1e-15, atol=0.0)
+
+
 class TestLeadingTerms:
     def test_map_level_leading(self):
         y1 = Polynomial(2, {(0, 1): 1.0, (0, 0): -1.0})

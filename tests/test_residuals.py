@@ -14,6 +14,7 @@ from pcpkit import (
     leading_min_map,
     min_phi,
     min_phi_values,
+    natural_jacobian,
     natural_map,
     phi_residual,
     r_residual,
@@ -69,6 +70,19 @@ class TestNaturalMap:
         gx = affine_shift.g.evaluate([1.0, 1.0])
         assert np.all(fx >= 0) and np.all(gx >= 0) and fx @ gx == 0.0
         assert np.any(natural_map(affine_shift, [0.5, 0.5]) != 0.0)
+
+
+class TestNaturalJacobian:
+    def test_active_branch_with_tie_to_f(self, swapped_linear):
+        # f = Id, g = (x2 - 1, x1 - 1); at (1, 0): row 0 takes g, row 1 ties
+        expected = np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert np.array_equal(natural_jacobian(swapped_linear, [1.0, 0.0]), expected)
+
+    def test_batch_matches_single(self, swapped_linear):
+        pts = np.array([[1.0, 0.0], [3.0, -2.0], [0.5, 0.5]])
+        batch = natural_jacobian(swapped_linear, pts)
+        for k, row in enumerate(pts):
+            assert np.array_equal(batch[k], natural_jacobian(swapped_linear, row))
 
 
 class TestPhi:
