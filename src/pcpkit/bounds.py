@@ -25,8 +25,7 @@ import numpy as np
 
 from .enumeration import SolutionSet, distance_to_solutions
 from .exceptions import InputError
-from .probes import _unit_sphere
-from .residuals import PcpInstance, natural_residual_norm
+from .residuals import PcpInstance, natural_residual_norm, unit_sphere
 
 
 def exponent_R(n: int, d: int) -> int:
@@ -265,7 +264,7 @@ def verify_global_bound(
     if not radii or any(r <= 0 for r in radii):
         raise InputError("radii must be positive")
     rng = np.random.default_rng(seed)
-    shells = [_unit_sphere(rng, samples, inst.n) * r for r in radii]
+    shells = [unit_sphere(rng, samples, inst.n) * r for r in radii]
     points = np.vstack(shells)
     if extra_points is not None:
         extra = np.asarray(extra_points, dtype=float)

@@ -30,6 +30,8 @@ from .residuals import (
 
 JACOBIAN_CONDITION_LIMIT = 1e14
 MAX_BACKTRACK_HALVINGS = 30
+# the step scales tried after a rejected full Newton step, in order
+BACKTRACK_SCALES = 0.5 ** np.arange(1, MAX_BACKTRACK_HALVINGS + 1)
 NON_ISOLATED_CLUSTER_SIZE = 100
 
 
@@ -177,28 +179,28 @@ def damped_newton(
             continue
         newton_steps = np.linalg.solve(jac[good], -values[working][..., None])[..., 0]
 
-        # vectorized backtracking: halve the step until the residual drops
+        # backtracking: a row takes the first of the scales 1, 1/2, ..., 2^-30
+        # whose residual is finite and below its current one.  The shorter
+        # scales are evaluated together, and only for the rows the full
+        # step did not improve: most steps are accepted at full length.
+        base = pts[working]
         pending = np.arange(working.size)
-        scale = np.ones(working.size)
-        progressed = np.zeros(working.size, dtype=bool)
-        for _halving in range(MAX_BACKTRACK_HALVINGS + 1):
-            rows = working[pending]
-            trial = pts[rows] + scale[pending, None] * newton_steps[pending]
-            trial_values = values_fn(trial)
-            with np.errstate(invalid="ignore"):
-                trial_norms = np.linalg.norm(trial_values, axis=1)
-            better = np.isfinite(trial_norms) & (trial_norms < norms[rows])
-            accepted = rows[better]
-            pts[accepted] = trial[better]
-            values[accepted] = trial_values[better]
-            norms[accepted] = trial_norms[better]
-            progressed[pending[better]] = True
-            pending = pending[~better]
+        for scales in (np.ones(1), BACKTRACK_SCALES):
+            ladder = base[pending, None] + scales[:, None] * newton_steps[pending, None]
+            ladder_values = values_fn(ladder.reshape(-1, pts.shape[1])).reshape(ladder.shape)
+            ladder_norms = np.linalg.norm(ladder_values, axis=2)
+            improves = np.isfinite(ladder_norms) & (ladder_norms < norms[working[pending], None])
+            pick = np.arange(pending.size), improves.argmax(axis=1)
+            found = improves[pick]
+            rows = working[pending[found]]
+            pts[rows] = ladder[pick][found]
+            values[rows] = ladder_values[pick][found]
+            norms[rows] = ladder_norms[pick][found]
+            steps[rows] += 1
+            pending = pending[~found]
             if pending.size == 0:
                 break
-            scale[pending] *= 0.5
-        alive[working[~progressed]] = False
-        steps[working[progressed]] += 1
+        alive[working[pending]] = False
 
     return NewtonResult(pts, norms, alive, escaped, steps)
 
@@ -209,27 +211,20 @@ def _dedupe_points(
     """Merge points within ``radius``; keep the smallest priority per cluster.
 
     Ties in priority fall back to lexicographic order of coordinates.
+    In that order, the first pending point becomes a representative and
+    takes every pending point within ``radius`` into its cluster; a
+    pending point is never that close to an earlier representative.
     Returns the representatives and the largest merged cluster size.
     """
-    if len(points) == 0:
-        return points, 0
-    order = sorted(
-        range(len(points)), key=lambda k: (priorities[k], tuple(points[k]))
-    )
-    kept: list[int] = []
-    cluster_sizes: list[int] = []
-    for k in order:
-        assigned = False
-        for slot, rep in enumerate(kept):
-            if np.linalg.norm(points[k] - points[rep]) <= radius:
-                cluster_sizes[slot] += 1
-                assigned = True
-                break
-        if not assigned:
-            kept.append(k)
-            cluster_sizes.append(1)
-    representatives = np.array([points[k] for k in kept])
-    return representatives, (max(cluster_sizes) if cluster_sizes else 0)
+    pending = points[np.lexsort(np.vstack([points.T[::-1], priorities]))]
+    kept = []
+    largest = 0
+    while len(pending):
+        near = np.linalg.norm(pending - pending[0], axis=1) <= radius
+        kept.append(pending[0])
+        largest = max(largest, int(near.sum()))
+        pending = pending[~near]
+    return np.reshape(kept, (-1, points.shape[1])), largest
 
 
 def _subsystem_starts(
@@ -275,8 +270,6 @@ def solve_subsystem(
         system.evaluate, system.jacobian, starts, cfg.newton_tol * 1e-2, cfg.max_newton_iters
     )
     roots = result.points[result.alive & (result.norms <= cfg.newton_tol)]
-    if len(roots) == 0:
-        return np.zeros((0, inst.n))
     residuals = np.linalg.norm(system.evaluate(roots), axis=1)
     unique, _ = _dedupe_points(roots, residuals, cfg.dedupe_radius)
     order = np.lexsort(unique.T[::-1])
@@ -291,43 +284,35 @@ def enumerate_solutions(
     n = inst.n
     check_subset_dimension(n, "enumeration")
 
-    candidates = []
-    for mask in range(1 << n):
-        index_set = frozenset(i for i in range(n) if mask & (1 << i))
-        roots = solve_subsystem(inst, index_set, cfg, x_ref)
-        if len(roots):
-            candidates.append(roots)
-
+    points = np.vstack([
+        solve_subsystem(inst, frozenset(i for i in range(n) if mask & (1 << i)), cfg, x_ref)
+        for mask in range(1 << n)
+    ])
+    fx = inst.f.evaluate(points)
+    gx = inst.g.evaluate(points)
+    feasible = np.all(fx >= -cfg.feasibility_tol, axis=1) & np.all(
+        gx >= -cfg.feasibility_tol, axis=1
+    )
+    residuals = np.linalg.norm(np.minimum(fx, gx)[feasible], axis=1)
+    points, largest_cluster = _dedupe_points(points[feasible], residuals, cfg.dedupe_radius)
     warnings: list[str] = []
-    certificates: list[SolutionCertificate] = []
-    if candidates:
-        points = np.vstack(candidates)
-        fx = inst.f.evaluate(points)
-        gx = inst.g.evaluate(points)
-        feasible = np.all(fx >= -cfg.feasibility_tol, axis=1) & np.all(
-            gx >= -cfg.feasibility_tol, axis=1
+    if largest_cluster > NON_ISOLATED_CLUSTER_SIZE:
+        warnings.append(
+            "non-isolated solutions suspected: a dedupe cluster merged "
+            f"{largest_cluster} points"
         )
-        points = points[feasible]
-        if len(points):
-            residuals = np.linalg.norm(np.minimum(fx, gx)[feasible], axis=1)
-            points, largest_cluster = _dedupe_points(points, residuals, cfg.dedupe_radius)
-            if largest_cluster > NON_ISOLATED_CLUSTER_SIZE:
-                warnings.append(
-                    "non-isolated solutions suspected: a dedupe cluster merged "
-                    f"{largest_cluster} points"
-                )
-            for point in points:
-                try:
-                    certificates.append(certify_solution(inst, point, cfg))
-                except CertificationError:
-                    continue
-        certificates.sort(key=lambda c: tuple(c.point))
+    certificates: list[SolutionCertificate] = []
+    for point in points:
+        try:
+            certificates.append(certify_solution(inst, point, cfg))
+        except CertificationError:
+            continue
+    certificates.sort(key=lambda c: tuple(c.point))
 
-    completeness = not warnings
     return SolutionSet(
         certificates=tuple(certificates),
         config=cfg,
-        completeness_claim=completeness,
+        completeness_claim=not warnings,
         warnings=tuple(warnings),
     )
 

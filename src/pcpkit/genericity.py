@@ -34,12 +34,13 @@ def monomials_up_to(n: int, degree: int) -> list[Exponents]:
     """All exponent vectors with total degree <= degree, graded-lex order."""
     if n < 1 or degree < 0:
         raise InputError("need n >= 1 and degree >= 0")
-    found = []
-    for total in range(degree + 1):
-        for combo in itertools.product(range(total + 1), repeat=n):
-            if sum(combo) == total:
-                found.append(combo)
-    return found
+    # stars and bars: the gaps between n - 1 bars among total + n - 1 slots;
+    # bars in lexicographic order give the exponent vectors in that order
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + n - 1)))
+        for total in range(degree + 1)
+        for bars in itertools.combinations(range(total + n - 1), n - 1)
+    ]
 
 
 def random_polynomial(n: int, degree: int, rng: np.random.Generator) -> Polynomial:

@@ -16,7 +16,13 @@ import numpy as np
 
 from .enumeration import SolutionSet
 from .exceptions import DegenerateInputError, EmptyRegionError, InputError
-from .residuals import PcpInstance, natural_jacobian, natural_map, natural_residual_norm
+from .residuals import (
+    PcpInstance,
+    natural_jacobian,
+    natural_map,
+    natural_residual_norm,
+    unit_sphere,
+)
 
 R0_TOL = 1e-8
 DEGENERACY_TOL = 1e-8
@@ -58,16 +64,6 @@ class ProbeReport:
             "statistics": self.statistics,
             "config": self.config,
         }
-
-
-def _unit_sphere(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    points = rng.standard_normal((count, n))
-    norms = np.linalg.norm(points, axis=1, keepdims=True)
-    tiny = norms[:, 0] < 1e-12
-    if np.any(tiny):
-        points[tiny] = np.eye(n)[0]
-        norms[tiny] = 1.0
-    return points / norms
 
 
 def _refine_on_sphere(
@@ -135,13 +131,14 @@ def r0_test(
     rng = np.random.default_rng(seed)
     n = inst.n
 
-    points = _unit_sphere(rng, samples, n)
+    points = unit_sphere(rng, samples, n)
     norms = natural_residual_norm(pair, points)
     order = np.argsort(norms)
     candidates = points[order[: min(16, samples)]]
 
+    # a single-point value: a row's batch value can differ in the last bit
     best_point = points[order[0]]
-    best_norm = float(norms[order[0]])
+    best_norm = natural_residual_norm(pair, best_point)
     for candidate in candidates:
         refined = _refine_on_sphere(pair, candidate, 1.0, refine_iters)
         refined_norm = natural_residual_norm(pair, refined)
@@ -163,7 +160,6 @@ def r0_test(
     g_at_best = pair.g.evaluate(best_point)
     feasible = bool(np.all(f_at_best >= -tol) and np.all(g_at_best >= -tol))
     if best_norm <= tol and feasible:
-        # the witness re-evaluates below tol by construction
         witness = {
             "point": [float(v) for v in best_point],
             "residual_norm": best_norm,
@@ -201,7 +197,7 @@ def r0_shifted_pair_probe(
     best_point = None
     total = 0
     for radius in radii:
-        points = _unit_sphere(rng, samples, inst.n) * radius
+        points = unit_sphere(rng, samples, inst.n) * radius
         total += samples
         norms = natural_residual_norm(shifted, points)
         k = int(np.argmin(norms))
@@ -264,13 +260,15 @@ def coercivity_probe(
         raise InputError("need at least two radii")
     if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be positive and strictly increasing")
+    if samples_per_radius < 1:
+        raise InputError("samples_per_radius must be >= 1")
     rng = np.random.default_rng(seed)
     n = inst.n
 
     phi = []
     witness = None
     for radius in radii:
-        points = _unit_sphere(rng, samples_per_radius, n) * radius
+        points = unit_sphere(rng, samples_per_radius, n) * radius
         norms = natural_residual_norm(inst, points)
         k = int(np.argmin(norms))
         refined = _refine_on_sphere(inst, points[k], radius, refine_iters)
@@ -328,13 +326,15 @@ def xref_boundedness_probe(
     """
     if radius <= 0:
         raise InputError("radius must be positive")
+    if samples < 1:
+        raise InputError("samples must be >= 1")
     reference = np.asarray(x_ref, dtype=float)
     if reference.shape != (inst.n,):
         raise InputError(f"x_ref has shape {reference.shape}, expected ({inst.n},)")
     pair = _leading_for(inst, componentwise=False) if use_leading else inst
     rng = np.random.default_rng(seed)
 
-    points = _unit_sphere(rng, samples, inst.n) * radius
+    points = unit_sphere(rng, samples, inst.n) * radius
     values = np.einsum("ij,ij->i", points - reference[None, :], natural_map(pair, points))
     worst = int(np.argmin(values))
 
@@ -386,7 +386,7 @@ def karamardian_coercivity_probe(
     low = inner_radius * (1.0 + 1e-9) if inner_radius > 0 else 1e-6
     high = max(1.0, inner_radius) * radius_factor
 
-    directions = _unit_sphere(rng, samples, n)
+    directions = unit_sphere(rng, samples, n)
     radii = np.exp(rng.uniform(np.log(low), np.log(high), size=samples))
     points = directions * radii[:, None]
     margins = (

@@ -35,6 +35,17 @@ def check_subset_dimension(n: int, walk: str) -> None:
         )
 
 
+def unit_sphere(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` seeded directions on the unit sphere in R^n, one per row."""
+    points = rng.standard_normal((count, n))
+    norms = np.linalg.norm(points, axis=1, keepdims=True)
+    tiny = norms[:, 0] < 1e-12
+    if np.any(tiny):
+        points[tiny] = np.eye(n)[0]
+        norms[tiny] = 1.0
+    return points / norms
+
+
 def negative_part(a):
     """[-a]_+ = max(-a, 0), elementwise and exact."""
     return np.maximum(-np.asarray(a, dtype=float), 0.0)

@@ -224,3 +224,17 @@ class TestErrors:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "probe, options",
+        [
+            ("xref", ["--xref", "0,0", "--radius", "1"]),
+            ("coercivity", ["--radii", "1,2"]),
+        ],
+    )
+    def test_zero_probe_samples(self, capsys, hyperbola_file, probe, options):
+        code = run_command(["probe", probe, hyperbola_file, "--samples", "0", *options])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err

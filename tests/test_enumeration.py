@@ -83,6 +83,28 @@ class TestDampedNewton:
         assert list(result.alive) == [False, True]
         assert not result.escaped.any()
 
+    def test_backtrack_takes_first_improving_scale(self):
+        # from x = 2 the full arctan Newton step overshoots; scale 1/2 is the
+        # first to improve and scale 1/4 would improve more
+        values = np.arctan
+        jacobian = lambda x: (1.0 / (1.0 + x**2))[:, :, None]  # noqa: E731
+        step = -np.arctan(2.0) * 5.0
+        residual = lambda s: abs(np.arctan(2.0 + s * step))  # noqa: E731
+        assert residual(1.0) >= np.arctan(2.0) > residual(0.5) > residual(0.25)
+        result = damped_newton(values, jacobian, np.array([[2.0]]), 1e-12, max_iters=1)
+        assert result.points[0, 0] == 2.0 + 0.5 * step
+        assert result.steps[0] == 1 and result.alive[0]
+
+    def test_exhausted_backtracking_abandons_row(self):
+        # x^2 + 1 has no real root; near its minimum no scale down to 2^-30
+        # of the huge Newton step lowers the residual
+        values = lambda x: x**2 + 1.0  # noqa: E731
+        jacobian = lambda x: 2.0 * x[:, :, None]  # noqa: E731
+        result = damped_newton(values, jacobian, np.array([[1e-12]]), 1e-12, 50)
+        assert not result.alive[0] and not result.escaped[0]
+        assert result.steps[0] == 0
+        assert result.points[0, 0] == 1e-12
+
 
 class TestEnumerate:
     def test_hyperbola_unique_solution(self, hyperbola_pair):
@@ -218,6 +240,16 @@ class TestDedupe:
         # ties in residual resolve by coordinate order: (1, 2) survives
         # its cluster with (1, 3); (2, 0) is separated from both
         assert np.array_equal(kept[0], [1.0, 2.0])
+
+    def test_greedy_not_transitive(self):
+        from pcpkit.enumeration import _dedupe_points
+
+        # 0.9 joins the cluster of 0; 1.8 is within the radius of 0.9 only,
+        # so it starts its own cluster rather than chaining onto the first
+        points = np.array([[0.0], [0.9], [1.8]])
+        kept, largest = _dedupe_points(points, np.zeros(3), radius=1.0)
+        assert np.array_equal(kept, [[0.0], [1.8]])
+        assert largest == 2
 
     def test_large_cluster_counted(self):
         from pcpkit.enumeration import _dedupe_points

@@ -32,6 +32,25 @@ class TestMonomials:
             for d in (1, 2, 3, 4):
                 assert len(monomials_up_to(n, d)) == comb(n + d, d)
 
+    def test_matches_product_and_filter(self):
+        # trial seeds draw coefficients in this order, so it must not move
+        from itertools import product
+
+        for n in (1, 2, 3, 4):
+            for d in (0, 1, 2, 3, 4):
+                expected = [
+                    combo
+                    for total in range(d + 1)
+                    for combo in product(range(total + 1), repeat=n)
+                    if sum(combo) == total
+                ]
+                assert monomials_up_to(n, d) == expected
+
+    def test_many_variables_linear(self):
+        listing = monomials_up_to(30, 1)
+        assert len(listing) == 31
+        assert listing[1] == (0,) * 29 + (1,) and listing[-1] == (1,) + (0,) * 29
+
 
 class TestRandomInstance:
     def test_deterministic(self):
