@@ -46,23 +46,32 @@ class HolderExponent(NamedTuple):
     global_alpha_is_one: bool
 
 
-def holder_exponent(inst: PcpInstance) -> HolderExponent:
+def holder_exponent_for(n: int, d: int) -> HolderExponent:
     """Exponent growth_exponent(3n - 1, d + 1) for the natural-map bound.
 
     The flag reports the global two-regime branch: for affine instances
     (d = 1) the global bound holds with exponent 1 instead.
     """
-    alpha = exponent_R(3 * inst.n - 1, inst.degree + 1)
-    return HolderExponent(alpha=alpha, global_alpha_is_one=inst.degree == 1)
+    return HolderExponent(alpha=exponent_R(3 * n - 1, d + 1), global_alpha_is_one=d == 1)
+
+
+def holder_exponent(inst: PcpInstance) -> HolderExponent:
+    """``holder_exponent_for`` at the instance's dimension and degree."""
+    return holder_exponent_for(inst.n, inst.degree)
+
+
+def naive_exponent_for(n: int, d: int) -> int:
+    """Exponent growth_exponent(3n, 2d + 1) of the unimproved route.
+
+    Always at least ``holder_exponent_for`` for d >= 1; the gap is the
+    payoff of measuring violations through the min map.
+    """
+    return exponent_R(3 * n, 2 * d + 1)
 
 
 def naive_exponent(inst: PcpInstance) -> int:
-    """Exponent growth_exponent(3n, 2d + 1) of the unimproved route.
-
-    Always at least ``holder_exponent`` for d >= 1; the gap is the payoff
-    of measuring violations through the min map.
-    """
-    return exponent_R(3 * inst.n, 2 * inst.degree + 1)
+    """``naive_exponent_for`` at the instance's dimension and degree."""
+    return naive_exponent_for(inst.n, inst.degree)
 
 
 class ExponentFit(NamedTuple):

@@ -238,13 +238,15 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_exponent(args) -> int:
     n, d = args.n, args.d
+    growth = bounds_mod.exponent_R(n, d)
+    holder = bounds_mod.holder_exponent_for(n, d)
     payload = {
         "n": n,
         "d": d,
-        "R": bounds_mod.exponent_R(n, d),
-        "holder_exponent": bounds_mod.exponent_R(3 * n - 1, d + 1),
-        "naive_exponent": bounds_mod.exponent_R(3 * n, 2 * d + 1),
-        "global_alpha_is_one": d == 1,
+        "R": growth,
+        "holder_exponent": holder.alpha,
+        "naive_exponent": bounds_mod.naive_exponent_for(n, d),
+        "global_alpha_is_one": holder.global_alpha_is_one,
     }
     _print_report("exponent", {"n": n, "d": d}, payload)
     return 0

@@ -288,8 +288,7 @@ def enumerate_solutions(
         solve_subsystem(inst, frozenset(i for i in range(n) if mask & (1 << i)), cfg, x_ref)
         for mask in range(1 << n)
     ])
-    fx = inst.f.evaluate(points)
-    gx = inst.g.evaluate(points)
+    fx, gx = inst.evaluate_pair(points)
     feasible = np.all(fx >= -cfg.feasibility_tol, axis=1) & np.all(
         gx >= -cfg.feasibility_tol, axis=1
     )
@@ -321,8 +320,7 @@ def min_abs_subsystem_determinant(inst: PcpInstance, x) -> float:
     """min over all index sets I of |det Jac_I(x)| with rows f_i on I, g_i off I."""
     n = inst.n
     check_subset_dimension(n, "determinant scan")
-    jac_f = inst.f.jacobian(x)
-    jac_g = inst.g.jacobian(x)
+    _, _, jac_f, jac_g = inst.evaluate_pair(x, jacobians=True)
     best = np.inf
     rows = np.empty_like(jac_f)
     for mask in range(1 << n):
@@ -353,8 +351,7 @@ def certify_solution(
             residual_norm=residual_norm,
         )
     _, active = min_phi(inst, point)
-    fx = inst.f.evaluate(point)
-    gx = inst.g.evaluate(point)
+    fx, gx = inst.evaluate_pair(point)
     strict = bool(np.min(fx + gx) > cfg.feasibility_tol)
     return SolutionCertificate(
         point=point.copy(),

@@ -167,9 +167,7 @@ def trial_instance(
 
 def _affine_lcp_data(inst: PcpInstance) -> tuple[np.ndarray, np.ndarray]:
     """Extract (M, q) from an affine g via exact evaluation."""
-    n = inst.n
-    q = inst.g.evaluate(np.zeros(n))
-    M = inst.g.jacobian(np.zeros(n))
+    _, q, _, M = inst.evaluate_pair(np.zeros(inst.n), jacobians=True)
     return M, q
 
 

@@ -202,15 +202,16 @@ def track_leading_homotopy(
     lead = inst.leading_pair
 
     def h(x: np.ndarray, t: float) -> np.ndarray:
-        f_t = (1.0 - t) * lead.f.evaluate(x) + t * inst.f.evaluate(x)
-        g_t = (1.0 - t) * lead.g.evaluate(x) + t * inst.g.evaluate(x)
-        return np.minimum(f_t, g_t)
+        (lead_f, lead_g), (f, g) = lead.evaluate_pair(x), inst.evaluate_pair(x)
+        return np.minimum((1.0 - t) * lead_f + t * f, (1.0 - t) * lead_g + t * g)
 
     def jac(x: np.ndarray, t: float) -> np.ndarray:
-        f_t = (1.0 - t) * lead.f.evaluate(x) + t * inst.f.evaluate(x)
-        g_t = (1.0 - t) * lead.g.evaluate(x) + t * inst.g.evaluate(x)
-        jac_f = (1.0 - t) * lead.f.jacobian(x) + t * inst.f.jacobian(x)
-        jac_g = (1.0 - t) * lead.g.jacobian(x) + t * inst.g.jacobian(x)
+        lead_f, lead_g, lead_jf, lead_jg = lead.evaluate_pair(x, jacobians=True)
+        f, g, jf, jg = inst.evaluate_pair(x, jacobians=True)
+        f_t = (1.0 - t) * lead_f + t * f
+        g_t = (1.0 - t) * lead_g + t * g
+        jac_f = (1.0 - t) * lead_jf + t * jf
+        jac_g = (1.0 - t) * lead_jg + t * jg
         # ties go to the f side, as in natural_jacobian
         return np.where((f_t <= g_t)[..., None], jac_f, jac_g)
 

@@ -13,10 +13,11 @@ deterministic.  The zero polynomial has an empty term dict, degree 0 and
 
 A :class:`PolyMap` bundles n polynomials of common arity n into a square
 map R^n -> R^n with vectorized evaluation and exact symbolic Jacobians.
-It compiles its components and their partials once into one shared
-monomial table; ``Polynomial.evaluate`` is the per-term reference that
-the compiled path reproduces bit for bit.  All values are immutable
-after construction; every operation is pure.
+It compiles its components and their partials once
+(:class:`CompiledTerms`) and evaluates them from one monomial table per
+batch, built from a power ladder; ``Polynomial.evaluate`` is the
+per-term reference that the compiled path reproduces bit for bit.  All
+values are immutable after construction; every operation is pure.
 """
 
 from __future__ import annotations
@@ -202,6 +203,80 @@ class Polynomial:
         return Polynomial(self.arity, {k: factor * c for k, c in self.terms.items()})
 
 
+class CompiledTerms:
+    """Polynomials of one arity compiled onto one shared monomial table.
+
+    ``values`` and ``jacobian`` list, for each component and for each exact
+    partial (row-major), its term rows in the union exponent table and its
+    ``_coefficients``, in that polynomial's own term order: one gather and
+    one dot product per entry repeat ``Polynomial.evaluate`` bit for bit.
+    A zero-padded coefficient matrix would reorder the sums and let one
+    entry's overflowing term turn another's zero coefficient into NaN.
+    """
+
+    def __init__(self, components: Sequence[Polynomial]):
+        self.arity = arity = components[0].arity
+        rows: dict[Exponents, int] = {}
+
+        def entry(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+            index = [rows.setdefault(key, len(rows)) for key in p.terms]
+            return np.array(index, dtype=np.intp), p._coefficients
+
+        self.values = tuple(entry(c) for c in components)
+        self.jacobian = tuple(entry(part) for c in components for part in c.gradient)
+        exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), arity)
+        # the power ladder's rows: 1.0, then x_0 .. x_{n-1}, then x_i ** e for
+        # e = 2 .. top, variable by variable
+        top = int(exponents.max(initial=1))
+        self.rungs = top - 1
+        self.powers = np.tile(np.arange(2.0, top + 1), arity)[:, None]
+        e = exponents.T
+        variable = np.arange(arity)[:, None]
+        self.ladder_rows = np.where(
+            e == 0, 0, np.where(e == 1, 1 + variable, 1 + arity + variable * self.rungs + e - 2)
+        )
+
+    def monomials(self, pts: np.ndarray) -> np.ndarray:
+        """The (m, terms) monomial table, in the memory order of ``pts``.
+
+        A power ladder: ``x_i ** 0`` is 1.0 and ``x_i ** 1`` is x_i, both
+        exact; only e >= 2 goes through ``np.power``, and with a contiguous
+        float64 base and a contiguous float64 exponent of the same shape.
+        That is the (SIMD, not correctly rounded) path that the broadcast
+        ``pts ** exponents`` of ``Polynomial.evaluate`` takes; ``x * x``,
+        which numpy also substitutes for a scalar-like exponent 2, rounds
+        differently.  Each monomial multiplies its variables' rows in
+        variable order, as ``np.prod`` does.
+        """
+        m = pts.shape[0]
+        columns = pts.T
+        powered = np.power(
+            np.repeat(columns, self.rungs, axis=0),
+            np.repeat(self.powers, m, axis=1),
+        )
+        ladder = np.concatenate((np.ones((1, m)), columns, powered))
+        table = np.multiply.reduce(ladder[self.ladder_rows], axis=0)
+        # the broadcast table of Polynomial.evaluate is column-major exactly
+        # when the batch is, with more than one row and column
+        if m > 1 and pts.shape[1] > 1 and pts.strides[0] < pts.strides[1]:
+            return table.T
+        return np.ascontiguousarray(table.T)
+
+    def evaluate(self, x, entries: tuple) -> np.ndarray:
+        """Compiled entries at a point (len,) or a batch (m, len)."""
+        pts, single = _as_points(x, self.arity)
+        monomials = self.monomials(pts)
+        # Gather in the table's memory order: the dot product takes another
+        # BLAS path, and rounds differently, on the other one.
+        column_major = monomials.strides[0] < monomials.strides[1]
+        out = np.zeros((pts.shape[0], len(entries)))
+        for k, (index, coefficients) in enumerate(entries):
+            if index.size:
+                block = monomials[:, index] if column_major else monomials.take(index, axis=1)
+                out[:, k] = block @ coefficients
+        return out[0] if single else out
+
+
 @dataclass(frozen=True)
 class PolyMap:
     """A square polynomial map R^n -> R^n given by n component polynomials."""
@@ -249,53 +324,19 @@ class PolyMap:
     # -- evaluation ---------------------------------------------------
 
     @cached_property
-    def _compiled(self) -> tuple[np.ndarray, tuple, tuple]:
-        """Union exponent rows, plus (rows, coefficients) per output entry.
-
-        Entries are the n values and the n^2 Jacobian entries (exact
-        partials, row-major), each in its own polynomial's term order, so
-        one gather and one dot product per entry repeat
-        ``Polynomial.evaluate`` bit for bit.  A zero-padded coefficient
-        matrix would reorder the sums and let one entry's overflowing term
-        turn another's zero coefficient into NaN.
-        """
-        rows: dict[Exponents, int] = {}
-
-        def entry(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-            index = [rows.setdefault(key, len(rows)) for key in p.terms]
-            return np.array(index, dtype=np.intp), p._coefficients
-
-        values = tuple(entry(c) for c in self.components)
-        jacobian = tuple(entry(part) for c in self.components for part in c.gradient)
-        exponents = np.array(list(rows), dtype=np.int64).reshape(len(rows), self.arity)
-        return exponents, values, jacobian
-
-    def _entries(self, pts: np.ndarray, entries: tuple) -> np.ndarray:
-        """Evaluate compiled entries on a (m, n) batch into a (m, len) array."""
-        exponents = self._compiled[0]
-        monomials = np.prod(pts[:, None, :] ** exponents[None, :, :], axis=2)
-        # The table is row- or column-major as the input is, and so is each
-        # Polynomial's own table.  Gather in that same order: the dot product
-        # takes another BLAS path, and rounds differently, on the other one.
-        column_major = monomials.strides[0] < monomials.strides[1]
-        out = np.zeros((pts.shape[0], len(entries)))
-        for k, (index, coefficients) in enumerate(entries):
-            if index.size:
-                block = monomials[:, index] if column_major else monomials.take(index, axis=1)
-                out[:, k] = block @ coefficients
-        return out
+    def _compiled(self) -> "CompiledTerms":
+        return CompiledTerms(self.components)
 
     def evaluate(self, x) -> np.ndarray:
         """Value at a point (n,) -> (n,), or a batch (m, n) -> (m, n)."""
-        pts, single = _as_points(x, self.arity)
-        values = self._entries(pts, self._compiled[1])
-        return values[0] if single else values
+        compiled = self._compiled
+        return compiled.evaluate(x, compiled.values)
 
     def jacobian(self, x) -> np.ndarray:
         """Exact Jacobian at a point (n, n), or a batch (m, n, n)."""
-        pts, single = _as_points(x, self.arity)
-        jac = self._entries(pts, self._compiled[2]).reshape(-1, self.arity, self.arity)
-        return jac[0] if single else jac
+        compiled = self._compiled
+        jac = compiled.evaluate(x, compiled.jacobian)
+        return jac.reshape(jac.shape[:-1] + (self.arity, self.arity))
 
     # -- leading structure --------------------------------------------
 

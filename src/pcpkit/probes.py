@@ -156,8 +156,7 @@ def r0_test(
         "min_residual_on_sphere": best_norm,
         "max_sampled_residual": float(norms.max()),
     }
-    f_at_best = pair.f.evaluate(best_point)
-    g_at_best = pair.g.evaluate(best_point)
+    f_at_best, g_at_best = pair.evaluate_pair(best_point)
     feasible = bool(np.all(f_at_best >= -tol) and np.all(g_at_best >= -tol))
     if best_norm <= tol and feasible:
         witness = {
@@ -269,12 +268,13 @@ def coercivity_probe(
     witness = None
     for radius in radii:
         points = unit_sphere(rng, samples_per_radius, n) * radius
-        norms = natural_residual_norm(inst, points)
-        k = int(np.argmin(norms))
+        k = int(np.argmin(natural_residual_norm(inst, points)))
+        # a single-point value: a row's batch value can differ in the last bit
+        sampled_norm = natural_residual_norm(inst, points[k])
         refined = _refine_on_sphere(inst, points[k], radius, refine_iters)
         refined_norm = natural_residual_norm(inst, refined)
-        value = min(float(norms[k]), refined_norm)
-        best_point = refined if refined_norm <= norms[k] else points[k]
+        value = min(sampled_norm, refined_norm)
+        best_point = refined if refined_norm <= sampled_norm else points[k]
         phi.append(value)
         if value <= COERCIVITY_VANISH_TOL and witness is None:
             witness = {
@@ -469,8 +469,7 @@ def _feasible_region_samples(
     batch = max(256, count)
     while total < count:
         draw = low + span * rng.random((batch, inst.n))
-        fx = inst.f.evaluate(draw)
-        gx = inst.g.evaluate(draw)
+        fx, gx = inst.evaluate_pair(draw)
         keep = np.all(fx >= 0.0, axis=1) & np.all(gx >= 0.0, axis=1)
         kept = draw[keep]
         rejected += batch - len(kept)
@@ -517,9 +516,8 @@ def p_function_probe(
     rng = np.random.default_rng(seed)
 
     def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (inst.f.evaluate(x) - inst.f.evaluate(y)) * (
-            inst.g.evaluate(x) - inst.g.evaluate(y)
-        )
+        (fx, gx), (fy, gy) = inst.evaluate_pair(x), inst.evaluate_pair(y)
+        return (fx - fy) * (gx - gy)
 
     config = {
         "region": [[float(a), float(b)] for a, b in box],
@@ -534,9 +532,8 @@ def p_function_probe(
         for certificate in solutions.certificates:
             point = certificate.point
             in_box = np.all(point >= box[:, 0]) and np.all(point <= box[:, 1])
-            feasible = np.all(inst.f.evaluate(point) >= -1e-9) and np.all(
-                inst.g.evaluate(point) >= -1e-9
-            )
+            fx, gx = inst.evaluate_pair(point)
+            feasible = np.all(fx >= -1e-9) and np.all(gx >= -1e-9)
             if in_box and feasible:
                 inside.append(point)
         for a in range(len(inside)):

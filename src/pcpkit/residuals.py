@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .exceptions import ComplexityGuardError, InputError
-from .polynomials import PolyMap
+from .polynomials import CompiledTerms, PolyMap
 
 # Cap for anything that walks all 2^n index subsets.
 MAX_SUBSET_DIMENSION = 24
@@ -89,6 +89,25 @@ class PcpInstance:
         return max(self.degree_f, self.degree_g)
 
     @cached_property
+    def _pair_terms(self) -> CompiledTerms:
+        return CompiledTerms(self.f.components + self.g.components)
+
+    def evaluate_pair(self, x, jacobians: bool = False) -> tuple[np.ndarray, ...]:
+        """(f(x), g(x)), plus (Jf(x), Jg(x)) with ``jacobians``; batch aware.
+
+        All from one monomial table, and equal bit for bit to
+        ``f.evaluate``, ``g.evaluate``, ``f.jacobian`` and ``g.jacobian``.
+        """
+        n = self.n
+        terms = self._pair_terms
+        out = terms.evaluate(x, terms.values + terms.jacobian if jacobians else terms.values)
+        parts = (out[..., :n], out[..., n : 2 * n])
+        if jacobians:
+            jac = out[..., 2 * n :].reshape(out.shape[:-1] + (2, n, n))
+            parts += (jac[..., 0, :, :], jac[..., 1, :, :])
+        return parts
+
+    @cached_property
     def leading_pair(self) -> "PcpInstance":
         """Instance formed by the map-level leading terms of f and g."""
         return PcpInstance(self.f.leading_term_map(), self.g.leading_term_map())
@@ -106,7 +125,7 @@ class PcpInstance:
 
 def natural_map(inst: PcpInstance, x) -> np.ndarray:
     """m(x) = min{f(x), g(x)} componentwise; batch aware."""
-    return np.minimum(inst.f.evaluate(x), inst.g.evaluate(x))
+    return np.minimum(*inst.evaluate_pair(x))
 
 
 def natural_jacobian(inst: PcpInstance, x) -> np.ndarray:
@@ -115,8 +134,8 @@ def natural_jacobian(inst: PcpInstance, x) -> np.ndarray:
     Row i is the gradient of f_i where f_i(x) <= g_i(x) (ties go to f)
     and of g_i elsewhere.
     """
-    take_f = inst.f.evaluate(x) <= inst.g.evaluate(x)
-    return np.where(take_f[..., None], inst.f.jacobian(x), inst.g.jacobian(x))
+    fx, gx, jac_f, jac_g = inst.evaluate_pair(x, jacobians=True)
+    return np.where((fx <= gx)[..., None], jac_f, jac_g)
 
 
 def natural_residual_norm(inst: PcpInstance, x) -> float | np.ndarray:
@@ -137,8 +156,7 @@ def check_indices(indices: Iterable[int], n: int) -> frozenset[int]:
 
 def _phi_parts(inst: PcpInstance, x) -> tuple[np.ndarray, np.ndarray]:
     """Per-index costs: in-set cost |f_i| + [-g_i]_+, out cost [-f_i]_+ + |g_i|."""
-    fx = inst.f.evaluate(x)
-    gx = inst.g.evaluate(x)
+    fx, gx = inst.evaluate_pair(x)
     inside = np.abs(fx) + negative_part(gx)
     outside = negative_part(fx) + np.abs(gx)
     return inside, outside
@@ -197,8 +215,7 @@ def r_residual(inst: PcpInstance, x) -> float | np.ndarray:
 
     Vanishes exactly on the solution set and dominates ||m(x)||.
     """
-    fx = inst.f.evaluate(x)
-    gx = inst.g.evaluate(x)
+    fx, gx = inst.evaluate_pair(x)
     terms = negative_part(fx) + negative_part(gx) + np.sqrt(np.abs(fx * gx))
     if terms.ndim == 1:
         return float(np.sum(terms))

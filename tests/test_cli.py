@@ -157,6 +157,20 @@ class TestExponentGenerateTrialLemke:
         assert payload["naive_exponent"] == 1244160
         assert "3888" in out and "1244160" in out
 
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (3, 2)])
+    def test_exponent_payload_matches_bounds(self, capsys, n, d):
+        from pcpkit.bounds import exponent_R, holder_exponent, naive_exponent
+
+        code, out = run(capsys, "exponent", "--n", str(n), "--d", str(d))
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        inst = random_instance(n, [d] * n, [d] * n, 4)
+        holder = holder_exponent(inst)
+        assert payload["R"] == exponent_R(n, d)
+        assert payload["holder_exponent"] == holder.alpha
+        assert payload["global_alpha_is_one"] == holder.global_alpha_is_one
+        assert payload["naive_exponent"] == naive_exponent(inst)
+
     def test_generate_parses_back(self, capsys, tmp_path):
         code, out = run(capsys, "generate", "--n", "2", "--degrees", "2", "--seed", "9")
         assert code == 0

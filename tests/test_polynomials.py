@@ -193,6 +193,55 @@ class TestCompiledEvaluation:
         assert jacobian[0, 0] == np.inf
         assert np.array_equal(jacobian[1], [0.0, 1.0])
 
+    def test_pair_matches_per_component(self):
+        from pcpkit import random_instance
+
+        rng = np.random.default_rng(9)
+        for n, degrees_f, degrees_g in ((2, 3, 2), (3, 1, 4), (4, 2, 3)):
+            inst = random_instance(
+                n, [degrees_f] * n, [degrees_g] * n, int(rng.integers(2**31))
+            )
+            for rows in (1, 3, 16, 81):
+                batch = rng.uniform(-3.0, 3.0, size=(rows, n))
+                for x in (batch, np.asfortranarray(batch), batch[0]):
+                    f_values, f_jacobian = per_component_reference(inst.f, x)
+                    g_values, g_jacobian = per_component_reference(inst.g, x)
+                    fx, gx = inst.evaluate_pair(x)
+                    assert np.array_equal(fx, f_values) and np.array_equal(gx, g_values)
+                    pair = inst.evaluate_pair(x, jacobians=True)
+                    for got, want in zip(pair, (f_values, g_values, f_jacobian, g_jacobian)):
+                        assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_dense_scalar_maps(self):
+        # a lone exponent 2 broadcast over the batch takes numpy's x * x
+        # shortcut, which rounds differently from pow; n = 1, d = 2 shows it
+        from pcpkit import random_instance
+
+        rng = np.random.default_rng(10)
+        for degree in range(1, 6):
+            inst = random_instance(1, [degree], [degree], 10 + degree)
+            assert_bit_identical(inst.f, rng.uniform(-3.0, 3.0, size=(200, 1)))
+
+    def test_ladder_edge_values(self):
+        # exponents 0 and 1 never reach np.power: the ladder's 1.0 and x must
+        # still match pow at NaN, inf and 0, and x^5 must match the pow path
+        poly_map = PolyMap(
+            (
+                Polynomial(3, {(1, 0, 0): 1.5, (0, 1, 1): 2.0, (0, 0, 0): -0.5}),
+                Polynomial(3, {(5, 0, 0): 1.0, (0, 2, 1): -3.0, (0, 0, 1): 1.0}),
+                Polynomial(3, {(1, 1, 1): 1.0, (0, 3, 0): 4.0, (2, 0, 0): 0.25}),
+            )
+        )
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.7, -2.3]
+        x = np.array(
+            [[a, b, c] for a in specials for b in specials for c in specials[::2]]
+        )
+        with np.errstate(all="ignore"):
+            for batch in (x, np.asfortranarray(x), x[5]):
+                values, jacobian = per_component_reference(poly_map, batch)
+                assert np.array_equal(poly_map.evaluate(batch), values, equal_nan=True)
+                assert np.array_equal(poly_map.jacobian(batch), jacobian, equal_nan=True)
+
     def test_single_term_scalar_maps_close(self):
         # n = 1 with one term: numpy's pow may take a SIMD path on the
         # per-polynomial table and not on the shared one, so the last bit

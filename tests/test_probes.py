@@ -106,6 +106,37 @@ class TestCoercivity:
         assert report.statistics["fitted_alpha"] <= 0.25
         assert max(report.statistics["phi_by_radius"]) <= 2.0
 
+    def test_reported_norms_are_single_point_values(self):
+        # phi(R) and a witness residual are re-evaluated single-point norms,
+        # not a row of the batch evaluation; without refinement steps the
+        # sampled point itself is often the best
+        from pcpkit import random_instance
+        from pcpkit.probes import _refine_on_sphere
+        from pcpkit.residuals import natural_residual_norm, unit_sphere
+
+        radii = [1.0, 2.0, 4.0]
+        for seed in range(10):
+            inst = random_instance(3, [2] * 3, [2] * 3, 100 + seed)
+            report = coercivity_probe(inst, radii, samples_per_radius=256, seed=seed,
+                                      refine_iters=0)
+            rng = np.random.default_rng(seed)
+            for radius, phi in zip(radii, report.statistics["phi_by_radius"]):
+                points = unit_sphere(rng, 256, 3) * radius
+                best = points[int(np.argmin(natural_residual_norm(inst, points)))]
+                refined = _refine_on_sphere(inst, best, radius, 0)
+                assert phi == min(
+                    natural_residual_norm(inst, best), natural_residual_norm(inst, refined)
+                )
+        # f = g = (x - y, x - y) vanishes on the diagonal: a witness is reported
+        diagonal = Polynomial(2, {(1, 0): 1.0, (0, 1): -1.0})
+        valley = PcpInstance(PolyMap((diagonal, diagonal)), PolyMap((diagonal, diagonal)))
+        report = coercivity_probe(valley, [1.0, 2.0])
+        witness = report.witness
+        assert report.verdict == "counterexample"
+        assert witness["residual_norm"] == natural_residual_norm(
+            valley, np.array(witness["point"])
+        )
+
     def test_radii_validation(self, identity_pair):
         with pytest.raises(InputError):
             coercivity_probe(identity_pair, [1.0])
