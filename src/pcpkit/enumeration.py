@@ -13,26 +13,27 @@ box so the completeness claim stays honest.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, NamedTuple
+from functools import lru_cache
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.stats import qmc
 
 from .exceptions import CertificationError, InputError
-from .polynomials import PolyMap
-from .residuals import (
-    PcpInstance,
-    check_indices,
-    check_subset_dimension,
-    min_phi,
-    natural_residual_norm,
-)
+from .residuals import PcpInstance, check_indices, check_subset_dimension, min_phi_of_values
 
 JACOBIAN_CONDITION_LIMIT = 1e14
 MAX_BACKTRACK_HALVINGS = 30
 # the step scales tried after a rejected full Newton step, in order
 BACKTRACK_SCALES = 0.5 ** np.arange(1, MAX_BACKTRACK_HALVINGS + 1)
 NON_ISOLATED_CLUSTER_SIZE = 100
+# (subset, start) rows per damped-Newton call of the sweep; whole subsets
+# are stacked up to this many rows
+SWEEP_CHUNK_ROWS = 1024
+# cached start clouds; covers every subset of one configuration up to n = 8
+START_CLOUD_CACHE_SIZE = 256
+# index sets per stacked determinant call: 1024 * 24^2 doubles at the cap
+DETERMINANT_CHUNK_MASKS = 1024
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,16 @@ class NewtonResult(NamedTuple):
     steps: np.ndarray
 
 
+def _row_norms(a: np.ndarray, axis: int) -> np.ndarray:
+    # a row whose squares overflow gets norm inf, which the kernel treats
+    # as non-finite; that is intended, so the overflow is not reported
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(a, axis=axis)
+
+
 def damped_newton(
-    values_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
+    values_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    jacobian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     starts: np.ndarray,
     tol: float,
     max_iters: int,
@@ -142,16 +150,20 @@ def damped_newton(
 ) -> NewtonResult:
     """Damped Newton on a square system from every start row at once.
 
-    ``values_fn`` maps a (m, n) batch to (m, n) values and
-    ``jacobian_fn`` to (m, n, n) Jacobians.  A row stops once its
-    residual norm is at most ``tol``.  It is abandoned when its residual
-    is not finite, its Jacobian condition estimate exceeds the limit, or
-    backtracking cannot decrease its residual; it escapes (and stops)
-    when its norm exceeds ``escape_norm`` before a step.
+    ``values_fn(points, rows)`` maps a (m, n) batch to (m, n) values and
+    ``jacobian_fn(points, rows)`` to (m, n, n) Jacobians; ``rows`` holds
+    the index into ``starts`` of each point, so one call can serve rows
+    of different systems.  A row stops once its residual norm is at most
+    ``tol``.  It is abandoned when its residual is not finite, its
+    Jacobian condition estimate exceeds the limit, or backtracking cannot
+    decrease its residual; it escapes (and stops) when its norm exceeds
+    ``escape_norm`` before a step.  Norms are taken with floating-point
+    overflow ignored: a row whose norm overflows to inf is abandoned as
+    non-finite, without a warning.
     """
     pts = np.array(starts, dtype=float)
-    values = values_fn(pts)
-    norms = np.linalg.norm(values, axis=1)
+    values = values_fn(pts, np.arange(len(pts)))
+    norms = _row_norms(values, axis=1)
     alive = np.ones(len(pts), dtype=bool)
     escaped = np.zeros(len(pts), dtype=bool)
     steps = np.zeros(len(pts), dtype=int)
@@ -160,13 +172,13 @@ def damped_newton(
         working = np.flatnonzero(alive & ~(norms <= tol))
         if working.size == 0:
             break
-        escaped[working] = np.linalg.norm(pts[working], axis=1) > escape_norm
+        escaped[working] = _row_norms(pts[working], axis=1) > escape_norm
         stopped = escaped[working] | ~np.isfinite(norms[working])
         alive[working[stopped]] = False
         working = working[~stopped]
         if working.size == 0:
             continue
-        jac = jacobian_fn(pts[working])
+        jac = jacobian_fn(pts[working], working)
         finite = np.isfinite(jac).all(axis=(1, 2))
         with np.errstate(all="ignore"):
             cond = np.full(len(working), np.inf)
@@ -187,8 +199,10 @@ def damped_newton(
         pending = np.arange(working.size)
         for scales in (np.ones(1), BACKTRACK_SCALES):
             ladder = base[pending, None] + scales[:, None] * newton_steps[pending, None]
-            ladder_values = values_fn(ladder.reshape(-1, pts.shape[1])).reshape(ladder.shape)
-            ladder_norms = np.linalg.norm(ladder_values, axis=2)
+            ladder_values = values_fn(
+                ladder.reshape(-1, pts.shape[1]), np.repeat(working[pending], len(scales))
+            ).reshape(ladder.shape)
+            ladder_norms = _row_norms(ladder_values, axis=2)
             improves = np.isfinite(ladder_norms) & (ladder_norms < norms[working[pending], None])
             pick = np.arange(pending.size), improves.argmax(axis=1)
             found = improves[pick]
@@ -227,23 +241,79 @@ def _dedupe_points(
     return np.reshape(kept, (-1, points.shape[1])), largest
 
 
-def _subsystem_starts(
-    inst: PcpInstance, index_set: frozenset[int], cfg: SolveConfig, x_ref
-) -> np.ndarray:
-    """Low-discrepancy start cloud in the start box, plus origin and x_ref.
+def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """(len(masks), n) booleans: bit i of each mask, i.e. i is in the index set."""
+    return ((np.asarray(masks)[:, None] >> np.arange(n)) & 1).astype(bool)
 
-    The Halton engine is seeded from (rng_seed, subset) only, so the
-    first k starts are a prefix of the first 2k: growing the budget never
-    loses previously found roots.
+
+@lru_cache(maxsize=START_CLOUD_CACHE_SIZE)
+def _start_cloud(n: int, rng_seed: int, mask: int, count: int, radius: float) -> np.ndarray:
+    """Read-only scrambled Halton cloud in the box [-radius, radius]^n.
+
+    The engine is seeded from (rng_seed, mask) only, so the first k starts
+    are a prefix of the first 2k: growing the budget never loses
+    previously found roots.  The cloud depends on no instance data, so it
+    is cached; at most START_CLOUD_CACHE_SIZE clouds are kept, which at
+    200 starts and n = 8 is about 3.3 MB (count * n * 8 bytes each).  A
+    sweep over more subsets than that draws them again.
     """
-    mask = sum(1 << i for i in index_set)
-    seed = np.random.SeedSequence(entropy=[cfg.rng_seed, mask])
-    engine = qmc.Halton(d=inst.n, scramble=True, seed=np.random.default_rng(seed))
-    cloud = (2.0 * engine.random(cfg.starts_per_subsystem) - 1.0) * cfg.start_box_radius
-    extra = [np.zeros(inst.n)]
-    if x_ref is not None:
-        extra.append(np.asarray(x_ref, dtype=float))
-    return np.vstack([cloud, *extra])
+    seed = np.random.SeedSequence(entropy=[rng_seed, mask])
+    engine = qmc.Halton(d=n, scramble=True, seed=np.random.default_rng(seed))
+    cloud = (2.0 * engine.random(count) - 1.0) * radius
+    cloud.flags.writeable = False
+    return cloud
+
+
+def _solve_subsystems(
+    inst: PcpInstance, masks: Sequence[int], cfg: SolveConfig, x_ref
+) -> list[np.ndarray]:
+    """Roots of each index set's square system, in the order of ``masks``.
+
+    A subset's starts are its start cloud, the origin and x_ref.  Whole
+    subsets' starts are stacked, up to SWEEP_CHUNK_ROWS rows, into one
+    damped-Newton call; row r solves {f_i = 0 on I, g_i = 0 off I} for
+    the mask of its subset, read from the shared f/g pair table.  Each
+    subset's roots are deduplicated (smallest subsystem residual first)
+    and sorted lexicographically.
+    """
+    n = inst.n
+    extra = [np.zeros(n)] + ([] if x_ref is None else [np.asarray(x_ref, dtype=float)])
+    per_subset = cfg.starts_per_subsystem + len(extra)
+    per_chunk = max(1, SWEEP_CHUNK_ROWS // per_subset)
+    roots: list[np.ndarray] = []
+    for first in range(0, len(masks), per_chunk):
+        chunk = masks[first : first + per_chunk]
+        starts = np.vstack([
+            part
+            for mask in chunk
+            for part in (
+                _start_cloud(n, cfg.rng_seed, mask, cfg.starts_per_subsystem, cfg.start_box_radius),
+                *extra,
+            )
+        ])
+        on_f = _mask_bits(np.repeat(chunk, per_subset), n)
+
+        def values(points, rows):
+            fx, gx = inst.evaluate_pair(points)
+            return np.where(on_f[rows], fx, gx)
+
+        def jacobians(points, rows):
+            _, _, jac_f, jac_g = inst.evaluate_pair(points, jacobians=True)
+            return np.where(on_f[rows, :, None], jac_f, jac_g)
+
+        # drive well below tol so certification at tol has slack
+        result = damped_newton(
+            values, jacobians, starts, cfg.newton_tol * 1e-2, cfg.max_newton_iters
+        )
+        converged = result.alive & (result.norms <= cfg.newton_tol)
+        for k in range(len(chunk)):
+            rows = slice(k * per_subset, (k + 1) * per_subset)
+            keep = converged[rows]
+            unique, _ = _dedupe_points(
+                result.points[rows][keep], result.norms[rows][keep], cfg.dedupe_radius
+            )
+            roots.append(unique[np.lexsort(unique.T[::-1])])
+    return roots
 
 
 def solve_subsystem(
@@ -259,21 +329,9 @@ def solve_subsystem(
     array means no root was found (which is not a certificate of
     emptiness).
     """
-    cfg = cfg or SolveConfig()
     idx = check_indices(index_set, inst.n)
-    system = PolyMap(tuple(
-        inst.f.components[i] if i in idx else inst.g.components[i] for i in range(inst.n)
-    ))
-    starts = _subsystem_starts(inst, idx, cfg, x_ref)
-    # drive well below tol so certification at tol has slack
-    result = damped_newton(
-        system.evaluate, system.jacobian, starts, cfg.newton_tol * 1e-2, cfg.max_newton_iters
-    )
-    roots = result.points[result.alive & (result.norms <= cfg.newton_tol)]
-    residuals = np.linalg.norm(system.evaluate(roots), axis=1)
-    unique, _ = _dedupe_points(roots, residuals, cfg.dedupe_radius)
-    order = np.lexsort(unique.T[::-1])
-    return unique[order]
+    mask = sum(1 << i for i in idx)
+    return _solve_subsystems(inst, [mask], cfg or SolveConfig(), x_ref)[0]
 
 
 def enumerate_solutions(
@@ -284,10 +342,7 @@ def enumerate_solutions(
     n = inst.n
     check_subset_dimension(n, "enumeration")
 
-    points = np.vstack([
-        solve_subsystem(inst, frozenset(i for i in range(n) if mask & (1 << i)), cfg, x_ref)
-        for mask in range(1 << n)
-    ])
+    points = np.vstack(_solve_subsystems(inst, range(1 << n), cfg, x_ref))
     fx, gx = inst.evaluate_pair(points)
     feasible = np.all(fx >= -cfg.feasibility_tol, axis=1) & np.all(
         gx >= -cfg.feasibility_tol, axis=1
@@ -316,18 +371,26 @@ def enumerate_solutions(
     )
 
 
+def _min_abs_determinant(jac_f: np.ndarray, jac_g: np.ndarray) -> float:
+    """min over index sets I of |det| of the rows jac_f on I, jac_g off I.
+
+    The row-selected matrices of DETERMINANT_CHUNK_MASKS index sets are
+    stacked into one determinant call.  NaN determinants are skipped.
+    """
+    n = len(jac_f)
+    check_subset_dimension(n, "determinant scan")
+    best = np.inf
+    for first in range(0, 1 << n, DETERMINANT_CHUNK_MASKS):
+        masks = np.arange(first, min(first + DETERMINANT_CHUNK_MASKS, 1 << n))
+        matrices = np.where(_mask_bits(masks, n)[..., None], jac_f, jac_g)
+        best = np.fmin.reduce(np.abs(np.linalg.det(matrices)), initial=best)
+    return float(best)
+
+
 def min_abs_subsystem_determinant(inst: PcpInstance, x) -> float:
     """min over all index sets I of |det Jac_I(x)| with rows f_i on I, g_i off I."""
-    n = inst.n
-    check_subset_dimension(n, "determinant scan")
     _, _, jac_f, jac_g = inst.evaluate_pair(x, jacobians=True)
-    best = np.inf
-    rows = np.empty_like(jac_f)
-    for mask in range(1 << n):
-        for i in range(n):
-            rows[i] = jac_f[i] if mask & (1 << i) else jac_g[i]
-        best = min(best, abs(float(np.linalg.det(rows))))
-    return best
+    return _min_abs_determinant(jac_f, jac_g)
 
 
 def certify_solution(
@@ -337,28 +400,28 @@ def certify_solution(
 
     The certificate records the active index set, strict complementarity
     (min_i f_i + g_i above the feasibility tolerance) and the Jacobian
-    degeneracy statistic.  Rejection raises :class:`CertificationError`
+    degeneracy statistic, all from one evaluation of f, g and their
+    Jacobians at ``x``.  Rejection raises :class:`CertificationError`
     carrying the residual norm.
     """
     cfg = cfg or SolveConfig()
     point = np.asarray(x, dtype=float)
     if point.shape != (inst.n,):
         raise InputError(f"point has shape {point.shape}, expected ({inst.n},)")
-    residual_norm = natural_residual_norm(inst, point)
+    fx, gx, jac_f, jac_g = inst.evaluate_pair(point, jacobians=True)
+    residual_norm = float(np.linalg.norm(np.minimum(fx, gx)))
     if residual_norm > cfg.newton_tol:
         raise CertificationError(
             f"natural residual {residual_norm:.3e} exceeds {cfg.newton_tol:.3e}",
             residual_norm=residual_norm,
         )
-    _, active = min_phi(inst, point)
-    fx, gx = inst.evaluate_pair(point)
-    strict = bool(np.min(fx + gx) > cfg.feasibility_tol)
+    check_subset_dimension(inst.n, "minimum")
     return SolutionCertificate(
         point=point.copy(),
-        active_set=active,
+        active_set=min_phi_of_values(fx, gx).argmin,
         residual_norm=residual_norm,
-        strict_complementarity=strict,
-        min_abs_det_jac=min_abs_subsystem_determinant(inst, point),
+        strict_complementarity=bool(np.min(fx + gx) > cfg.feasibility_tol),
+        min_abs_det_jac=_min_abs_determinant(jac_f, jac_g),
     )
 
 

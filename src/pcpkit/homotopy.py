@@ -89,7 +89,7 @@ def _correct(h: HFun, jac: JFun, x: np.ndarray, t: float, tol: float,
              max_iters: int) -> tuple[np.ndarray, float, int] | None:
     """Semismooth Newton on H(., t); None signals corrector failure."""
     result = damped_newton(
-        lambda pts: h(pts, t), lambda pts: jac(pts, t), x[None, :], tol, max_iters,
+        lambda pts, rows: h(pts, t), lambda pts, rows: jac(pts, t), x[None, :], tol, max_iters,
         escape_norm=DIVERGENCE_NORM,
     )
     if result.escaped[0]:

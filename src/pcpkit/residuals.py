@@ -154,9 +154,8 @@ def check_indices(indices: Iterable[int], n: int) -> frozenset[int]:
     return idx
 
 
-def _phi_parts(inst: PcpInstance, x) -> tuple[np.ndarray, np.ndarray]:
+def _phi_costs(fx: np.ndarray, gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-index costs: in-set cost |f_i| + [-g_i]_+, out cost [-f_i]_+ + |g_i|."""
-    fx, gx = inst.evaluate_pair(x)
     inside = np.abs(fx) + negative_part(gx)
     outside = negative_part(fx) + np.abs(gx)
     return inside, outside
@@ -170,7 +169,7 @@ def phi_residual(inst: PcpInstance, indices: Iterable[int], x) -> float:
     with equalities f_i = 0 on I and g_i = 0 off I.
     """
     idx = check_indices(indices, inst.n)
-    inside, outside = _phi_parts(inst, np.asarray(x, dtype=float))
+    inside, outside = _phi_costs(*inst.evaluate_pair(np.asarray(x, dtype=float)))
     mask = np.zeros(inst.n, dtype=bool)
     mask[list(idx)] = True
     return float(np.sum(np.where(mask, inside, outside)))
@@ -194,7 +193,12 @@ def min_phi(inst: PcpInstance, x) -> MinPhi:
     pts = np.asarray(x, dtype=float)
     if pts.ndim != 1:
         raise InputError("min_phi takes a single point; see min_phi_values for batches")
-    inside, outside = _phi_parts(inst, pts)
+    return min_phi_of_values(*inst.evaluate_pair(pts))
+
+
+def min_phi_of_values(fx: np.ndarray, gx: np.ndarray) -> MinPhi:
+    """:func:`min_phi` from the values f(x) and g(x) at one point."""
+    inside, outside = _phi_costs(fx, gx)
     value = float(np.sum(np.minimum(inside, outside)))
     argmin = tuple(int(i) for i in np.flatnonzero(inside < outside))
     return MinPhi(value, argmin)
@@ -206,7 +210,7 @@ def min_phi_values(inst: PcpInstance, xs) -> np.ndarray:
     pts = np.asarray(xs, dtype=float)
     if pts.ndim != 2:
         raise InputError("min_phi_values takes a batch of points")
-    inside, outside = _phi_parts(inst, pts)
+    inside, outside = _phi_costs(*inst.evaluate_pair(pts))
     return np.sum(np.minimum(inside, outside), axis=1)
 
 

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, deterministic reports."""
 
 import json
+import warnings
 
 import pytest
 
@@ -252,3 +253,41 @@ class TestErrors:
         assert code == 2
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "f0, g1",
+        [
+            # coefficients near 1e300: residual norms overflow to inf
+            (
+                [{"coefficient": "1e300", "exponents": [2, 0]},
+                 {"coefficient": "-1.0", "exponents": [0, 0]}],
+                [{"coefficient": "1e300", "exponents": [1, 1]},
+                 {"coefficient": "1.0", "exponents": [0, 0]}],
+            ),
+            # a degree-12 component
+            (
+                [{"coefficient": "1.0", "exponents": [12, 0]},
+                 {"coefficient": "-1.0", "exponents": [0, 0]}],
+                [{"coefficient": "1.0", "exponents": [0, 1]},
+                 {"coefficient": "1.0", "exponents": [0, 0]}],
+            ),
+        ],
+        ids=["coefficients-1e300", "degree-12"],
+    )
+    def test_solve_extreme_instance_is_quiet(self, capsys, tmp_path, f0, g1):
+        doc = {
+            "schema_version": 1,
+            "n": 2,
+            "f": [f0, [{"coefficient": "1.0", "exponents": [0, 1]}]],
+            "g": [[{"coefficient": "1.0", "exponents": [1, 0]}], g1],
+        }
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_command(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert [str(w.message) for w in caught] == []
+        assert captured.err == ""
+        assert json.loads(captured.out)["command"] == "solve"

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+from pcpkit import enumeration
 from pcpkit import (
     CertificationError,
     ComplexityGuardError,
@@ -15,10 +17,13 @@ from pcpkit import (
     distance_to_solutions,
     enumerate_solutions,
     min_abs_subsystem_determinant,
+    min_phi,
     natural_map,
+    natural_residual_norm,
     solve_subsystem,
 )
-from pcpkit.enumeration import damped_newton
+from pcpkit.enumeration import _dedupe_points, _start_cloud, damped_newton
+from pcpkit.genericity import random_instance
 
 FAST = SolveConfig(starts_per_subsystem=60)
 
@@ -59,7 +64,7 @@ class TestDampedNewton:
     @staticmethod
     def cubic(target):
         # x^3 = target, one variable, rows of a batch independent
-        return (lambda x: x**3 - target), (lambda x: 3.0 * x[:, :, None] ** 2)
+        return (lambda x, rows: x**3 - target), (lambda x, rows: 3.0 * x[:, :, None] ** 2)
 
     def test_converges_and_counts_steps(self):
         values, jacobian = self.cubic(8.0)
@@ -86,8 +91,8 @@ class TestDampedNewton:
     def test_backtrack_takes_first_improving_scale(self):
         # from x = 2 the full arctan Newton step overshoots; scale 1/2 is the
         # first to improve and scale 1/4 would improve more
-        values = np.arctan
-        jacobian = lambda x: (1.0 / (1.0 + x**2))[:, :, None]  # noqa: E731
+        values = lambda x, rows: np.arctan(x)  # noqa: E731
+        jacobian = lambda x, rows: (1.0 / (1.0 + x**2))[:, :, None]  # noqa: E731
         step = -np.arctan(2.0) * 5.0
         residual = lambda s: abs(np.arctan(2.0 + s * step))  # noqa: E731
         assert residual(1.0) >= np.arctan(2.0) > residual(0.5) > residual(0.25)
@@ -98,12 +103,138 @@ class TestDampedNewton:
     def test_exhausted_backtracking_abandons_row(self):
         # x^2 + 1 has no real root; near its minimum no scale down to 2^-30
         # of the huge Newton step lowers the residual
-        values = lambda x: x**2 + 1.0  # noqa: E731
-        jacobian = lambda x: 2.0 * x[:, :, None]  # noqa: E731
+        values = lambda x, rows: x**2 + 1.0  # noqa: E731
+        jacobian = lambda x, rows: 2.0 * x[:, :, None]  # noqa: E731
         result = damped_newton(values, jacobian, np.array([[1e-12]]), 1e-12, 50)
         assert not result.alive[0] and not result.escaped[0]
         assert result.steps[0] == 0
         assert result.points[0, 0] == 1e-12
+
+
+def halton_cloud(n, cfg, mask):
+    """A freshly drawn start cloud, as the enumerator draws it."""
+    seed = np.random.SeedSequence(entropy=[cfg.rng_seed, mask])
+    engine = qmc.Halton(d=n, scramble=True, seed=np.random.default_rng(seed))
+    return (2.0 * engine.random(cfg.starts_per_subsystem) - 1.0) * cfg.start_box_radius
+
+
+def reference_sweep(inst, masks, cfg, x_ref):
+    """Per-subset sweep: one PolyMap and one Newton call per index set."""
+    roots = []
+    for mask in masks:
+        system = PolyMap(tuple(
+            inst.f.components[i] if mask >> i & 1 else inst.g.components[i]
+            for i in range(inst.n)
+        ))
+        extra = [np.zeros(inst.n)] + ([np.asarray(x_ref, dtype=float)] if x_ref is not None else [])
+        starts = np.vstack([halton_cloud(inst.n, cfg, mask), *extra])
+        result = damped_newton(
+            lambda x, rows: system.evaluate(x), lambda x, rows: system.jacobian(x),
+            starts, cfg.newton_tol * 1e-2, cfg.max_newton_iters,
+        )
+        found = result.points[result.alive & (result.norms <= cfg.newton_tol)]
+        residuals = np.linalg.norm(system.evaluate(found), axis=1)
+        unique, _ = _dedupe_points(found, residuals, cfg.dedupe_radius)
+        roots.append(unique[np.lexsort(unique.T[::-1])])
+    return roots
+
+
+def assert_same_points(got, want, radius):
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert np.linalg.norm(np.asarray(p) - np.asarray(q)) <= radius
+
+
+class TestBatchedSweep:
+    """The (subset, start) batch against the per-subset reference sweep."""
+
+    def check(self, inst, cfg, x_ref, monkeypatch):
+        masks = range(1 << inst.n)
+        got_roots = enumeration._solve_subsystems(inst, masks, cfg, x_ref)
+        want_roots = reference_sweep(inst, masks, cfg, x_ref)
+        for got, want in zip(got_roots, want_roots, strict=True):
+            assert_same_points(got, want, cfg.dedupe_radius)
+        # the rest of the enumeration, once on each sweep's roots
+        solution_sets = []
+        for roots in (got_roots, want_roots):
+            monkeypatch.setattr(enumeration, "_solve_subsystems", lambda *args: roots)
+            solution_sets.append(enumerate_solutions(inst, cfg, x_ref))
+        monkeypatch.undo()
+        got, want = solution_sets
+        assert got.completeness_claim == want.completeness_claim
+        assert_same_points(got.points, want.points, cfg.dedupe_radius)
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize(
+        "fixture",
+        ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair",
+         "swapped_linear", "scalar_shift"],
+    )
+    def test_fixtures(self, request, monkeypatch, fixture, with_ref):
+        inst = request.getfixturevalue(fixture)
+        x_ref = np.full(inst.n, 0.5) if with_ref else None
+        self.check(inst, FAST, x_ref, monkeypatch)
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_instances(self, monkeypatch, n, with_ref):
+        cfg = SolveConfig(starts_per_subsystem=40)
+        for seed in range(2):
+            inst = random_instance(n, [2] * n, [2] * n, 100 * n + seed)
+            x_ref = np.linspace(-1.0, 1.0, n) if with_ref else None
+            self.check(inst, cfg, x_ref, monkeypatch)
+
+    def test_several_chunks(self, monkeypatch):
+        # 8 subsets of 401 rows: two subsets per chunk, so four kernel calls
+        cfg = SolveConfig(starts_per_subsystem=400)
+        inst = random_instance(3, [2] * 3, [2] * 3, 7)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return damped_newton(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "damped_newton", counted)
+        got = enumeration._solve_subsystems(inst, range(8), cfg, None)
+        assert calls == [802] * 4
+        for roots, want in zip(got, reference_sweep(inst, range(8), cfg, None), strict=True):
+            assert_same_points(roots, want, cfg.dedupe_radius)
+
+    def test_one_kernel_call_per_chunk(self, monkeypatch, hyperbola_pair):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return damped_newton(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "damped_newton", counted)
+        enumerate_solutions(hyperbola_pair)
+        assert calls == [4 * 201]
+
+    def test_cached_cloud_is_read_only_and_fresh(self):
+        cfg = SolveConfig(starts_per_subsystem=50, rng_seed=3, start_box_radius=2.5)
+        for n, mask in ((1, 1), (3, 5), (4, 0)):
+            cloud = _start_cloud(n, cfg.rng_seed, mask, cfg.starts_per_subsystem,
+                                 cfg.start_box_radius)
+            assert not cloud.flags.writeable
+            with pytest.raises(ValueError):
+                cloud[0, 0] = 1.0
+            assert np.array_equal(cloud, halton_cloud(n, cfg, mask))
+            assert _start_cloud(n, cfg.rng_seed, mask, cfg.starts_per_subsystem,
+                                cfg.start_box_radius) is cloud
+
+    def test_alternating_configs_match_fresh_calls(self, hyperbola_pair):
+        first = SolveConfig(starts_per_subsystem=30, rng_seed=1)
+        second = SolveConfig(starts_per_subsystem=45, rng_seed=2, start_box_radius=4.0)
+        alternating = [
+            enumerate_solutions(hyperbola_pair, cfg).to_dict()
+            for cfg in (first, second, first, second)
+        ]
+        fresh = []
+        for cfg in (first, second):
+            _start_cloud.cache_clear()
+            fresh.append(enumerate_solutions(hyperbola_pair, cfg).to_dict())
+        assert alternating == fresh * 2
 
 
 class TestEnumerate:
@@ -185,6 +316,41 @@ class TestCertify:
             ),
         )
         assert min_abs_subsystem_determinant(inst, [0.0, 0.0]) == pytest.approx(0.0)
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_min_det_equals_loop(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(3):
+            inst = random_instance(n, [2] * n, [3] * n, 10 * n + seed)
+            x = rng.standard_normal(n)
+            _, _, jac_f, jac_g = inst.evaluate_pair(x, jacobians=True)
+            best = np.inf
+            rows = np.empty_like(jac_f)
+            for mask in range(1 << n):
+                for i in range(n):
+                    rows[i] = jac_f[i] if mask & (1 << i) else jac_g[i]
+                best = min(best, abs(float(np.linalg.det(rows))))
+            assert min_abs_subsystem_determinant(inst, x) == best
+
+    def test_min_det_chunks(self, monkeypatch):
+        inst = random_instance(5, [2] * 5, [2] * 5, 3)
+        x = np.linspace(-1.0, 1.0, 5)
+        whole = min_abs_subsystem_determinant(inst, x)
+        monkeypatch.setattr(enumeration, "DETERMINANT_CHUNK_MASKS", 3)
+        assert min_abs_subsystem_determinant(inst, x) == whole
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fields_equal_standalone_functions(self, n):
+        for seed in range(3):
+            inst = random_instance(n, [2] * n, [2] * n, 50 * n + seed)
+            for cert in enumerate_solutions(inst, FAST).certificates:
+                point = cert.point
+                assert cert.residual_norm == natural_residual_norm(inst, point)
+                assert cert.active_set == min_phi(inst, point).argmin
+                assert cert.min_abs_det_jac == min_abs_subsystem_determinant(inst, point)
+                fx, gx = inst.evaluate_pair(point)
+                assert cert.strict_complementarity == bool(np.min(fx + gx) > FAST.feasibility_tol)
 
 
 class TestDistance:
