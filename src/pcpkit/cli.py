@@ -420,7 +420,9 @@ def run_command(argv) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
-        return args.handler(args)
+        # values that overflow to inf or nan still exit 2 in report_document
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -11,13 +11,18 @@ exponent tuple), so iteration, equality and serialization are
 deterministic.  The zero polynomial has an empty term dict, degree 0 and
 ``is_zero == True``.
 
+Evaluation follows one rule, with elementwise IEEE multiplies and adds
+only: ``x_i^e`` is ``x_i * x_i * ... * x_i`` left to right, a monomial
+multiplies its variables' powers in variable order, and a value is
+``0.0 + c_1 m_1 + c_2 m_2 + ...`` in grlex term order.  A row's value
+thus does not depend on the batch size, its position or memory order.
+
 A :class:`PolyMap` bundles n polynomials of common arity n into a square
 map R^n -> R^n with vectorized evaluation and exact symbolic Jacobians.
-It compiles its components and their partials once
-(:class:`CompiledTerms`) and evaluates them from one monomial table per
-batch, built from a power ladder; ``Polynomial.evaluate`` is the
-per-term reference that the compiled path reproduces bit for bit.  All
-values are immutable after construction; every operation is pure.
+It compiles its components and partials once (:class:`CompiledTerms`),
+which reproduces ``Polynomial.evaluate``, the reference of the rule, bit
+for bit from one monomial table per batch.  All values are immutable
+after construction; every operation is pure.
 """
 
 from __future__ import annotations
@@ -125,28 +130,20 @@ class Polynomial:
             return 0
         return max(sum(k) for k in self.terms)
 
-    @cached_property
-    def _exponent_matrix(self) -> np.ndarray:
-        if not self.terms:
-            return np.zeros((0, self.arity), dtype=np.int64)
-        return np.array(list(self.terms.keys()), dtype=np.int64)
-
-    @cached_property
-    def _coefficients(self) -> np.ndarray:
-        return np.array(list(self.terms.values()), dtype=float)
-
     # -- evaluation and calculus --------------------------------------
 
     def evaluate(self, x) -> float | np.ndarray:
-        """Value at a point (n,) or a batch of points (m, n)."""
+        """Value at a point (n,) or a batch (m, n), by the module's rule."""
         pts, single = _as_points(x, self.arity)
-        if not self.terms:
-            values = np.zeros(pts.shape[0])
-        else:
-            monomials = np.prod(
-                pts[:, None, :] ** self._exponent_matrix[None, :, :], axis=2
-            )
-            values = monomials @ self._coefficients
+        values = np.zeros(pts.shape[0])
+        for exponents, coefficient in self.terms.items():
+            monomial = np.ones(pts.shape[0])
+            for column, e in zip(pts.T, exponents):
+                power = np.ones(pts.shape[0])
+                for _ in range(e):
+                    power = power * column
+                monomial = monomial * power
+            values = values + coefficient * monomial
         return float(values[0]) if single else values
 
     def partial(self, index: int) -> "Polynomial":
@@ -206,75 +203,73 @@ class Polynomial:
 class CompiledTerms:
     """Polynomials of one arity compiled onto one shared monomial table.
 
-    ``values`` and ``jacobian`` list, for each component and for each exact
-    partial (row-major), its term rows in the union exponent table and its
-    ``_coefficients``, in that polynomial's own term order: one gather and
-    one dot product per entry repeat ``Polynomial.evaluate`` bit for bit.
-    A zero-padded coefficient matrix would reorder the sums and let one
-    entry's overflowing term turn another's zero coefficient into NaN.
+    ``values`` and ``jacobian`` are padded blocks ``(rows, coefficients)``
+    of shapes (depth, entries) and (depth, entries, 1): entry k is a
+    component, or an exact partial (row-major), and column k lists its
+    terms' rows in the monomial table and their coefficients, in that
+    polynomial's own term order.  Short columns are padded with the
+    table's last row, the constant -0.0, and coefficient 1.0: ``x + -0.0
+    == x`` for every float x, so padding never changes a sum, and no zero
+    coefficient meets another entry's overflowing monomial (``0 * inf``).
     """
 
     def __init__(self, components: Sequence[Polynomial]):
         self.arity = arity = components[0].arity
         rows: dict[Exponents, int] = {}
 
-        def entry(p: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-            index = [rows.setdefault(key, len(rows)) for key in p.terms]
-            return np.array(index, dtype=np.intp), p._coefficients
+        def block(polys: Sequence[Polynomial]) -> tuple[np.ndarray, np.ndarray]:
+            depth = max(1, *(len(p.terms) for p in polys))
+            index = np.full((depth, len(polys)), -1, dtype=np.intp)
+            coefficients = np.ones((depth, len(polys)))
+            for k, p in enumerate(polys):
+                index[: len(p.terms), k] = [rows.setdefault(key, len(rows)) for key in p.terms]
+                coefficients[: len(p.terms), k] = list(p.terms.values())
+            return index, coefficients[..., None]
 
-        self.values = tuple(entry(c) for c in components)
-        self.jacobian = tuple(entry(part) for c in components for part in c.gradient)
-        exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), arity)
-        # the power ladder's rows: 1.0, then x_0 .. x_{n-1}, then x_i ** e for
-        # e = 2 .. top, variable by variable
-        top = int(exponents.max(initial=1))
-        self.rungs = top - 1
-        self.powers = np.tile(np.arange(2.0, top + 1), arity)[:, None]
-        e = exponents.T
-        variable = np.arange(arity)[:, None]
-        self.ladder_rows = np.where(
-            e == 0, 0, np.where(e == 1, 1 + variable, 1 + arity + variable * self.rungs + e - 2)
-        )
+        self.values = block(components)
+        self.jacobian = block([part for c in components for part in c.gradient])
+        self.exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), arity).T
 
     def monomials(self, pts: np.ndarray) -> np.ndarray:
-        """The (m, terms) monomial table, in the memory order of ``pts``.
-
-        A power ladder: ``x_i ** 0`` is 1.0 and ``x_i ** 1`` is x_i, both
-        exact; only e >= 2 goes through ``np.power``, and with a contiguous
-        float64 base and a contiguous float64 exponent of the same shape.
-        That is the (SIMD, not correctly rounded) path that the broadcast
-        ``pts ** exponents`` of ``Polynomial.evaluate`` takes; ``x * x``,
-        which numpy also substitutes for a scalar-like exponent 2, rounds
-        differently.  Each monomial multiplies its variables' rows in
-        variable order, as ``np.prod`` does.
-        """
-        m = pts.shape[0]
+        """The (terms + 1, m) monomial table, by the module's rule; its last row is -0.0."""
         columns = pts.T
-        powered = np.power(
-            np.repeat(columns, self.rungs, axis=0),
-            np.repeat(self.powers, m, axis=1),
-        )
-        ladder = np.concatenate((np.ones((1, m)), columns, powered))
-        table = np.multiply.reduce(ladder[self.ladder_rows], axis=0)
-        # the broadcast table of Polynomial.evaluate is column-major exactly
-        # when the batch is, with more than one row and column
-        if m > 1 and pts.shape[1] > 1 and pts.strides[0] < pts.strides[1]:
-            return table.T
-        return np.ascontiguousarray(table.T)
+        ladder = np.empty((int(self.exponents.max(initial=1)) + 1,) + columns.shape)
+        ladder[0] = 1.0
+        ladder[1] = columns
+        for e in range(2, len(ladder)):
+            np.multiply(ladder[e - 1], columns, out=ladder[e])
+        table = np.empty((self.exponents.shape[1] + 1, pts.shape[0]))
+        variables = np.arange(self.arity)[:, None]
+        np.multiply.reduce(ladder[self.exponents, variables], axis=0, out=table[:-1])
+        table[-1] = -0.0
+        return table
 
-    def evaluate(self, x, entries: tuple) -> np.ndarray:
-        """Compiled entries at a point (len,) or a batch (m, len)."""
+    def evaluate(self, x, *blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The blocks' entries side by side, at a point or a batch (m, entries)."""
         pts, single = _as_points(x, self.arity)
-        monomials = self.monomials(pts)
-        # Gather in the table's memory order: the dot product takes another
-        # BLAS path, and rounds differently, on the other one.
-        column_major = monomials.strides[0] < monomials.strides[1]
-        out = np.zeros((pts.shape[0], len(entries)))
-        for k, (index, coefficients) in enumerate(entries):
-            if index.size:
-                block = monomials[:, index] if column_major else monomials.take(index, axis=1)
-                out[:, k] = block @ coefficients
+        table = self.monomials(pts)
+        out = np.empty((pts.shape[0], sum(rows.shape[1] for rows, _ in blocks)))
+        start = 0
+        for rows, coefficients in blocks:
+            out[:, start : start + rows.shape[1]] = _fold(table, rows, coefficients).T
+            start += rows.shape[1]
         return out[0] if single else out
+
+
+def _fold(table: np.ndarray, rows: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """The (entries, m) sums ``0.0 + t_1 + t_2 + ...`` of a block's terms.
+
+    Term t is ``table[rows[t]] * coefficients[t]``, added one term position
+    at a time: ``np.add.reduce`` sums pairwise when the batch is one point.
+    The terms are freed before the caller's next block.
+    """
+    terms = table[rows]
+    terms *= coefficients
+    sums = terms[0]
+    sums += 0.0  # 0.0 + t_1 turns -0.0 into 0.0, as in the reference
+    for term in terms[1:]:
+        sums += term
+    return sums
 
 
 @dataclass(frozen=True)

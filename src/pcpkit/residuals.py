@@ -100,7 +100,7 @@ class PcpInstance:
         """
         n = self.n
         terms = self._pair_terms
-        out = terms.evaluate(x, terms.values + terms.jacobian if jacobians else terms.values)
+        out = terms.evaluate(x, *((terms.values, terms.jacobian) if jacobians else (terms.values,)))
         parts = (out[..., :n], out[..., n : 2 * n])
         if jacobians:
             jac = out[..., 2 * n :].reshape(out.shape[:-1] + (2, n, n))

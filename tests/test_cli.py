@@ -236,8 +236,21 @@ class TestErrors:
         code = run_command([command, hyperbola_file, "--point", point])
         captured = capsys.readouterr()
         assert code == 2
-        assert "error:" in captured.err
-        assert "Traceback" not in captured.err
+        # one error line, after argparse's usage lines when argparse refuses
+        lines = captured.err.splitlines()
+        assert "error:" in lines[-1]
+        assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+        assert captured.out == ""
+
+    def test_overflow_to_nan_is_quiet(self, capsys, tmp_path):
+        # on a dense instance, terms overflow to inf - inf = nan at 1e200
+        assert run_command(["generate", "--n", "2", "--degrees", "2", "--seed", "1"]) == 0
+        path = tmp_path / "dense.json"
+        path.write_text(capsys.readouterr().out)
+        code = run_command(["residual", str(path), "--point", "1e200,1e200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
     @pytest.mark.parametrize(

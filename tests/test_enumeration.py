@@ -139,10 +139,8 @@ def reference_sweep(inst, masks, cfg, x_ref):
     return roots
 
 
-def assert_same_points(got, want, radius):
-    assert len(got) == len(want)
-    for p, q in zip(got, want):
-        assert np.linalg.norm(np.asarray(p) - np.asarray(q)) <= radius
+def assert_same_points(got, want):
+    assert np.array_equal(got, want)
 
 
 class TestBatchedSweep:
@@ -153,7 +151,7 @@ class TestBatchedSweep:
         got_roots = enumeration._solve_subsystems(inst, masks, cfg, x_ref)
         want_roots = reference_sweep(inst, masks, cfg, x_ref)
         for got, want in zip(got_roots, want_roots, strict=True):
-            assert_same_points(got, want, cfg.dedupe_radius)
+            assert_same_points(got, want)
         # the rest of the enumeration, once on each sweep's roots
         solution_sets = []
         for roots in (got_roots, want_roots):
@@ -162,7 +160,7 @@ class TestBatchedSweep:
         monkeypatch.undo()
         got, want = solution_sets
         assert got.completeness_claim == want.completeness_claim
-        assert_same_points(got.points, want.points, cfg.dedupe_radius)
+        assert_same_points(got.points, want.points)
 
     @pytest.mark.parametrize("with_ref", [False, True])
     @pytest.mark.parametrize(
@@ -198,7 +196,7 @@ class TestBatchedSweep:
         got = enumeration._solve_subsystems(inst, range(8), cfg, None)
         assert calls == [802] * 4
         for roots, want in zip(got, reference_sweep(inst, range(8), cfg, None), strict=True):
-            assert_same_points(roots, want, cfg.dedupe_radius)
+            assert_same_points(roots, want)
 
     def test_one_kernel_call_per_chunk(self, monkeypatch, hyperbola_pair):
         calls = []

@@ -64,7 +64,7 @@ class TestPolynomial:
         pts = np.array([[1.0, 2.0], [-1.0, 3.0], [0.0, 0.0]])
         batch = p.evaluate(pts)
         singles = [p.evaluate(row) for row in pts]
-        assert np.allclose(batch, singles)
+        assert np.array_equal(batch, singles)
 
     def test_negative_base_integer_power(self):
         p = Polynomial(1, {(3,): 1.0})
@@ -212,19 +212,39 @@ class TestCompiledEvaluation:
                     for got, want in zip(pair, (f_values, g_values, f_jacobian, g_jacobian)):
                         assert got.shape == want.shape and np.array_equal(got, want)
 
+    def test_rows_independent_of_batch(self):
+        from pcpkit import random_instance
+
+        rng = np.random.default_rng(12)
+        for n in range(1, 6):
+            for degree in range(1, 5):
+                degrees_g = [max(degree - 1, 1)] * n
+                inst = random_instance(n, [degree] * n, degrees_g, 40 * n + degree)
+                batch = rng.standard_normal((37, n)) * 3.0
+                order = rng.permutation(len(batch))
+                whole = inst.evaluate_pair(batch, jacobians=True)
+                shuffled = inst.evaluate_pair(batch[order], jacobians=True)
+                for got, again in zip(whole, shuffled):
+                    assert np.array_equal(got[order], again)
+                for k, row in enumerate(batch):
+                    for got, single in zip(whole, inst.evaluate_pair(row, jacobians=True)):
+                        assert np.array_equal(got[k], single)
+
     def test_dense_scalar_maps(self):
-        # a lone exponent 2 broadcast over the batch takes numpy's x * x
-        # shortcut, which rounds differently from pow; n = 1, d = 2 shows it
+        # n = 1: every power comes from one variable's ladder; at a single
+        # point and 8 or more terms, np.add.reduce would sum pairwise
         from pcpkit import random_instance
 
         rng = np.random.default_rng(10)
-        for degree in range(1, 6):
+        for degree in range(1, 10):
             inst = random_instance(1, [degree], [degree], 10 + degree)
-            assert_bit_identical(inst.f, rng.uniform(-3.0, 3.0, size=(200, 1)))
+            batch = rng.uniform(-3.0, 3.0, size=(200, 1))
+            assert_bit_identical(inst.f, batch)
+            assert_bit_identical(inst.f, batch[0])
 
     def test_ladder_edge_values(self):
-        # exponents 0 and 1 never reach np.power: the ladder's 1.0 and x must
-        # still match pow at NaN, inf and 0, and x^5 must match the pow path
+        # the ladder's rungs 0 and 1 are 1.0 and x themselves: they must match
+        # the reference's products at NaN, inf and 0, and so must x^5
         poly_map = PolyMap(
             (
                 Polynomial(3, {(1, 0, 0): 1.5, (0, 1, 1): 2.0, (0, 0, 0): -0.5}),
@@ -243,14 +263,9 @@ class TestCompiledEvaluation:
                 assert np.array_equal(poly_map.jacobian(batch), jacobian, equal_nan=True)
 
     def test_single_term_scalar_maps_close(self):
-        # n = 1 with one term: numpy's pow may take a SIMD path on the
-        # per-polynomial table and not on the shared one, so the last bit
-        # can differ; equality is only up to rounding here
+        # n = 1 with one term
         f = PolyMap((Polynomial(1, {(3,): 1.7}),))
-        x = np.linspace(-2.0, 2.0, 33)[:, None]
-        values, jacobian = per_component_reference(f, x)
-        assert np.allclose(f.evaluate(x), values, rtol=1e-15, atol=0.0)
-        assert np.allclose(f.jacobian(x), jacobian, rtol=1e-15, atol=0.0)
+        assert_bit_identical(f, np.linspace(-2.0, 2.0, 33)[:, None])
 
 
 class TestLeadingTerms:
