@@ -415,7 +415,6 @@ def certify_solution(
             f"natural residual {residual_norm:.3e} exceeds {cfg.newton_tol:.3e}",
             residual_norm=residual_norm,
         )
-    check_subset_dimension(inst.n, "minimum")
     return SolutionCertificate(
         point=point.copy(),
         active_set=min_phi_of_values(fx, gx).argmin,

@@ -11,7 +11,7 @@ enough seed material to reproduce it in isolation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -89,17 +89,7 @@ class TrialRecord:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "spawn_index": self.spawn_index,
-            "solution_count": self.solution_count,
-            "strict_ok": self.strict_ok,
-            "r0_ok": self.r0_ok,
-            "lipschitz_ok": self.lipschitz_ok,
-            "lipschitz_c": self.lipschitz_c,
-            "lemke_status": self.lemke_status,
-            "lemke_agrees": self.lemke_agrees,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ re-evaluated against the probed predicate before being reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +18,6 @@ from .enumeration import SolutionSet
 from .exceptions import DegenerateInputError, EmptyRegionError, InputError
 from .residuals import (
     PcpInstance,
-    natural_jacobian,
     natural_map,
     natural_residual_norm,
     unit_sphere,
@@ -56,47 +55,77 @@ class ProbeReport:
         return self.verdict == "evidence-pass"
 
     def to_dict(self) -> dict:
-        return {
-            "probe": self.probe,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "samples_used": self.samples_used,
-            "statistics": self.statistics,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def _refine_on_sphere(
-    pair: PcpInstance, start: np.ndarray, radius: float, iters: int
+    pair: PcpInstance, starts: np.ndarray, radii: np.ndarray, iters: int
 ) -> np.ndarray:
-    """Projected gradient descent for ||min{f, g}||^2 on the radius sphere."""
-    x = start * (radius / np.linalg.norm(start))
-    residual = natural_map(pair, x)
-    value = float(np.linalg.norm(residual) ** 2)
-    step = 0.1 * radius
+    """Projected gradient descent for ||min{f, g}||^2, row k on the sphere radii[k].
+
+    Each row steps along its tangential gradient by the first of step,
+    step/2, step/4, ... above 1e-14 * R whose projected point lowers
+    ||m||; the step starts at 0.1 * R and grows by 1.5 when taken.  A row
+    stops at a gradient norm below 1e-16 or when no step lowers ||m||.
+    All rows, and all of a row's halvings, are evaluated together.
+    """
+    x = starts * (radii / np.linalg.norm(starts, axis=1))[:, None]
+    value = natural_residual_norm(pair, x)
+    step, floor = 0.1 * radii, 1e-14 * radii
+    live = np.arange(len(x))
     for _ in range(iters):
-        gradient = 2.0 * natural_jacobian(pair, x).T @ residual
+        points, radius = x[live], radii[live]
+        fx, gx, jac_f, jac_g = pair.evaluate_pair(points, jacobians=True)
+        jac = np.where((fx <= gx)[..., None], jac_f, jac_g)
+        gradient = 2.0 * np.einsum("kij,ki->kj", jac, np.minimum(fx, gx))
         # tangential component only: stay on the sphere
-        gradient -= (gradient @ x) / (radius * radius) * x
-        norm = np.linalg.norm(gradient)
-        if norm < 1e-16:
+        gradient -= (np.einsum("kj,kj->k", gradient, points) / radius**2)[:, None] * points
+        norm = np.linalg.norm(gradient, axis=1)
+        moving = norm >= 1e-16
+        live, points, radius = live[moving], points[moving], radius[moving]
+        if not live.size:
             break
-        direction = gradient / norm
-        improved = False
-        while step > 1e-14 * radius:
-            trial = x - step * direction
-            trial *= radius / np.linalg.norm(trial)
-            trial_residual = natural_map(pair, trial)
-            trial_value = float(np.linalg.norm(trial_residual) ** 2)
-            if trial_value < value:
-                x, residual, value = trial, trial_residual, trial_value
-                step *= 1.5
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
+        direction = gradient[moving] / norm[moving, None]
+        # enough halvings for the row with the most steps above its floor
+        halvings = int(np.ceil(np.log2(np.max(step[live] / floor[live])))) + 1
+        steps = np.ldexp(step[live, None], -np.arange(halvings))
+        trials = points[:, None, :] - steps[..., None] * direction[:, None, :]
+        trials *= (radius[:, None] / np.linalg.norm(trials, axis=2))[..., None]
+        trial_values = natural_residual_norm(pair, trials.reshape(-1, pair.n)).reshape(steps.shape)
+        lower = (trial_values < value[live, None]) & (steps > floor[live, None])
+        taken = lower.any(axis=1)
+        pick = np.flatnonzero(taken), np.argmax(lower, axis=1)[taken]
+        live = live[taken]
+        x[live], value[live], step[live] = trials[pick], trial_values[pick], 1.5 * steps[pick]
     return x
+
+
+def _sphere_minima(
+    pair: PcpInstance, radii: Sequence[float], samples: int, keep: int, iters: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least ||m|| found on each sphere: (points, values, every sample's norm).
+
+    Every radius's samples come from one ``unit_sphere`` draw, the same
+    stream as one draw per radius.  The ``keep`` lowest samples of every
+    radius are refined in one :func:`_refine_on_sphere` call; a radius
+    reports its best sample unless a refined point is strictly lower.
+    """
+    radii = np.asarray(radii, dtype=float)
+    count, n = len(radii), pair.n
+    points = unit_sphere(rng, count * samples, n).reshape(count, samples, n) * radii[:, None, None]
+    norms = natural_residual_norm(pair, points.reshape(-1, n)).reshape(count, samples)
+    order = np.argsort(norms, axis=1, kind="stable")[:, :keep]
+    starts = np.take_along_axis(points, order[..., None], axis=1)
+    keep = order.shape[1]
+    refined = _refine_on_sphere(pair, starts.reshape(-1, n), np.repeat(radii, keep), iters)
+    refined_norms = natural_residual_norm(pair, refined).reshape(count, keep)
+    refined = refined.reshape(count, keep, n)
+    rows, best = np.arange(count), np.argmin(refined_norms, axis=1)
+    sampled = norms[rows, order[:, 0]]
+    lower = refined_norms[rows, best] < sampled
+    values = np.where(lower, refined_norms[rows, best], sampled)
+    return np.where(lower[:, None], refined[rows, best], starts[:, 0]), values, norms
 
 
 def _leading_for(inst: PcpInstance, componentwise: bool) -> PcpInstance:
@@ -129,21 +158,8 @@ def r0_test(
     if pair.f.is_zero or pair.g.is_zero:
         raise DegenerateInputError("leading pair contains the zero map")
     rng = np.random.default_rng(seed)
-    n = inst.n
-
-    points = unit_sphere(rng, samples, n)
-    norms = natural_residual_norm(pair, points)
-    order = np.argsort(norms)
-    candidates = points[order[: min(16, samples)]]
-
-    # a single-point value: a row's batch value can differ in the last bit
-    best_point = points[order[0]]
-    best_norm = natural_residual_norm(pair, best_point)
-    for candidate in candidates:
-        refined = _refine_on_sphere(pair, candidate, 1.0, refine_iters)
-        refined_norm = natural_residual_norm(pair, refined)
-        if refined_norm < best_norm:
-            best_point, best_norm = refined, refined_norm
+    points, values, norms = _sphere_minima(pair, [1.0], samples, 16, refine_iters, rng)
+    best_point, best_norm = points[0], float(values[0])
 
     config = {
         "samples": samples,
@@ -189,21 +205,15 @@ def r0_shifted_pair_probe(
     d = np.ones(inst.n) if shift is None else np.asarray(shift, dtype=float)
     if d.shape != (inst.n,) or np.any(d <= 0):
         raise InputError("shift must be a strictly positive vector of length n")
+    if not len(radii):
+        raise InputError("need at least one radius")
     shifted = PcpInstance(pair.f, pair.g.plus_constant(d))
 
     rng = np.random.default_rng(seed + 1)
-    best_norm = np.inf
-    best_point = None
-    total = 0
-    for radius in radii:
-        points = unit_sphere(rng, samples, inst.n) * radius
-        total += samples
-        norms = natural_residual_norm(shifted, points)
-        k = int(np.argmin(norms))
-        refined = _refine_on_sphere(shifted, points[k], radius, refine_iters)
-        refined_norm = natural_residual_norm(shifted, refined)
-        if refined_norm < best_norm:
-            best_norm, best_point = refined_norm, refined
+    points, values, _ = _sphere_minima(shifted, radii, samples, 1, refine_iters, rng)
+    k = int(np.argmin(values))
+    best_point, best_norm = points[k], float(values[k])
+    total = samples * len(radii)
 
     config = {
         "samples": samples,
@@ -262,26 +272,16 @@ def coercivity_probe(
     if samples_per_radius < 1:
         raise InputError("samples_per_radius must be >= 1")
     rng = np.random.default_rng(seed)
-    n = inst.n
-
-    phi = []
+    points, phi, _ = _sphere_minima(inst, radii, samples_per_radius, 1, refine_iters, rng)
     witness = None
-    for radius in radii:
-        points = unit_sphere(rng, samples_per_radius, n) * radius
-        k = int(np.argmin(natural_residual_norm(inst, points)))
-        # a single-point value: a row's batch value can differ in the last bit
-        sampled_norm = natural_residual_norm(inst, points[k])
-        refined = _refine_on_sphere(inst, points[k], radius, refine_iters)
-        refined_norm = natural_residual_norm(inst, refined)
-        value = min(sampled_norm, refined_norm)
-        best_point = refined if refined_norm <= sampled_norm else points[k]
-        phi.append(value)
-        if value <= COERCIVITY_VANISH_TOL and witness is None:
-            witness = {
-                "radius": radius,
-                "point": [float(v) for v in best_point],
-                "residual_norm": value,
-            }
+    vanished = np.flatnonzero(phi <= COERCIVITY_VANISH_TOL)
+    if vanished.size:
+        k = int(vanished[0])
+        witness = {
+            "radius": radii[k],
+            "point": [float(v) for v in points[k]],
+            "residual_norm": float(phi[k]),
+        }
 
     log_r = np.log(np.asarray(radii))
     safe_phi = np.maximum(phi, 1e-300)

@@ -141,9 +141,9 @@ def natural_jacobian(inst: PcpInstance, x) -> np.ndarray:
 def natural_residual_norm(inst: PcpInstance, x) -> float | np.ndarray:
     """Euclidean norm of the natural residual; scalar or (m,) for a batch."""
     m = natural_map(inst, x)
-    if m.ndim == 1:
-        return float(np.linalg.norm(m))
-    return np.linalg.norm(m, axis=1)
+    # a point is a one-row batch, so its norm equals its row in any batch
+    norms = np.linalg.norm(np.atleast_2d(m), axis=1)
+    return float(norms[0]) if m.ndim == 1 else norms
 
 
 def check_indices(indices: Iterable[int], n: int) -> frozenset[int]:

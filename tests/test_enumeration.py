@@ -299,6 +299,11 @@ class TestCertify:
             certify_solution(hyperbola_pair, [0.0, 0.0], FAST)
         assert info.value.residual_norm == pytest.approx(np.sqrt(2.0))
 
+    def test_subset_guard(self):
+        inst = PcpInstance(PolyMap.identity(25), PolyMap.identity(25))
+        with pytest.raises(ComplexityGuardError):
+            certify_solution(inst, np.zeros(25), FAST)
+
     def test_min_det_identity(self, affine_shift):
         # every index-set Jacobian of (Id, x - 1) is the identity
         assert min_abs_subsystem_determinant(affine_shift, [1.0, 1.0]) == pytest.approx(1.0)

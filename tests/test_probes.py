@@ -82,6 +82,8 @@ class TestR0:
         assert r0_shifted_pair_probe(affine_shift).passed
         report = r0_shifted_pair_probe(swapped_linear)
         assert report.verdict == "counterexample"
+        with pytest.raises(InputError):
+            r0_shifted_pair_probe(affine_shift, radii=())
 
 
 class TestCoercivity:
@@ -123,7 +125,7 @@ class TestCoercivity:
             for radius, phi in zip(radii, report.statistics["phi_by_radius"]):
                 points = unit_sphere(rng, 256, 3) * radius
                 best = points[int(np.argmin(natural_residual_norm(inst, points)))]
-                refined = _refine_on_sphere(inst, best, radius, 0)
+                refined = _refine_on_sphere(inst, best[None], np.array([radius]), 0)[0]
                 assert phi == min(
                     natural_residual_norm(inst, best), natural_residual_norm(inst, refined)
                 )
@@ -136,6 +138,22 @@ class TestCoercivity:
         assert witness["residual_norm"] == natural_residual_norm(
             valley, np.array(witness["point"])
         )
+
+    def test_refined_rows_equal_single_row_calls(self):
+        # rows of mixed radii descend together exactly as they do alone
+        from pcpkit import random_instance
+        from pcpkit.probes import _refine_on_sphere
+        from pcpkit.residuals import unit_sphere
+
+        for n in (2, 3, 4, 5):
+            inst = random_instance(n, [2] * n, [2] * n, 7 * n)
+            rng = np.random.default_rng(n)
+            radii = rng.choice([0.25, 1.0, 3.0, 10.0], size=12)
+            starts = unit_sphere(rng, 12, n) * rng.uniform(0.5, 2.0, size=(12, 1))
+            stacked = _refine_on_sphere(inst, starts, radii, 40)
+            for k in range(12):
+                alone = _refine_on_sphere(inst, starts[k : k + 1], radii[k : k + 1], 40)
+                assert np.array_equal(stacked[k], alone[0])
 
     def test_radii_validation(self, identity_pair):
         with pytest.raises(InputError):

@@ -16,6 +16,7 @@ from pcpkit import (
     min_phi_values,
     natural_jacobian,
     natural_map,
+    natural_residual_norm,
     phi_residual,
     r_residual,
     random_instance,
@@ -70,6 +71,15 @@ class TestNaturalMap:
         gx = affine_shift.g.evaluate([1.0, 1.0])
         assert np.all(fx >= 0) and np.all(gx >= 0) and fx @ gx == 0.0
         assert np.any(natural_map(affine_shift, [0.5, 0.5]) != 0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_norm_batch_rows_equal_single_points(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(3):
+            inst = random_instance(n, [2] * n, [2] * n, 30 * n + seed)
+            points = rng.uniform(-2.0, 2.0, size=(500, n))
+            norms = natural_residual_norm(inst, points)
+            assert [natural_residual_norm(inst, p) for p in points] == norms.tolist()
 
 
 class TestNaturalJacobian:
