@@ -13,6 +13,7 @@ box so the completeness claim stays honest.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from enum import IntEnum
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -22,6 +23,9 @@ from scipy.stats import qmc
 from .exceptions import CertificationError, InputError
 from .residuals import PcpInstance, check_indices, check_subset_dimension, min_phi_of_values
 
+# a working row is abandoned unless its Jacobian J is finite, not exactly
+# singular, and ||J||_1 * ||J^-1||_1 (its 1-norm condition number, taken
+# from the inverse that also gives the Newton step) is below this limit
 JACOBIAN_CONDITION_LIMIT = 1e14
 MAX_BACKTRACK_HALVINGS = 30
 # the step scales tried after a rejected full Newton step, in order
@@ -119,18 +123,37 @@ class SolutionSet:
 # square subsystem machinery
 
 
+class NewtonStatus(IntEnum):
+    """Why :func:`damped_newton` stopped a row."""
+
+    CONVERGED = 0        # residual norm at most tol
+    ITERATION_CAP = 1    # still working after max_iters iterations
+    NON_FINITE = 2       # residual or Jacobian not finite
+    ILL_CONDITIONED = 3  # Jacobian exactly singular or above the condition limit
+    NO_DESCENT = 4       # no backtracking scale lowered the residual
+    ESCAPED = 5          # norm above escape_norm before a step
+
+
 class NewtonResult(NamedTuple):
     """Per-row outcome of :func:`damped_newton`.
 
-    ``alive`` is False for rows that were abandoned or escaped;
-    ``steps`` counts the accepted Newton steps of each row.
+    ``status`` holds one :class:`NewtonStatus` code per row; ``steps``
+    counts the accepted Newton steps of each row.
     """
 
     points: np.ndarray
     norms: np.ndarray
-    alive: np.ndarray
-    escaped: np.ndarray
+    status: np.ndarray
     steps: np.ndarray
+
+    @property
+    def alive(self) -> np.ndarray:
+        """Rows neither abandoned nor escaped: converged or at the iteration cap."""
+        return self.status <= NewtonStatus.ITERATION_CAP
+
+    @property
+    def escaped(self) -> np.ndarray:
+        return self.status == NewtonStatus.ESCAPED
 
 
 def _row_norms(a: np.ndarray, axis: int) -> np.ndarray:
@@ -154,42 +177,55 @@ def damped_newton(
     ``jacobian_fn(points, rows)`` to (m, n, n) Jacobians; ``rows`` holds
     the index into ``starts`` of each point, so one call can serve rows
     of different systems.  A row stops once its residual norm is at most
-    ``tol``.  It is abandoned when its residual is not finite, its
-    Jacobian condition estimate exceeds the limit, or backtracking cannot
-    decrease its residual; it escapes (and stops) when its norm exceeds
-    ``escape_norm`` before a step.  Norms are taken with floating-point
-    overflow ignored: a row whose norm overflows to inf is abandoned as
-    non-finite, without a warning.
+    ``tol``.  It is abandoned when its residual or Jacobian is not
+    finite, its Jacobian is exactly singular (``slogdet`` sign 0) or has
+    1-norm condition number ``||J||_1 ||J^-1||_1`` at or above
+    JACOBIAN_CONDITION_LIMIT, or backtracking cannot decrease its
+    residual; it escapes (and stops) when its norm exceeds
+    ``escape_norm`` before a step.  One batched inverse of the screened
+    Jacobians gives both the condition numbers and the Newton steps
+    ``-J^-1 F``.  Norms are taken with floating-point overflow ignored: a
+    row whose norm overflows to inf is abandoned as non-finite, without a
+    warning.  ``status`` records why each row stopped.
     """
     pts = np.array(starts, dtype=float)
     values = values_fn(pts, np.arange(len(pts)))
     norms = _row_norms(values, axis=1)
-    alive = np.ones(len(pts), dtype=bool)
-    escaped = np.zeros(len(pts), dtype=bool)
+    # ITERATION_CAP marks the rows still running; converged rows are
+    # relabelled at the end
+    status = np.full(len(pts), NewtonStatus.ITERATION_CAP, dtype=np.int8)
     steps = np.zeros(len(pts), dtype=int)
 
     for _ in range(max_iters):
-        working = np.flatnonzero(alive & ~(norms <= tol))
+        working = np.flatnonzero((status == NewtonStatus.ITERATION_CAP) & ~(norms <= tol))
         if working.size == 0:
             break
-        escaped[working] = _row_norms(pts[working], axis=1) > escape_norm
-        stopped = escaped[working] | ~np.isfinite(norms[working])
-        alive[working[stopped]] = False
-        working = working[~stopped]
+        escaped = _row_norms(pts[working], axis=1) > escape_norm
+        status[working[escaped]] = NewtonStatus.ESCAPED
+        working = working[~escaped]
+        finite = np.isfinite(norms[working])
+        status[working[~finite]] = NewtonStatus.NON_FINITE
+        working = working[finite]
         if working.size == 0:
             continue
         jac = jacobian_fn(pts[working], working)
         finite = np.isfinite(jac).all(axis=(1, 2))
+        status[working[~finite]] = NewtonStatus.NON_FINITE
+        working, jac = working[finite], jac[finite]
+        # a batched inv raises on any exactly singular row; slogdet's sign
+        # finds them without the underflow that det's product can show
+        regular = np.linalg.slogdet(jac)[0] != 0
+        status[working[~regular]] = NewtonStatus.ILL_CONDITIONED
+        working, jac = working[regular], jac[regular]
         with np.errstate(all="ignore"):
-            cond = np.full(len(working), np.inf)
-            if finite.any():
-                cond[finite] = np.linalg.cond(jac[finite])
+            inverse = np.linalg.inv(jac)
+            cond = np.linalg.norm(jac, 1, axis=(1, 2)) * np.linalg.norm(inverse, 1, axis=(1, 2))
         good = cond < JACOBIAN_CONDITION_LIMIT
-        alive[working[~good]] = False
+        status[working[~good]] = NewtonStatus.ILL_CONDITIONED
         working = working[good]
         if working.size == 0:
             continue
-        newton_steps = np.linalg.solve(jac[good], -values[working][..., None])[..., 0]
+        newton_steps = -np.einsum("rij,rj->ri", inverse[good], values[working])
 
         # backtracking: a row takes the first of the scales 1, 1/2, ..., 2^-30
         # whose residual is finite and below its current one.  The shorter
@@ -214,9 +250,10 @@ def damped_newton(
             pending = pending[~found]
             if pending.size == 0:
                 break
-        alive[working[pending]] = False
+        status[working[pending]] = NewtonStatus.NO_DESCENT
 
-    return NewtonResult(pts, norms, alive, escaped, steps)
+    status[(status == NewtonStatus.ITERATION_CAP) & (norms <= tol)] = NewtonStatus.CONVERGED
+    return NewtonResult(pts, norms, status, steps)
 
 
 def _dedupe_points(

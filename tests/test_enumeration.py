@@ -22,7 +22,13 @@ from pcpkit import (
     natural_residual_norm,
     solve_subsystem,
 )
-from pcpkit.enumeration import _dedupe_points, _start_cloud, damped_newton
+from pcpkit.enumeration import (
+    JACOBIAN_CONDITION_LIMIT,
+    NewtonStatus,
+    _dedupe_points,
+    _start_cloud,
+    damped_newton,
+)
 from pcpkit.genericity import random_instance
 
 FAST = SolveConfig(starts_per_subsystem=60)
@@ -70,23 +76,65 @@ class TestDampedNewton:
         values, jacobian = self.cubic(8.0)
         result = damped_newton(values, jacobian, np.array([[1.0], [2.0], [5.0]]), 1e-12, 50)
         assert result.alive.all() and not result.escaped.any()
+        assert np.all(result.status == NewtonStatus.CONVERGED)
         assert np.allclose(result.points[:, 0], 2.0)
         assert np.all(result.norms <= 1e-12)
         # the start at the root takes no step
         assert result.steps[1] == 0
         assert result.steps[0] > 0 and result.steps[2] > 0
 
+    def test_iteration_cap(self):
+        values, jacobian = self.cubic(8.0)
+        result = damped_newton(values, jacobian, np.array([[5.0], [2.0]]), 1e-12, max_iters=1)
+        assert list(result.status) == [NewtonStatus.ITERATION_CAP, NewtonStatus.CONVERGED]
+        assert result.alive.all() and result.norms[0] > 1e-12
+
+    def test_non_finite_residual(self):
+        values, jacobian = self.cubic(8.0)
+        result = damped_newton(values, jacobian, np.array([[np.inf], [1.0]]), 1e-12, 50)
+        assert list(result.status) == [NewtonStatus.NON_FINITE, NewtonStatus.CONVERGED]
+        assert list(result.alive) == [False, True] and not result.escaped.any()
+
     def test_escape_ball(self):
         values, jacobian = self.cubic(1e21)
         result = damped_newton(values, jacobian, np.array([[1e5]]), 1e-6, 50, escape_norm=1e6)
+        assert result.status[0] == NewtonStatus.ESCAPED
         assert result.escaped[0] and not result.alive[0]
         assert np.linalg.norm(result.points[0]) > 1e6
 
     def test_singular_jacobian_abandons_row(self):
         values, jacobian = self.cubic(8.0)
         result = damped_newton(values, jacobian, np.array([[0.0], [1.0]]), 1e-12, 50)
+        assert list(result.status) == [NewtonStatus.ILL_CONDITIONED, NewtonStatus.CONVERGED]
         assert list(result.alive) == [False, True]
         assert not result.escaped.any()
+
+    def test_singular_row_in_a_batch(self):
+        # x_i^3 = 8 at n = 3: the Jacobian at the origin is exactly 0, which
+        # a batched inverse of all rows would reject with LinAlgError
+        values = lambda x, rows: x**3 - 8.0  # noqa: E731
+        jacobian = lambda x, rows: 3.0 * np.einsum("ri,ij->rij", x**2, np.eye(3))  # noqa: E731
+        starts = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [2.5, 1.0, 1.5]])
+        result = damped_newton(values, jacobian, starts, 1e-12, 50)
+        assert list(result.status) == [
+            NewtonStatus.CONVERGED, NewtonStatus.ILL_CONDITIONED, NewtonStatus.CONVERGED
+        ]
+        assert np.allclose(result.points[[0, 2]], 2.0)
+        assert np.array_equal(result.points[1], starts[1]) and result.steps[1] == 0
+
+    def test_condition_limit_is_the_one_norm_condition(self):
+        # diagonal systems with condition 1e13 and 1e15 on either side of the limit
+        conds = np.array([1e13, 1e15])
+        assert conds[0] < JACOBIAN_CONDITION_LIMIT < conds[1]
+        matrices = np.stack([np.diag([1.0, 1.0 / c, 1.0]) for c in conds])
+        assert np.allclose(np.linalg.cond(matrices, 1), conds)
+        # row r solves matrices[r] (x - 1) = 0
+        values = lambda x, rows: np.einsum("rij,rj->ri", matrices[rows], x - 1.0)  # noqa: E731
+        jacobian = lambda x, rows: matrices[rows]  # noqa: E731
+        result = damped_newton(values, jacobian, np.zeros((2, 3)), 1e-12, 50)
+        assert list(result.status) == [NewtonStatus.CONVERGED, NewtonStatus.ILL_CONDITIONED]
+        assert np.allclose(result.points[0], 1.0) and result.steps[0] == 1
+        assert result.steps[1] == 0
 
     def test_backtrack_takes_first_improving_scale(self):
         # from x = 2 the full arctan Newton step overshoots; scale 1/2 is the
@@ -99,6 +147,7 @@ class TestDampedNewton:
         result = damped_newton(values, jacobian, np.array([[2.0]]), 1e-12, max_iters=1)
         assert result.points[0, 0] == 2.0 + 0.5 * step
         assert result.steps[0] == 1 and result.alive[0]
+        assert result.status[0] == NewtonStatus.ITERATION_CAP
 
     def test_exhausted_backtracking_abandons_row(self):
         # x^2 + 1 has no real root; near its minimum no scale down to 2^-30
@@ -106,6 +155,7 @@ class TestDampedNewton:
         values = lambda x, rows: x**2 + 1.0  # noqa: E731
         jacobian = lambda x, rows: 2.0 * x[:, :, None]  # noqa: E731
         result = damped_newton(values, jacobian, np.array([[1e-12]]), 1e-12, 50)
+        assert result.status[0] == NewtonStatus.NO_DESCENT
         assert not result.alive[0] and not result.escaped[0]
         assert result.steps[0] == 0
         assert result.points[0, 0] == 1e-12
@@ -208,6 +258,21 @@ class TestBatchedSweep:
         monkeypatch.setattr(enumeration, "damped_newton", counted)
         enumerate_solutions(hyperbola_pair)
         assert calls == [4 * 201]
+
+    def test_status_counts_sum_to_starts(self, monkeypatch):
+        # every (subset, start) row of one sweep ends with exactly one status
+        inst = random_instance(3, [2] * 3, [2] * 3, 2)
+        counts = np.zeros(len(NewtonStatus), dtype=int)
+
+        def counted(*args, **kwargs):
+            result = damped_newton(*args, **kwargs)
+            counts[:] += np.bincount(result.status, minlength=len(NewtonStatus))
+            return result
+
+        monkeypatch.setattr(enumeration, "damped_newton", counted)
+        sols = enumerate_solutions(inst)
+        assert counts.sum() == 8 * 201
+        assert counts[NewtonStatus.CONVERGED] >= len(sols) > 0
 
     def test_cached_cloud_is_read_only_and_fresh(self):
         cfg = SolveConfig(starts_per_subsystem=50, rng_seed=3, start_box_radius=2.5)
