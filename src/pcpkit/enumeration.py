@@ -6,8 +6,10 @@ enumerator therefore sweeps all 2^n subsets, solves each square system
 by multi-start damped Newton from a low-discrepancy start cloud (the
 same :func:`damped_newton` kernel runs the homotopy corrector), filters
 the roots by sign feasibility, deduplicates, and certifies the
-survivors.  Roots outside the start box can be missed; reports carry the
-box so the completeness claim stays honest.
+survivors.  An affine square system (Bezout number at most 1) needs no
+cloud: Newton from the origin reaches its one root in one step, wherever
+it lies.  Other roots outside the start box can be missed; reports carry
+the box so the completeness claim stays honest.
 """
 
 from __future__ import annotations
@@ -306,29 +308,46 @@ def _solve_subsystems(
 ) -> list[np.ndarray]:
     """Roots of each index set's square system, in the order of ``masks``.
 
-    A subset's starts are its start cloud, the origin and x_ref.  Whole
-    subsets' starts are stacked, up to SWEEP_CHUNK_ROWS rows, into one
-    damped-Newton call; row r solves {f_i = 0 on I, g_i = 0 off I} for
-    the mask of its subset, read from the shared f/g pair table.  Each
-    subset's roots are deduplicated (smallest subsystem residual first)
-    and sorted lexicographically.
+    A subset's starts are its start cloud, the origin and x_ref; a subset
+    whose square system is affine (every component of degree <= 1, so its
+    Bezout number is at most 1) starts from the origin and x_ref only.
+    Its Jacobian is the same matrix at every point, so every start gets
+    the same verdict, and one full step reaches its one root wherever it
+    lies.  Whole subsets' starts are stacked, up to SWEEP_CHUNK_ROWS rows,
+    into one damped-Newton call; row r solves {f_i = 0 on I, g_i = 0 off
+    I} for the mask of its subset, read from the shared f/g pair table.
+    Each subset's roots are deduplicated (smallest subsystem residual
+    first) and sorted lexicographically.
     """
     n = inst.n
-    extra = [np.zeros(n)] + ([] if x_ref is None else [np.asarray(x_ref, dtype=float)])
-    per_subset = cfg.starts_per_subsystem + len(extra)
-    per_chunk = max(1, SWEEP_CHUNK_ROWS // per_subset)
+    masks = np.asarray(masks)
+    extra = np.vstack([np.zeros(n)] + ([] if x_ref is None else [np.asarray(x_ref, dtype=float)]))
+    on_f_sets = _mask_bits(masks, n)
+    affine = np.all(
+        np.where(on_f_sets, inst.f.component_degrees, inst.g.component_degrees) <= 1, axis=1
+    )
+    sizes = np.where(affine, 0, cfg.starts_per_subsystem) + len(extra)
+    chunks: list[list[int]] = [[]]
+    rows_in_chunk = 0
+    for k, size in enumerate(sizes):
+        if chunks[-1] and rows_in_chunk + size > SWEEP_CHUNK_ROWS:
+            chunks.append([])
+            rows_in_chunk = 0
+        chunks[-1].append(k)
+        rows_in_chunk += size
+
     roots: list[np.ndarray] = []
-    for first in range(0, len(masks), per_chunk):
-        chunk = masks[first : first + per_chunk]
-        starts = np.vstack([
-            part
-            for mask in chunk
-            for part in (
-                _start_cloud(n, cfg.rng_seed, mask, cfg.starts_per_subsystem, cfg.start_box_radius),
-                *extra,
-            )
-        ])
-        on_f = _mask_bits(np.repeat(chunk, per_subset), n)
+    for chunk in chunks:
+        parts = []
+        for k in chunk:
+            if not affine[k]:
+                parts.append(_start_cloud(
+                    n, cfg.rng_seed, int(masks[k]), cfg.starts_per_subsystem,
+                    cfg.start_box_radius,
+                ))
+            parts.append(extra)
+        starts = np.vstack(parts)
+        on_f = np.repeat(on_f_sets[chunk], sizes[chunk], axis=0)
 
         def values(points, rows):
             fx, gx = inst.evaluate_pair(points)
@@ -343,8 +362,9 @@ def _solve_subsystems(
             values, jacobians, starts, cfg.newton_tol * 1e-2, cfg.max_newton_iters
         )
         converged = result.alive & (result.norms <= cfg.newton_tol)
-        for k in range(len(chunk)):
-            rows = slice(k * per_subset, (k + 1) * per_subset)
+        offsets = np.cumsum(sizes[chunk])
+        for stop, size in zip(offsets, sizes[chunk]):
+            rows = slice(stop - size, stop)
             keep = converged[rows]
             unique, _ = _dedupe_points(
                 result.points[rows][keep], result.norms[rows][keep], cfg.dedupe_radius

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from pcpkit import enumeration
@@ -16,6 +18,7 @@ from pcpkit import (
     certify_solution,
     distance_to_solutions,
     enumerate_solutions,
+    lemke_lcp,
     min_abs_subsystem_determinant,
     min_phi,
     natural_map,
@@ -30,6 +33,8 @@ from pcpkit.enumeration import (
     damped_newton,
 )
 from pcpkit.genericity import random_instance
+
+from test_lemke import affine_instance
 
 FAST = SolveConfig(starts_per_subsystem=60)
 
@@ -193,6 +198,26 @@ def assert_same_points(got, want):
     assert np.array_equal(got, want)
 
 
+def pd_lcp(n, seed):
+    """(M, q) with M = A A^T / n + 0.1 I positive definite: one LCP solution."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return a @ a.T / n + 0.1 * np.eye(n), rng.standard_normal(n)
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Rows of each damped-Newton call the enumerator makes, in order."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return damped_newton(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "damped_newton", counted)
+    return calls
+
+
 class TestBatchedSweep:
     """The (subset, start) batch against the per-subset reference sweep."""
 
@@ -259,6 +284,25 @@ class TestBatchedSweep:
         enumerate_solutions(hyperbola_pair)
         assert calls == [4 * 201]
 
+    @pytest.mark.parametrize("x_ref, rows", [(None, 8), (np.full(3, 0.5), 16)])
+    def test_affine_subsets_start_at_origin_and_ref(self, kernel_rows, x_ref, rows):
+        # every subset of an LCP is affine: one start, two with x_ref
+        enumerate_solutions(affine_instance(*pd_lcp(3, 0)), x_ref=x_ref)
+        assert kernel_rows == [rows]
+
+    def test_only_affine_subsets_drop_the_cloud(self, kernel_rows):
+        # f = Id, g quadratic: only the all-f subset is affine
+        g = PolyMap((
+            Polynomial(2, {(2, 0): 1.0, (0, 1): 1.0, (0, 0): -2.0}),
+            Polynomial(2, {(1, 1): 1.0, (0, 0): -1.0}),
+        ))
+        inst = PcpInstance(PolyMap.identity(2), g)
+        got = enumeration._solve_subsystems(inst, range(4), SolveConfig(), None)
+        assert kernel_rows == [3 * 201 + 1]
+        for roots, want in zip(got, reference_sweep(inst, range(4), SolveConfig(), None),
+                               strict=True):
+            assert_same_points(roots, want)
+
     def test_status_counts_sum_to_starts(self, monkeypatch):
         # every (subset, start) row of one sweep ends with exactly one status
         inst = random_instance(3, [2] * 3, [2] * 3, 2)
@@ -298,6 +342,87 @@ class TestBatchedSweep:
             _start_cloud.cache_clear()
             fresh.append(enumerate_solutions(hyperbola_pair, cfg).to_dict())
         assert alternating == fresh * 2
+
+
+class TestAffineSweep:
+    """Affine subsets take the origin and x_ref only; the cloud finds nothing more."""
+
+    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_pd_lcp_matches_reference_and_lemke(self, n, with_ref):
+        cfg = SolveConfig()
+        for seed in range(2):
+            M, q = pd_lcp(n, 10 * n + seed)
+            inst = affine_instance(M, q)
+            x_ref = np.linspace(-2.0, 3.0, n) if with_ref else None
+            masks = range(1 << n)
+            got_roots = enumeration._solve_subsystems(inst, masks, cfg, x_ref)
+            for got, want in zip(got_roots, reference_sweep(inst, masks, cfg, x_ref),
+                                 strict=True):
+                # non-integer coefficients: the root may move in its last bits
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            sols = enumerate_solutions(inst, cfg, x_ref)
+            assert len(sols) == 1
+            assert np.linalg.norm(sols.points[0] - lemke_lcp(M, q).z) <= 1e-8
+
+    @pytest.mark.parametrize("q, x_ref, singular_roots", [
+        ((-1.0, -1.0), None, []),
+        ((-1.0, -1.0), (0.5, 0.5), [(0.5, 0.5)]),
+        ((-1.0, -1.0), (2.0, -1.0), [(2.0, -1.0)]),
+        ((-1.0, -1.0), (3.0, 0.0), []),
+        ((0.0, 0.0), None, [(0.0, 0.0)]),
+        ((0.0, 0.0), (3.0, 0.0), [(0.0, 0.0)]),
+    ])
+    def test_rank_deficient_subset(self, q, x_ref, singular_roots):
+        # M = [[1, 1], [1, 1]]: the all-g subset is singular, so a row keeps
+        # its start if that start is a root and is abandoned otherwise
+        inst = affine_instance([[1.0, 1.0], [1.0, 1.0]], q)
+        cfg = SolveConfig()
+        got = enumeration._solve_subsystems(inst, range(4), cfg, x_ref)
+        for roots, want in zip(got, reference_sweep(inst, range(4), cfg, x_ref), strict=True):
+            assert_same_points(roots, want)
+        assert_same_points(got[0], np.reshape(singular_roots, (-1, 2)))
+
+
+@st.composite
+def pd_lcp_instances(draw):
+    n = draw(st.integers(1, 4))
+    return affine_instance(*pd_lcp(n, draw(st.integers(0, 2**32 - 1))))
+
+
+def assert_same_solution_sets(got, want, radius):
+    assert len(got) == len(want)
+    for point in got.points:
+        assert np.min(np.linalg.norm(want.points - point, axis=1)) <= radius
+
+
+class TestMetamorphic:
+    """Transformations of a PD LCP that leave its solution set unchanged."""
+
+    @given(pd_lcp_instances())
+    @settings(max_examples=30, deadline=None)
+    def test_swap_f_and_g(self, inst):
+        cfg = SolveConfig()
+        assert_same_solution_sets(
+            enumerate_solutions(PcpInstance(inst.g, inst.f), cfg),
+            enumerate_solutions(inst, cfg),
+            cfg.dedupe_radius,
+        )
+
+    @given(pd_lcp_instances(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_positive_rescaling(self, inst, data):
+        cfg = SolveConfig()
+        factors = st.lists(st.floats(0.01, 100.0), min_size=2 * inst.n, max_size=2 * inst.n)
+        scale = data.draw(factors)
+        scaled = PcpInstance(
+            PolyMap(tuple(p.scaled(c) for p, c in zip(inst.f.components, scale[: inst.n]))),
+            PolyMap(tuple(p.scaled(c) for p, c in zip(inst.g.components, scale[inst.n :]))),
+        )
+        assert_same_solution_sets(
+            enumerate_solutions(scaled, cfg), enumerate_solutions(inst, cfg), cfg.dedupe_radius
+        )
 
 
 class TestEnumerate:
