@@ -25,7 +25,7 @@ import numpy as np
 
 from .enumeration import SolutionSet, distance_to_solutions
 from .exceptions import InputError
-from .residuals import PcpInstance, natural_residual_norm, unit_sphere
+from .residuals import PcpInstance, as_region, natural_residual_norm, sample_box, unit_sphere
 
 
 def exponent_R(n: int, d: int) -> int:
@@ -153,12 +153,6 @@ class BoundReport:
 NEAR_SOLUTION_DISTANCE = 0.1
 
 
-def _sample_box(rng: np.random.Generator, region: np.ndarray, count: int) -> np.ndarray:
-    low = region[:, 0]
-    span = region[:, 1] - region[:, 0]
-    return low + span * rng.random((count, region.shape[0]))
-
-
 def _bound_statistics(
     points: np.ndarray,
     dists: np.ndarray,
@@ -228,11 +222,9 @@ def verify_local_bound(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    box = np.asarray(region, dtype=float)
-    if box.shape != (inst.n, 2) or np.any(box[:, 1] <= box[:, 0]):
-        raise InputError(f"region must be ({inst.n}, 2) with low < high")
+    box = as_region(region, inst.n)
     rng = np.random.default_rng(seed)
-    points = _sample_box(rng, box, samples)
+    points = sample_box(rng, box, samples)
     dists = np.atleast_1d(distance_to_solutions(sols, points))
     residuals = natural_residual_norm(inst, points)
 

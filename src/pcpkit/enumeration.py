@@ -29,9 +29,9 @@ from .residuals import PcpInstance, check_indices, check_subset_dimension, min_p
 # singular, and ||J||_1 * ||J^-1||_1 (its 1-norm condition number, taken
 # from the inverse that also gives the Newton step) is below this limit
 JACOBIAN_CONDITION_LIMIT = 1e14
-MAX_BACKTRACK_HALVINGS = 30
-# the step scales tried after a rejected full Newton step, in order
-BACKTRACK_SCALES = 0.5 ** np.arange(1, MAX_BACKTRACK_HALVINGS + 1)
+# the step scales of every descent ladder, in the order they are tried:
+# 1, 1/2, ..., 2^-30
+STEP_SCALES = 0.5 ** np.arange(31)
 NON_ISOLATED_CLUSTER_SIZE = 100
 # (subset, start) rows per damped-Newton call of the sweep; whole subsets
 # are stacked up to this many rows
@@ -165,6 +165,17 @@ def _row_norms(a: np.ndarray, axis: int) -> np.ndarray:
         return np.linalg.norm(a, axis=axis)
 
 
+def first_lowering(trial_norms: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a (rows, rungs) ladder with a finite rung below ``norms``, and that rung.
+
+    Returns the index of every such row and, for each, its first such
+    rung; the other rows found no lower rung.
+    """
+    lower = np.isfinite(trial_norms) & (trial_norms < norms[:, None])
+    rows = np.flatnonzero(lower.any(axis=1))
+    return rows, lower[rows].argmax(axis=1)
+
+
 def damped_newton(
     values_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -229,27 +240,25 @@ def damped_newton(
             continue
         newton_steps = -np.einsum("rij,rj->ri", inverse[good], values[working])
 
-        # backtracking: a row takes the first of the scales 1, 1/2, ..., 2^-30
-        # whose residual is finite and below its current one.  The shorter
-        # scales are evaluated together, and only for the rows the full
-        # step did not improve: most steps are accepted at full length.
+        # backtracking: a row takes the first of the STEP_SCALES whose
+        # residual is finite and below its current one.  The shorter scales
+        # are evaluated together, and only for the rows the full step did
+        # not improve: most steps are accepted at full length.
         base = pts[working]
         pending = np.arange(working.size)
-        for scales in (np.ones(1), BACKTRACK_SCALES):
+        for scales in (STEP_SCALES[:1], STEP_SCALES[1:]):
             ladder = base[pending, None] + scales[:, None] * newton_steps[pending, None]
             ladder_values = values_fn(
                 ladder.reshape(-1, pts.shape[1]), np.repeat(working[pending], len(scales))
             ).reshape(ladder.shape)
             ladder_norms = _row_norms(ladder_values, axis=2)
-            improves = np.isfinite(ladder_norms) & (ladder_norms < norms[working[pending], None])
-            pick = np.arange(pending.size), improves.argmax(axis=1)
-            found = improves[pick]
+            found, rung = first_lowering(ladder_norms, norms[working[pending]])
             rows = working[pending[found]]
-            pts[rows] = ladder[pick][found]
-            values[rows] = ladder_values[pick][found]
-            norms[rows] = ladder_norms[pick][found]
+            pts[rows] = ladder[found, rung]
+            values[rows] = ladder_values[found, rung]
+            norms[rows] = ladder_norms[found, rung]
             steps[rows] += 1
-            pending = pending[~found]
+            pending = np.delete(pending, found)
             if pending.size == 0:
                 break
         status[working[pending]] = NewtonStatus.NO_DESCENT

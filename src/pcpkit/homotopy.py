@@ -23,9 +23,11 @@ from typing import Callable
 
 import numpy as np
 
-from .enumeration import SolveConfig, damped_newton
+from .enumeration import NewtonStatus, SolveConfig, damped_newton
 from .exceptions import InputError
-from .residuals import PcpInstance, natural_jacobian, natural_map, natural_residual_norm
+from .residuals import (
+    PcpInstance, active_branch, natural_jacobian, natural_map, natural_residual_norm,
+)
 
 CORRECTOR_TOL = 1e-8
 DIVERGENCE_NORM = 1e6
@@ -76,27 +78,19 @@ class HomotopyTrace:
         }
 
 
-class _Diverged(Exception):
-    def __init__(self, x: np.ndarray):
-        self.x = x
-
-
 HFun = Callable[[np.ndarray, float], np.ndarray]
 JFun = Callable[[np.ndarray, float], np.ndarray]
 
 
 def _correct(h: HFun, jac: JFun, x: np.ndarray, t: float, tol: float,
-             max_iters: int) -> tuple[np.ndarray, float, int] | None:
-    """Semismooth Newton on H(., t); None signals corrector failure."""
+             max_iters: int) -> tuple[np.ndarray, float, int, NewtonStatus]:
+    """Semismooth Newton on H(., t): the point, its residual, accepted steps, status."""
     result = damped_newton(
         lambda pts, rows: h(pts, t), lambda pts, rows: jac(pts, t), x[None, :], tol, max_iters,
         escape_norm=DIVERGENCE_NORM,
     )
-    if result.escaped[0]:
-        raise _Diverged(result.points[0])
-    if not (result.alive[0] and result.norms[0] <= tol):
-        return None
-    return result.points[0], float(result.norms[0]), int(result.steps[0])
+    return (result.points[0], float(result.norms[0]), int(result.steps[0]),
+            NewtonStatus(result.status[0]))
 
 
 def _track(inst: PcpInstance, h: HFun, jac: JFun, x0: np.ndarray,
@@ -121,21 +115,18 @@ def _track(inst: PcpInstance, h: HFun, jac: JFun, x0: np.ndarray,
         if t >= 1.0:
             break
         t_next = min(1.0, t + step)
-        try:
-            result = _correct(h, jac, x, t_next, CORRECTOR_TOL, CORRECTOR_ITERS)
-        except _Diverged as diverged:
-            max_norm = max(max_norm, float(np.linalg.norm(diverged.x)))
-            return finish(
-                "diverged",
-                message=f"path norm exceeded {DIVERGENCE_NORM:.0e}",
-            )
-        if result is None:
+        point, residual, iterations, status = _correct(
+            h, jac, x, t_next, CORRECTOR_TOL, CORRECTOR_ITERS
+        )
+        if status == NewtonStatus.ESCAPED:
+            max_norm = max(max_norm, float(np.linalg.norm(point)))
+            return finish("diverged", message=f"path norm exceeded {DIVERGENCE_NORM:.0e}")
+        if status != NewtonStatus.CONVERGED:
             step *= 0.5
             if step < STEP_FLOOR:
                 return finish("stalled", message="step size hit the floor")
             continue
-        x, residual, iterations = result
-        t = t_next
+        x, t = point, t_next
         max_norm = max(max_norm, float(np.linalg.norm(x)))
         checkpoints.append(Checkpoint(t, x.copy(), residual))
         if iterations <= 3:
@@ -144,14 +135,13 @@ def _track(inst: PcpInstance, h: HFun, jac: JFun, x0: np.ndarray,
         return finish("stalled", message="step attempt budget exhausted")
 
     # polish the endpoint down to the certification tolerance
-    try:
-        polished = _correct(h, jac, x, 1.0, cfg.newton_tol, cfg.max_newton_iters)
-    except _Diverged as diverged:
-        max_norm = max(max_norm, float(np.linalg.norm(diverged.x)))
+    point, _, _, status = _correct(h, jac, x, 1.0, cfg.newton_tol, cfg.max_newton_iters)
+    if status == NewtonStatus.ESCAPED:
+        max_norm = max(max_norm, float(np.linalg.norm(point)))
         return finish("diverged", message=f"endpoint polish left the {DIVERGENCE_NORM:.0e} ball")
-    if polished is None:
+    if status != NewtonStatus.CONVERGED:
         return finish("stalled", message="endpoint polish failed")
-    x, _, _ = polished
+    x = point
     max_norm = max(max_norm, float(np.linalg.norm(x)))
     residual = natural_residual_norm(inst, x)
     # the polish refines the t = 1 checkpoint in place (t stays strictly increasing)
@@ -201,18 +191,15 @@ def track_leading_homotopy(
     cfg = cfg or SolveConfig()
     lead = inst.leading_pair
 
+    def blend(x: np.ndarray, t: float, jacobians: bool) -> list[np.ndarray]:
+        """(f_t, g_t), plus their Jacobians with ``jacobians``: (1-t) lead + t full."""
+        pairs = zip(lead.evaluate_pair(x, jacobians), inst.evaluate_pair(x, jacobians))
+        return [(1.0 - t) * a + t * b for a, b in pairs]
+
     def h(x: np.ndarray, t: float) -> np.ndarray:
-        (lead_f, lead_g), (f, g) = lead.evaluate_pair(x), inst.evaluate_pair(x)
-        return np.minimum((1.0 - t) * lead_f + t * f, (1.0 - t) * lead_g + t * g)
+        return np.minimum(*blend(x, t, False))
 
     def jac(x: np.ndarray, t: float) -> np.ndarray:
-        lead_f, lead_g, lead_jf, lead_jg = lead.evaluate_pair(x, jacobians=True)
-        f, g, jf, jg = inst.evaluate_pair(x, jacobians=True)
-        f_t = (1.0 - t) * lead_f + t * f
-        g_t = (1.0 - t) * lead_g + t * g
-        jac_f = (1.0 - t) * lead_jf + t * jf
-        jac_g = (1.0 - t) * lead_jg + t * jg
-        # ties go to the f side, as in natural_jacobian
-        return np.where((f_t <= g_t)[..., None], jac_f, jac_g)
+        return active_branch(*blend(x, t, True))[1]
 
     return _track(inst, h, jac, np.zeros(inst.n), cfg)

@@ -10,16 +10,20 @@ re-evaluated against the probed predicate before being reported.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .enumeration import SolutionSet
+from .enumeration import STEP_SCALES, SolutionSet, first_lowering
 from .exceptions import DegenerateInputError, EmptyRegionError, InputError
 from .residuals import (
     PcpInstance,
+    active_branch,
+    as_region,
     natural_map,
     natural_residual_norm,
+    sample_box,
     unit_sphere,
 )
 
@@ -58,26 +62,34 @@ class ProbeReport:
         return asdict(self)
 
 
+def _report(
+    probe: str, witness: dict | None, samples_used: int, statistics: dict, config: dict
+) -> ProbeReport:
+    """A report whose verdict follows its witness: none means a pass."""
+    verdict = "evidence-pass" if witness is None else "counterexample"
+    return ProbeReport(probe, verdict, witness, samples_used, statistics, config)
+
+
 def _refine_on_sphere(
     pair: PcpInstance, starts: np.ndarray, radii: np.ndarray, iters: int
 ) -> np.ndarray:
     """Projected gradient descent for ||min{f, g}||^2, row k on the sphere radii[k].
 
-    Each row steps along its tangential gradient by the first of step,
-    step/2, step/4, ... above 1e-14 * R whose projected point lowers
-    ||m||; the step starts at 0.1 * R and grows by 1.5 when taken.  A row
-    stops at a gradient norm below 1e-16 or when no step lowers ||m||.
-    All rows, and all of a row's halvings, are evaluated together.
+    Each row steps along its tangential gradient by the first of
+    step * STEP_SCALES whose projected point lowers ||m||; the step
+    starts at 0.1 * R and grows by 1.5 when taken.  A row stops at a
+    gradient norm below 1e-16 or when no scale lowers ||m||.  All rows,
+    and all of a row's scales, are evaluated together: the full step
+    seldom lowers ||m|| here, so trying it first would only add a call.
     """
     x = starts * (radii / np.linalg.norm(starts, axis=1))[:, None]
     value = natural_residual_norm(pair, x)
-    step, floor = 0.1 * radii, 1e-14 * radii
+    step = 0.1 * radii
     live = np.arange(len(x))
     for _ in range(iters):
         points, radius = x[live], radii[live]
-        fx, gx, jac_f, jac_g = pair.evaluate_pair(points, jacobians=True)
-        jac = np.where((fx <= gx)[..., None], jac_f, jac_g)
-        gradient = 2.0 * np.einsum("kij,ki->kj", jac, np.minimum(fx, gx))
+        m, jac = active_branch(*pair.evaluate_pair(points, jacobians=True))
+        gradient = 2.0 * np.einsum("kij,ki->kj", jac, m)
         # tangential component only: stay on the sphere
         gradient -= (np.einsum("kj,kj->k", gradient, points) / radius**2)[:, None] * points
         norm = np.linalg.norm(gradient, axis=1)
@@ -86,16 +98,12 @@ def _refine_on_sphere(
         if not live.size:
             break
         direction = gradient[moving] / norm[moving, None]
-        # enough halvings for the row with the most steps above its floor
-        halvings = int(np.ceil(np.log2(np.max(step[live] / floor[live])))) + 1
-        steps = np.ldexp(step[live, None], -np.arange(halvings))
+        steps = step[live, None] * STEP_SCALES
         trials = points[:, None, :] - steps[..., None] * direction[:, None, :]
         trials *= (radius[:, None] / np.linalg.norm(trials, axis=2))[..., None]
         trial_values = natural_residual_norm(pair, trials.reshape(-1, pair.n)).reshape(steps.shape)
-        lower = (trial_values < value[live, None]) & (steps > floor[live, None])
-        taken = lower.any(axis=1)
-        pick = np.flatnonzero(taken), np.argmax(lower, axis=1)[taken]
-        live = live[taken]
+        pick = first_lowering(trial_values, value[live])
+        live = live[pick[0]]
         x[live], value[live], step[live] = trials[pick], trial_values[pick], 1.5 * steps[pick]
     return x
 
@@ -150,7 +158,9 @@ def r0_test(
     a counterexample witness (it scales to a nonzero solution ray of the
     leading pair); otherwise the attained minimum is the pass evidence.
 
-    The verdict is invariant under positive rescaling of either map.
+    The exact verdict is invariant under positive rescaling of either
+    map; the sampled one can miss a witness once the scales of f and g
+    differ by a factor of 1e3 or more.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
@@ -174,14 +184,14 @@ def r0_test(
     }
     f_at_best, g_at_best = pair.evaluate_pair(best_point)
     feasible = bool(np.all(f_at_best >= -tol) and np.all(g_at_best >= -tol))
+    witness = None
     if best_norm <= tol and feasible:
         witness = {
             "point": [float(v) for v in best_point],
             "residual_norm": best_norm,
             "note": "scales to a nonzero solution ray of the leading pair",
         }
-        return ProbeReport("r0", "counterexample", witness, samples, statistics, config)
-    return ProbeReport("r0", "evidence-pass", None, samples, statistics, config)
+    return _report("r0", witness, samples, statistics, config)
 
 
 def r0_shifted_pair_probe(
@@ -228,24 +238,14 @@ def r0_shifted_pair_probe(
         "base_min_residual": base.statistics["min_residual_on_sphere"],
         "shifted_min_residual": best_norm,
     }
-    if not base.passed:
-        return ProbeReport(
-            "r0-shifted-pair", "counterexample", base.witness, samples + total,
-            statistics, config,
-        )
-    if best_norm <= R0_TOL:
+    witness = base.witness
+    if witness is None and best_norm <= R0_TOL:
         witness = {
             "point": [float(v) for v in best_point],
             "residual_norm": best_norm,
             "note": "nonzero solution of the positively shifted leading pair",
         }
-        return ProbeReport(
-            "r0-shifted-pair", "counterexample", witness, samples + total,
-            statistics, config,
-        )
-    return ProbeReport(
-        "r0-shifted-pair", "evidence-pass", None, samples + total, statistics, config
-    )
+    return _report("r0-shifted-pair", witness, samples + total, statistics, config)
 
 
 def coercivity_probe(
@@ -301,14 +301,7 @@ def coercivity_probe(
         "fitted_alpha": fitted_alpha,
         "no_coercive_growth": bool(fitted_alpha <= GROWTH_FLAG_THRESHOLD),
     }
-    samples_used = samples_per_radius * len(radii)
-    if witness is not None:
-        return ProbeReport(
-            "coercivity", "counterexample", witness, samples_used, statistics, config
-        )
-    return ProbeReport(
-        "coercivity", "evidence-pass", None, samples_used, statistics, config
-    )
+    return _report("coercivity", witness, samples_per_radius * len(radii), statistics, config)
 
 
 def xref_boundedness_probe(
@@ -349,17 +342,13 @@ def xref_boundedness_probe(
         "min_pairing": float(values[worst]),
         "max_pairing": float(values.max()),
     }
+    witness = None
     if values[worst] <= 0.0:
         point = points[worst]
         # re-evaluate the witness against the predicate before reporting
         pairing = float((point - reference) @ natural_map(pair, point))
         witness = {"point": [float(v) for v in point], "pairing": pairing}
-        return ProbeReport(
-            "xref-boundedness", "counterexample", witness, samples, statistics, config
-        )
-    return ProbeReport(
-        "xref-boundedness", "evidence-pass", None, samples, statistics, config
-    )
+    return _report("xref-boundedness", witness, samples, statistics, config)
 
 
 def karamardian_coercivity_probe(
@@ -407,17 +396,12 @@ def karamardian_coercivity_probe(
         "min_margin": float(margins[worst]),
         "max_margin": float(margins.max()),
     }
+    witness = None
     if margins[worst] < -guard[worst]:
         point = points[worst]
         margin = float(point @ (natural_map(inst, point) - m0) - c * (point @ point))
         witness = {"point": [float(v) for v in point], "margin": margin}
-        return ProbeReport(
-            "karamardian-coercivity", "counterexample", witness, samples,
-            statistics, config,
-        )
-    return ProbeReport(
-        "karamardian-coercivity", "evidence-pass", None, samples, statistics, config
-    )
+    return _report("karamardian-coercivity", witness, samples, statistics, config)
 
 
 def jacobian_degeneracy_scan(
@@ -447,28 +431,20 @@ def jacobian_degeneracy_scan(
         "min_abs_det_by_solution": values,
         "flagged_count": len(flagged),
     }
-    if flagged:
-        return ProbeReport(
-            "jacobian-degeneracy", "counterexample", {"flagged": flagged},
-            len(sols), statistics, config,
-        )
-    return ProbeReport(
-        "jacobian-degeneracy", "evidence-pass", None, len(sols), statistics, config
-    )
+    witness = {"flagged": flagged} if flagged else None
+    return _report("jacobian-degeneracy", witness, len(sols), statistics, config)
 
 
 def _feasible_region_samples(
     inst: PcpInstance, region: np.ndarray, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Rejection-sample points of the region with f >= 0 and g >= 0."""
-    low = region[:, 0]
-    span = region[:, 1] - region[:, 0]
     accepted: list[np.ndarray] = []
     total = 0
     rejected = 0
     batch = max(256, count)
     while total < count:
-        draw = low + span * rng.random((batch, inst.n))
+        draw = sample_box(rng, region, batch)
         fx, gx = inst.evaluate_pair(draw)
         keep = np.all(fx >= 0.0, axis=1) & np.all(gx >= 0.0, axis=1)
         kept = draw[keep]
@@ -481,15 +457,6 @@ def _feasible_region_samples(
             accepted.append(kept)
             total += len(kept)
     return np.vstack(accepted)[:count]
-
-
-def _as_region(region, n: int) -> np.ndarray:
-    box = np.asarray(region, dtype=float)
-    if box.shape != (n, 2):
-        raise InputError(f"region must have shape ({n}, 2), got {box.shape}")
-    if np.any(box[:, 1] <= box[:, 0]):
-        raise InputError("region bounds must satisfy low < high")
-    return box
 
 
 def p_function_probe(
@@ -512,7 +479,7 @@ def p_function_probe(
     """
     if pairs < 1:
         raise InputError("pairs must be >= 1")
-    box = _as_region(region, inst.n)
+    box = as_region(region, inst.n)
     rng = np.random.default_rng(seed)
 
     def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -527,6 +494,7 @@ def p_function_probe(
     }
 
     # consistency pass: known solutions inside the feasible region
+    witness = None
     if solutions is not None and len(solutions) >= 2:
         inside = []
         for certificate in solutions.certificates:
@@ -536,45 +504,37 @@ def p_function_probe(
             feasible = np.all(fx >= -1e-9) and np.all(gx >= -1e-9)
             if in_box and feasible:
                 inside.append(point)
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                products = pair_products(inside[a], inside[b])
-                if np.max(products) <= P_FUNCTION_POSITIVE_TOL:
-                    witness = {
-                        "x": [float(v) for v in inside[a]],
-                        "y": [float(v) for v in inside[b]],
-                        "max_product": float(np.max(products)),
-                        "note": "solution pair",
-                    }
-                    statistics = {"checked_pairs": 0, "solution_pairs": True}
-                    return ProbeReport(
-                        "p-function", "counterexample", witness, 0, statistics, config
-                    )
+        for x, y in combinations(inside, 2):
+            products = pair_products(x, y)
+            if np.max(products) <= P_FUNCTION_POSITIVE_TOL:
+                witness = {
+                    "x": [float(v) for v in x],
+                    "y": [float(v) for v in y],
+                    "max_product": float(np.max(products)),
+                    "note": "solution pair",
+                }
+                break
 
-    xs = _feasible_region_samples(inst, box, pairs, rng)
-    ys = _feasible_region_samples(inst, box, pairs, rng)
-    identical = np.all(xs == ys, axis=1)
-    if np.any(identical):
-        ys[identical] = _feasible_region_samples(inst, box, int(identical.sum()), rng)
-
-    products = pair_products(xs, ys)
-    max_products = np.max(products, axis=1)
-    failing = np.flatnonzero(max_products <= P_FUNCTION_POSITIVE_TOL)
-
-    statistics = {
-        "checked_pairs": pairs,
-        "min_of_max_products": float(max_products.min()),
-    }
-    if failing.size:
-        k = int(failing[0])
-        witness = {
-            "x": [float(v) for v in xs[k]],
-            "y": [float(v) for v in ys[k]],
-            "max_product": float(max_products[k]),
+    if witness is not None:
+        samples_used, statistics = 0, {"checked_pairs": 0, "solution_pairs": True}
+    else:
+        xs = _feasible_region_samples(inst, box, pairs, rng)
+        ys = _feasible_region_samples(inst, box, pairs, rng)
+        identical = np.all(xs == ys, axis=1)
+        if np.any(identical):
+            ys[identical] = _feasible_region_samples(inst, box, int(identical.sum()), rng)
+        max_products = np.max(pair_products(xs, ys), axis=1)
+        failing = np.flatnonzero(max_products <= P_FUNCTION_POSITIVE_TOL)
+        samples_used = 2 * pairs
+        statistics = {
+            "checked_pairs": pairs,
+            "min_of_max_products": float(max_products.min()),
         }
-        return ProbeReport(
-            "p-function", "counterexample", witness, 2 * pairs, statistics, config
-        )
-    return ProbeReport(
-        "p-function", "evidence-pass", None, 2 * pairs, statistics, config
-    )
+        if failing.size:
+            k = int(failing[0])
+            witness = {
+                "x": [float(v) for v in xs[k]],
+                "y": [float(v) for v in ys[k]],
+                "max_product": float(max_products[k]),
+            }
+    return _report("p-function", witness, samples_used, statistics, config)

@@ -46,6 +46,23 @@ def unit_sphere(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     return points / norms
 
 
+def as_region(region, n: int) -> np.ndarray:
+    """``region`` as an (n, 2) box of [low, high] rows with low < high."""
+    box = np.asarray(region, dtype=float)
+    if box.shape != (n, 2):
+        raise InputError(f"region must have shape ({n}, 2), got {box.shape}")
+    if np.any(box[:, 1] <= box[:, 0]):
+        raise InputError("region bounds must satisfy low < high")
+    return box
+
+
+def sample_box(rng: np.random.Generator, region: np.ndarray, count: int) -> np.ndarray:
+    """``count`` seeded uniform points of the (n, 2) box ``region``, one per row."""
+    low = region[:, 0]
+    span = region[:, 1] - region[:, 0]
+    return low + span * rng.random((count, region.shape[0]))
+
+
 def negative_part(a):
     """[-a]_+ = max(-a, 0), elementwise and exact."""
     return np.maximum(-np.asarray(a, dtype=float), 0.0)
@@ -128,14 +145,18 @@ def natural_map(inst: PcpInstance, x) -> np.ndarray:
     return np.minimum(*inst.evaluate_pair(x))
 
 
-def natural_jacobian(inst: PcpInstance, x) -> np.ndarray:
-    """Active-branch generalized Jacobian of m; batch aware.
+def active_branch(fx, gx, jac_f, jac_g) -> tuple[np.ndarray, np.ndarray]:
+    """min{f, g} and its active-branch generalized Jacobian; batch aware.
 
-    Row i is the gradient of f_i where f_i(x) <= g_i(x) (ties go to f)
-    and of g_i elsewhere.
+    Row i of the Jacobian is the gradient of f_i where f_i <= g_i (ties
+    go to f) and of g_i elsewhere.
     """
-    fx, gx, jac_f, jac_g = inst.evaluate_pair(x, jacobians=True)
-    return np.where((fx <= gx)[..., None], jac_f, jac_g)
+    return np.minimum(fx, gx), np.where((fx <= gx)[..., None], jac_f, jac_g)
+
+
+def natural_jacobian(inst: PcpInstance, x) -> np.ndarray:
+    """Active-branch generalized Jacobian of m (see :func:`active_branch`)."""
+    return active_branch(*inst.evaluate_pair(x, jacobians=True))[1]
 
 
 def natural_residual_norm(inst: PcpInstance, x) -> float | np.ndarray:

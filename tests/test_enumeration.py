@@ -472,6 +472,28 @@ class TestEnumerate:
         with pytest.raises(ComplexityGuardError):
             enumerate_solutions(inst, FAST)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: each subset is deduplicated first, so a global "
+        "cluster holds at most 20 points at n = 2, never the 100 that the "
+        "non-isolated warning needs",
+    )
+    def test_solution_circle_denies_completeness(self):
+        # f = (q, x1 q) with q = x1^2 + x2^2 - 1 and g = x + 10 > 0 near the
+        # circle: every point of the unit circle is a solution
+        f = PolyMap((
+            Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0}),
+            Polynomial(2, {(3, 0): 1.0, (1, 2): 1.0, (1, 0): -1.0}),
+        ))
+        g = PolyMap((
+            Polynomial(2, {(1, 0): 1.0, (0, 0): 10.0}),
+            Polynomial(2, {(0, 1): 1.0, (0, 0): 10.0}),
+        ))
+        sols = enumerate_solutions(PcpInstance(f, g))
+        assert np.allclose(np.linalg.norm(sols.points, axis=1), 1.0)
+        assert not sols.completeness_claim
+
 
 class TestCertify:
     def test_accept_strict(self, affine_shift):

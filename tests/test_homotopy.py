@@ -1,6 +1,7 @@
 """Continuation traces: exact starts, convergence, honest failure."""
 
 import numpy as np
+import pytest
 
 from pcpkit import (
     PcpInstance,
@@ -54,6 +55,28 @@ class TestNaturalHomotopy:
         trace = track_natural_homotopy(affine_shift, [2.0, 2.0], CFG)
         assert trace.converged
         assert trace.max_point_norm < radius
+
+
+class TestExits:
+    """Each terminal outcome of the natural homotopy, with its message and last t."""
+
+    @pytest.mark.parametrize(
+        "fixture, x_ref, outcome, message, final_t",
+        [
+            ("hyperbola_pair", (0.5, 0.5), "converged", "", 1.0),
+            ("unsolvable_pair", (0.5, 0.5), "stalled", "step size hit the floor",
+             0.9999856382608413),
+            ("swapped_linear", (2.0, -1.0), "diverged", "path norm exceeded 1e+06",
+             0.9999992370605468),
+        ],
+    )
+    def test_outcome_message_and_final_t(
+        self, request, fixture, x_ref, outcome, message, final_t
+    ):
+        trace = track_natural_homotopy(request.getfixturevalue(fixture), x_ref, CFG)
+        assert trace.outcome == outcome
+        assert trace.message == message
+        assert trace.final_t == pytest.approx(final_t, rel=0, abs=1e-12)
 
 
 class TestLeadingHomotopy:

@@ -11,16 +11,19 @@ from pcpkit import (
     PcpInstance,
     PolyMap,
     Polynomial,
+    enumerate_solutions,
     leading_min_map,
     min_phi,
     min_phi_values,
     natural_jacobian,
     natural_map,
     natural_residual_norm,
+    p_function_probe,
     phi_residual,
     r_residual,
     random_instance,
     scalar_min_bound,
+    verify_local_bound,
 )
 
 from conftest import scalar_instance
@@ -231,3 +234,18 @@ class TestInstanceValidation:
     def test_scalar_instance_helper(self):
         inst = scalar_instance({(1,): 1.0}, {(2,): 1.0, (0,): -1.0})
         assert inst.n == 1 and inst.degree == 2
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda inst, region: verify_local_bound(inst, enumerate_solutions(inst), region, 10, 1.0),
+        lambda inst, region: p_function_probe(inst, region),
+    ],
+    ids=["verify_local_bound", "p_function_probe"],
+)
+def test_one_region_rule(identity_pair, check):
+    # both callers refuse a box that is not (n, 2) or has an empty side
+    for region in ([[-1.0, 0.0, 1.0]] * 2, [[0.5, 0.5], [-1.0, 1.0]]):
+        with pytest.raises(InputError):
+            check(identity_pair, region)
