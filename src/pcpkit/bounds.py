@@ -204,6 +204,34 @@ def _near_solution_fit(dists: np.ndarray, residuals: np.ndarray) -> ExponentFit 
     return empirical_exponent_fit(np.column_stack([dists[mask], residuals[mask]]))
 
 
+def _bound_report(
+    inst: PcpInstance,
+    sols: SolutionSet,
+    points: np.ndarray,
+    alpha: float,
+    global_form: bool,
+    claimed_c: float | None,
+    domain: dict,
+) -> BoundReport:
+    """Distances, residuals, statistics and fit of ``points``, as one report."""
+    dists = np.atleast_1d(distance_to_solutions(sols, points))
+    residuals = natural_residual_norm(inst, points)
+    c_best, log10_c_best, violations = _bound_statistics(
+        points, dists, residuals, alpha, global_form, claimed_c
+    )
+    return BoundReport(
+        alpha=alpha,
+        c_best=c_best,
+        log10_c_best=log10_c_best,
+        fitted=_near_solution_fit(dists, residuals),
+        violations=violations,
+        samples=len(points),
+        domain=domain,
+        completeness_claim=sols.completeness_claim,
+        pairs=tuple((float(d), float(r)) for d, r in zip(dists, residuals)),
+    )
+
+
 def verify_local_bound(
     inst: PcpInstance,
     sols: SolutionSet,
@@ -225,23 +253,9 @@ def verify_local_bound(
     box = as_region(region, inst.n)
     rng = np.random.default_rng(seed)
     points = sample_box(rng, box, samples)
-    dists = np.atleast_1d(distance_to_solutions(sols, points))
-    residuals = natural_residual_norm(inst, points)
-
-    c_best, log10_c_best, violations = _bound_statistics(
-        points, dists, residuals, alpha, global_form=False, claimed_c=claimed_c
-    )
-    return BoundReport(
-        alpha=alpha,
-        c_best=c_best,
-        log10_c_best=log10_c_best,
-        fitted=_near_solution_fit(dists, residuals),
-        violations=violations,
-        samples=samples,
-        domain={"region": [[float(a), float(b)] for a, b in box], "seed": seed},
-        completeness_claim=sols.completeness_claim,
-        pairs=tuple((float(d), float(r)) for d, r in zip(dists, residuals)),
-    )
+    domain = {"region": [[float(a), float(b)] for a, b in box], "seed": seed}
+    return _bound_report(inst, sols, points, alpha, global_form=False, claimed_c=claimed_c,
+                         domain=domain)
 
 
 def verify_global_bound(
@@ -274,20 +288,6 @@ def verify_global_bound(
         if extra.shape[1] != inst.n:
             raise InputError(f"extra points have dimension {extra.shape[1]}, expected {inst.n}")
         points = np.vstack([points, extra])
-    dists = np.atleast_1d(distance_to_solutions(sols, points))
-    residuals = natural_residual_norm(inst, points)
-
-    c_best, log10_c_best, violations = _bound_statistics(
-        points, dists, residuals, alpha, global_form=True, claimed_c=claimed_c
-    )
-    return BoundReport(
-        alpha=alpha,
-        c_best=c_best,
-        log10_c_best=log10_c_best,
-        fitted=_near_solution_fit(dists, residuals),
-        violations=violations,
-        samples=len(points),
-        domain={"radii": radii, "seed": seed, "extra_points": 0 if extra_points is None else int(len(points) - samples * len(radii))},
-        completeness_claim=sols.completeness_claim,
-        pairs=tuple((float(d), float(r)) for d, r in zip(dists, residuals)),
-    )
+    domain = {"radii": radii, "seed": seed, "extra_points": len(points) - samples * len(radii)}
+    return _bound_report(inst, sols, points, alpha, global_form=True, claimed_c=claimed_c,
+                         domain=domain)

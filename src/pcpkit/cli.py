@@ -29,7 +29,7 @@ from .exceptions import CertificationError, PcpError
 from .genericity import genericity_trial, random_instance
 from .homotopy import track_leading_homotopy, track_natural_homotopy
 from .lemke import lemke_lcp
-from .residuals import min_phi, natural_map, r_residual
+from .residuals import min_phi, natural_map, r_residual, residual_norms
 
 
 def _floats(text: str) -> list[float]:
@@ -60,14 +60,10 @@ def _region(values: list[float], n: int) -> np.ndarray:
 
 
 def _config(args) -> SolveConfig:
-    kwargs = {"rng_seed": args.seed}
-    if getattr(args, "tol", None) is not None:
-        kwargs["newton_tol"] = args.tol
-    if getattr(args, "starts", None) is not None:
-        kwargs["starts_per_subsystem"] = args.starts
-    if getattr(args, "box", None) is not None:
-        kwargs["start_box_radius"] = args.box
-    return SolveConfig(**kwargs)
+    """The solver config of a subcommand with the solver flags; unset flags keep defaults."""
+    flags = {"newton_tol": args.tol, "starts_per_subsystem": args.starts,
+             "start_box_radius": args.box}
+    return SolveConfig(rng_seed=args.seed, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_instance(path: str):
@@ -105,7 +101,7 @@ def _cmd_residual(args) -> int:
     payload = {
         "point": [float(v) for v in point],
         "natural_map": [float(v) for v in m],
-        "natural_residual_norm": float(np.linalg.norm(m)),
+        "natural_residual_norm": float(residual_norms(m)[0]),
         "min_phi": value,
         "min_phi_argmin": list(argmin),
         "r_residual": r_residual(inst, point),
@@ -192,8 +188,6 @@ def _cmd_probe(args) -> int:
         report = probes_mod.p_function_probe(
             inst, region, pairs=args.pairs, seed=args.seed
         )
-    else:  # unreachable behind argparse choices
-        raise PcpError(f"unknown probe {name}")
     _print_report("probe", {"instance": args.instance, "probe": name, "seed": args.seed},
                   report.to_dict())
     if args.assert_ and not report.passed:

@@ -23,7 +23,10 @@ import numpy as np
 from scipy.stats import qmc
 
 from .exceptions import CertificationError, InputError
-from .residuals import PcpInstance, check_indices, check_subset_dimension, min_phi_of_values
+from .residuals import (
+    PcpInstance, check_indices, check_subset_dimension, min_phi_of_values, residual_norms,
+    sign_feasible,
+)
 
 # a working row is abandoned unless its Jacobian J is finite, not exactly
 # singular, and ||J||_1 * ||J^-1||_1 (its 1-norm condition number, taken
@@ -410,10 +413,8 @@ def enumerate_solutions(
 
     points = np.vstack(_solve_subsystems(inst, range(1 << n), cfg, x_ref))
     fx, gx = inst.evaluate_pair(points)
-    feasible = np.all(fx >= -cfg.feasibility_tol, axis=1) & np.all(
-        gx >= -cfg.feasibility_tol, axis=1
-    )
-    residuals = np.linalg.norm(np.minimum(fx, gx)[feasible], axis=1)
+    feasible = sign_feasible(fx, gx, cfg.feasibility_tol)
+    residuals = residual_norms(np.minimum(fx, gx)[feasible])
     points, largest_cluster = _dedupe_points(points[feasible], residuals, cfg.dedupe_radius)
     warnings: list[str] = []
     if largest_cluster > NON_ISOLATED_CLUSTER_SIZE:
@@ -464,19 +465,19 @@ def certify_solution(
 ) -> SolutionCertificate:
     """Accept ``x`` iff its natural-residual norm is within ``newton_tol``.
 
-    The certificate records the active index set, strict complementarity
-    (min_i f_i + g_i above the feasibility tolerance) and the Jacobian
-    degeneracy statistic, all from one evaluation of f, g and their
-    Jacobians at ``x``.  Rejection raises :class:`CertificationError`
-    carrying the residual norm.
+    A NaN norm is rejected.  The certificate records the active index
+    set, strict complementarity (min_i f_i + g_i above the feasibility
+    tolerance) and the Jacobian degeneracy statistic, all from one
+    evaluation of f, g and their Jacobians at ``x``.  Rejection raises
+    :class:`CertificationError` carrying the residual norm.
     """
     cfg = cfg or SolveConfig()
     point = np.asarray(x, dtype=float)
     if point.shape != (inst.n,):
         raise InputError(f"point has shape {point.shape}, expected ({inst.n},)")
     fx, gx, jac_f, jac_g = inst.evaluate_pair(point, jacobians=True)
-    residual_norm = float(np.linalg.norm(np.minimum(fx, gx)))
-    if residual_norm > cfg.newton_tol:
+    residual_norm = float(residual_norms(np.minimum(fx, gx))[0])
+    if not residual_norm <= cfg.newton_tol:
         raise CertificationError(
             f"natural residual {residual_norm:.3e} exceeds {cfg.newton_tol:.3e}",
             residual_norm=residual_norm,

@@ -28,6 +28,9 @@ from .residuals import PcpInstance
 # desk-scale instances sit orders of magnitude above it
 LIPSCHITZ_C_MIN = 1e-3
 LIPSCHITZ_RADII = (1.25, 2.5, 5.0, 10.0, 20.0)
+BOUND_SAMPLES = 400  # per radius
+R0_SAMPLES = 512
+R0_REFINE_ITERS = 80
 
 
 def monomials_up_to(n: int, degree: int) -> list[Exponents]:
@@ -167,10 +170,6 @@ def genericity_trial(
     trials: int,
     seed: int,
     cfg: SolveConfig | None = None,
-    lipschitz_c_min: float = LIPSCHITZ_C_MIN,
-    bound_samples: int = 400,
-    r0_samples: int = 512,
-    r0_refine_iters: int = 80,
 ) -> TrialSummary:
     """Run the generic-claims pipeline over ``trials`` random instances.
 
@@ -179,7 +178,7 @@ def genericity_trial(
     componentwise leading pair for nonzero solutions; verify the global
     Lipschitz bound (exponent 1) over sphere shells spanning the
     radius-20 ball, passing when the certified constant stays above
-    ``lipschitz_c_min``.  Affine trials additionally cross-check
+    LIPSCHITZ_C_MIN.  Affine trials additionally cross-check
     solvability against complementary pivoting.  Identical arguments
     give identical summaries; per-trial seeds are spawned from the
     master seed by index, so execution order cannot matter.
@@ -215,8 +214,8 @@ def genericity_trial(
         try:
             r0_report = r0_test(
                 inst,
-                samples=r0_samples,
-                refine_iters=r0_refine_iters,
+                samples=R0_SAMPLES,
+                refine_iters=R0_REFINE_ITERS,
                 seed=index,
                 componentwise=True,
             )
@@ -226,10 +225,10 @@ def genericity_trial(
             failures.append({"spawn_index": index, "stage": "r0", "error": str(error)})
 
         bound_report = verify_global_bound(
-            inst, sols, LIPSCHITZ_RADII, bound_samples, alpha=1, seed=index
+            inst, sols, LIPSCHITZ_RADII, BOUND_SAMPLES, alpha=1, seed=index
         )
         lipschitz_c = bound_report.c_best
-        lipschitz_ok = bool(lipschitz_c >= lipschitz_c_min)
+        lipschitz_ok = bool(lipschitz_c >= LIPSCHITZ_C_MIN)
 
         lemke_status = None
         lemke_agrees = None

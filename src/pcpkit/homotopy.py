@@ -25,9 +25,7 @@ import numpy as np
 
 from .enumeration import NewtonStatus, SolveConfig, damped_newton
 from .exceptions import InputError
-from .residuals import (
-    PcpInstance, active_branch, natural_jacobian, natural_map, natural_residual_norm,
-)
+from .residuals import PcpInstance, active_branch, natural_jacobian, natural_map
 
 CORRECTOR_TOL = 1e-8
 DIVERGENCE_NORM = 1e6
@@ -93,8 +91,7 @@ def _correct(h: HFun, jac: JFun, x: np.ndarray, t: float, tol: float,
             NewtonStatus(result.status[0]))
 
 
-def _track(inst: PcpInstance, h: HFun, jac: JFun, x0: np.ndarray,
-           cfg: SolveConfig) -> HomotopyTrace:
+def _track(h: HFun, jac: JFun, x0: np.ndarray, cfg: SolveConfig) -> HomotopyTrace:
     x = np.asarray(x0, dtype=float).copy()
     checkpoints = [Checkpoint(0.0, x.copy(), float(np.linalg.norm(h(x, 0.0))))]
     max_norm = float(np.linalg.norm(x))
@@ -134,24 +131,19 @@ def _track(inst: PcpInstance, h: HFun, jac: JFun, x0: np.ndarray,
     else:
         return finish("stalled", message="step attempt budget exhausted")
 
-    # polish the endpoint down to the certification tolerance
-    point, _, _, status = _correct(h, jac, x, 1.0, cfg.newton_tol, cfg.max_newton_iters)
+    # polish the endpoint down to the certification tolerance; H(., 1) is m,
+    # so a converged polish has natural residual norm at most newton_tol
+    point, residual, _, status = _correct(h, jac, x, 1.0, cfg.newton_tol, cfg.max_newton_iters)
     if status == NewtonStatus.ESCAPED:
         max_norm = max(max_norm, float(np.linalg.norm(point)))
         return finish("diverged", message=f"endpoint polish left the {DIVERGENCE_NORM:.0e} ball")
     if status != NewtonStatus.CONVERGED:
         return finish("stalled", message="endpoint polish failed")
-    x = point
-    max_norm = max(max_norm, float(np.linalg.norm(x)))
-    residual = natural_residual_norm(inst, x)
-    # the polish refines the t = 1 checkpoint in place (t stays strictly increasing)
-    if checkpoints and checkpoints[-1].t == 1.0:
-        checkpoints[-1] = Checkpoint(1.0, x.copy(), residual)
-    else:
-        checkpoints.append(Checkpoint(1.0, x.copy(), residual))
-    if residual <= cfg.newton_tol:
-        return finish("converged", point=x.copy())
-    return finish("stalled", message="endpoint residual above newton_tol")
+    max_norm = max(max_norm, float(np.linalg.norm(point)))
+    # the last checkpoint is at t = 1; the polish refines it in place (t stays
+    # strictly increasing)
+    checkpoints[-1] = Checkpoint(1.0, point.copy(), residual)
+    return finish("converged", point=point.copy())
 
 
 def track_natural_homotopy(
@@ -175,7 +167,7 @@ def track_natural_homotopy(
     def jac(x: np.ndarray, t: float) -> np.ndarray:
         return (1.0 - t) * eye + t * natural_jacobian(inst, x)
 
-    return _track(inst, h, jac, reference, cfg)
+    return _track(h, jac, reference, cfg)
 
 
 def track_leading_homotopy(
@@ -202,4 +194,4 @@ def track_leading_homotopy(
     def jac(x: np.ndarray, t: float) -> np.ndarray:
         return active_branch(*blend(x, t, True))[1]
 
-    return _track(inst, h, jac, np.zeros(inst.n), cfg)
+    return _track(h, jac, np.zeros(inst.n), cfg)

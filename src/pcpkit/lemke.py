@@ -15,6 +15,8 @@ import numpy as np
 from .exceptions import InputError, PivotBudgetError
 
 COMPLEMENTARITY_TOL = 1e-9
+# pivot budget of one lemke_lcp run
+MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -42,34 +44,26 @@ def _lexico_ratio_row(tableau: np.ndarray, column: np.ndarray, eligible: np.ndar
 
     Compares (rhs_i, B^-1 row_i) / column_i lexicographically over the
     eligible rows; the carried inverse-basis columns are the first n
-    columns of the tableau.
+    columns of the tableau.  The sort is stable, so ties go to the lowest
+    row.
     """
     rows = np.flatnonzero(eligible)
     # ratio vectors: rhs first, then the inverse-basis block
     ratios = np.column_stack(
         [tableau[rows, -1] / column[rows], tableau[rows, :n] / column[rows, None]]
     )
-    best = rows[0]
-    best_ratio = ratios[0]
-    for k in range(1, len(rows)):
-        r = ratios[k]
-        for a, b in zip(r, best_ratio):
-            if a < b:
-                best, best_ratio = rows[k], r
-                break
-            if a > b:
-                break
-    return int(best)
+    # lexsort's last key is its primary one
+    return int(rows[np.lexsort(ratios.T[::-1])[0]])
 
 
-def lemke_lcp(M, q, max_pivots: int = 10_000) -> LcpResult:
+def lemke_lcp(M, q) -> LcpResult:
     """Solve LCP(M, q) by Lemke's method with the all-ones covering vector.
 
     Returns a trivial solution z = 0 when q >= 0.  Otherwise pivots until
     the artificial variable leaves the basis (solution) or the entering
-    column has no positive entry (ray termination).  Exceeding the pivot
-    budget raises :class:`PivotBudgetError`; lexicographic tie-breaking
-    makes this unreachable on non-degenerate data.
+    column has no positive entry (ray termination).  Exceeding MAX_PIVOTS
+    raises :class:`PivotBudgetError`; lexicographic tie-breaking makes
+    this unreachable on non-degenerate data.
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -96,8 +90,8 @@ def lemke_lcp(M, q, max_pivots: int = 10_000) -> LcpResult:
     pivots = 0
     while True:
         pivots += 1
-        if pivots > max_pivots:
-            raise PivotBudgetError(f"exceeded {max_pivots} pivots")
+        if pivots > MAX_PIVOTS:
+            raise PivotBudgetError(f"exceeded {MAX_PIVOTS} pivots")
 
         # pivot: make `entering` basic in `leaving_row`
         pivot_value = tableau[leaving_row, entering]
@@ -120,14 +114,10 @@ def lemke_lcp(M, q, max_pivots: int = 10_000) -> LcpResult:
             return LcpResult(status="ray", z=None, w=None, pivots=pivots)
         leaving_row = _lexico_ratio_row(tableau, column, eligible, n)
 
-    z = np.zeros(n)
-    w = np.zeros(n)
-    for row, variable in enumerate(basis):
-        value = tableau[row, -1]
-        if variable < n:
-            w[variable] = value
-        elif variable < 2 * n:
-            z[variable - n] = value
+    # basic variables take their rhs, the others 0; columns are [w | z | z0]
+    values = np.zeros(2 * n + 1)
+    values[basis] = tableau[:, -1]
+    w, z = values[:n], values[n : 2 * n]
     # internal sanity: complementary basic solutions satisfy the system
     residual = M @ z + q - w
     gap = abs(float(z @ w))

@@ -24,10 +24,15 @@ from .residuals import (
     natural_map,
     natural_residual_norm,
     sample_box,
+    sign_feasible,
     unit_sphere,
 )
 
 R0_TOL = 1e-8
+# r0_shifted_pair_probe adds this to every component of g_inf
+R0_SHIFT = 1.0
+# karamardian_coercivity_probe samples radii up to this multiple of max(1, ||m(0)||/c)
+KARAMARDIAN_RADIUS_FACTOR = 10.0
 DEGENERACY_TOL = 1e-8
 COERCIVITY_VANISH_TOL = 1e-10
 # fitted growth exponents at or below this are flagged as "no coercive growth"
@@ -136,25 +141,18 @@ def _sphere_minima(
     return np.where(lower[:, None], refined[rows, best], starts[:, 0]), values, norms
 
 
-def _leading_for(inst: PcpInstance, componentwise: bool) -> PcpInstance:
-    if componentwise:
-        return inst.componentwise_leading_pair
-    return inst.leading_pair
-
-
 def r0_test(
     inst: PcpInstance,
     samples: int = 2048,
     refine_iters: int = 200,
     seed: int = 0,
     componentwise: bool = False,
-    tol: float = R0_TOL,
 ) -> ProbeReport:
     """Probe whether the leading pair admits only the trivial solution.
 
     Minimizes ||min{f_inf, g_inf}|| over the unit sphere: seeded sampling
     followed by projected gradient refinement of the best candidates.  A
-    sphere point with residual norm at most ``tol`` and feasible signs is
+    sphere point with residual norm at most R0_TOL and feasible signs is
     a counterexample witness (it scales to a nonzero solution ray of the
     leading pair); otherwise the attained minimum is the pass evidence.
 
@@ -164,7 +162,7 @@ def r0_test(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
-    pair = _leading_for(inst, componentwise)
+    pair = inst.componentwise_leading_pair if componentwise else inst.leading_pair
     if pair.f.is_zero or pair.g.is_zero:
         raise DegenerateInputError("leading pair contains the zero map")
     rng = np.random.default_rng(seed)
@@ -176,16 +174,14 @@ def r0_test(
         "refine_iters": refine_iters,
         "seed": seed,
         "componentwise": componentwise,
-        "tol": tol,
+        "tol": R0_TOL,
     }
     statistics = {
         "min_residual_on_sphere": best_norm,
         "max_sampled_residual": float(norms.max()),
     }
-    f_at_best, g_at_best = pair.evaluate_pair(best_point)
-    feasible = bool(np.all(f_at_best >= -tol) and np.all(g_at_best >= -tol))
     witness = None
-    if best_norm <= tol and feasible:
+    if best_norm <= R0_TOL and sign_feasible(*pair.evaluate_pair(best_point), R0_TOL):
         witness = {
             "point": [float(v) for v in best_point],
             "residual_norm": best_norm,
@@ -196,7 +192,6 @@ def r0_test(
 
 def r0_shifted_pair_probe(
     inst: PcpInstance,
-    shift=None,
     samples: int = 2048,
     refine_iters: int = 200,
     seed: int = 0,
@@ -207,17 +202,15 @@ def r0_shifted_pair_probe(
 
     Runs the trivial-solution probe on (f_inf, g_inf) and then scans
     spheres of several radii for nonzero solutions of the inhomogeneous
-    pair (f_inf, g_inf + d), d > 0 (default all ones).  The shifted
-    condition is not scale invariant, hence the multi-radius scan.
+    pair (f_inf, g_inf + R0_SHIFT).  The shifted condition is not scale
+    invariant, hence the multi-radius scan.
     """
     base = r0_test(inst, samples, refine_iters, seed, componentwise)
-    pair = _leading_for(inst, componentwise)
-    d = np.ones(inst.n) if shift is None else np.asarray(shift, dtype=float)
-    if d.shape != (inst.n,) or np.any(d <= 0):
-        raise InputError("shift must be a strictly positive vector of length n")
+    pair = inst.componentwise_leading_pair if componentwise else inst.leading_pair
+    shift = np.full(inst.n, R0_SHIFT)
     if not len(radii):
         raise InputError("need at least one radius")
-    shifted = PcpInstance(pair.f, pair.g.plus_constant(d))
+    shifted = PcpInstance(pair.f, pair.g.plus_constant(shift))
 
     rng = np.random.default_rng(seed + 1)
     points, values, _ = _sphere_minima(shifted, radii, samples, 1, refine_iters, rng)
@@ -230,7 +223,7 @@ def r0_shifted_pair_probe(
         "refine_iters": refine_iters,
         "seed": seed,
         "componentwise": componentwise,
-        "shift": [float(v) for v in d],
+        "shift": [float(v) for v in shift],
         "radii": [float(r) for r in radii],
     }
     statistics = {
@@ -324,7 +317,7 @@ def xref_boundedness_probe(
     reference = np.asarray(x_ref, dtype=float)
     if reference.shape != (inst.n,):
         raise InputError(f"x_ref has shape {reference.shape}, expected ({inst.n},)")
-    pair = _leading_for(inst, componentwise=False) if use_leading else inst
+    pair = inst.leading_pair if use_leading else inst
     rng = np.random.default_rng(seed)
 
     points = unit_sphere(rng, samples, inst.n) * radius
@@ -356,13 +349,12 @@ def karamardian_coercivity_probe(
     c: float,
     samples: int = 10_000,
     seed: int = 0,
-    radius_factor: float = 10.0,
 ) -> ProbeReport:
     """Check <x, m(x) - m(0)> >= c||x||^2 outside the ball ||x|| <= ||m(0)||/c.
 
-    Samples log-spaced radii in (||m(0)||/c, radius_factor * max(1, .)]
-    with random directions.  A sample violating the inequality beyond the
-    relative float guard is a counterexample witness.
+    Samples log-spaced radii in (||m(0)||/c, KARAMARDIAN_RADIUS_FACTOR *
+    max(1, .)] with random directions.  A sample violating the inequality
+    beyond the relative float guard is a counterexample witness.
     """
     if c <= 0:
         raise InputError("c must be positive")
@@ -373,7 +365,7 @@ def karamardian_coercivity_probe(
     m0 = natural_map(inst, np.zeros(n))
     inner_radius = float(np.linalg.norm(m0)) / c
     low = inner_radius * (1.0 + 1e-9) if inner_radius > 0 else 1e-6
-    high = max(1.0, inner_radius) * radius_factor
+    high = max(1.0, inner_radius) * KARAMARDIAN_RADIUS_FACTOR
 
     directions = unit_sphere(rng, samples, n)
     radii = np.exp(rng.uniform(np.log(low), np.log(high), size=samples))
@@ -389,7 +381,7 @@ def karamardian_coercivity_probe(
         "c": float(c),
         "samples": samples,
         "seed": seed,
-        "radius_factor": float(radius_factor),
+        "radius_factor": KARAMARDIAN_RADIUS_FACTOR,
         "inner_radius": inner_radius,
     }
     statistics = {
@@ -446,8 +438,7 @@ def _feasible_region_samples(
     while total < count:
         draw = sample_box(rng, region, batch)
         fx, gx = inst.evaluate_pair(draw)
-        keep = np.all(fx >= 0.0, axis=1) & np.all(gx >= 0.0, axis=1)
-        kept = draw[keep]
+        kept = draw[sign_feasible(fx, gx, 0.0)]
         rejected += batch - len(kept)
         if rejected > MAX_REJECTIONS:
             raise EmptyRegionError(
@@ -496,14 +487,9 @@ def p_function_probe(
     # consistency pass: known solutions inside the feasible region
     witness = None
     if solutions is not None and len(solutions) >= 2:
-        inside = []
-        for certificate in solutions.certificates:
-            point = certificate.point
-            in_box = np.all(point >= box[:, 0]) and np.all(point <= box[:, 1])
-            fx, gx = inst.evaluate_pair(point)
-            feasible = np.all(fx >= -1e-9) and np.all(gx >= -1e-9)
-            if in_box and feasible:
-                inside.append(point)
+        points = solutions.points
+        in_box = np.all((points >= box[:, 0]) & (points <= box[:, 1]), axis=1)
+        inside = points[in_box & sign_feasible(*inst.evaluate_pair(points), 1e-9)]
         for x, y in combinations(inside, 2):
             products = pair_products(x, y)
             if np.max(products) <= P_FUNCTION_POSITIVE_TOL:

@@ -159,11 +159,23 @@ def natural_jacobian(inst: PcpInstance, x) -> np.ndarray:
     return active_branch(*inst.evaluate_pair(x, jacobians=True))[1]
 
 
+def residual_norms(m) -> np.ndarray:
+    """Row norms of natural-map values ``m``, shape (rows,).
+
+    A point is one row, so its norm equals its row's norm in any batch.
+    """
+    return np.linalg.norm(np.atleast_2d(m), axis=1)
+
+
+def sign_feasible(fx, gx, tol: float):
+    """f >= -tol and g >= -tol in every component; one flag per row of a batch."""
+    return np.all(fx >= -tol, axis=-1) & np.all(gx >= -tol, axis=-1)
+
+
 def natural_residual_norm(inst: PcpInstance, x) -> float | np.ndarray:
     """Euclidean norm of the natural residual; scalar or (m,) for a batch."""
     m = natural_map(inst, x)
-    # a point is a one-row batch, so its norm equals its row in any batch
-    norms = np.linalg.norm(np.atleast_2d(m), axis=1)
+    norms = residual_norms(m)
     return float(norms[0]) if m.ndim == 1 else norms
 
 

@@ -149,6 +149,46 @@ class TestProbeAndBounds:
         assert code == 1
 
 
+class TestNegativeValues:
+    """Values that start with "-" go after "=": argparse takes "-2,2" for an option."""
+
+    def test_point(self, capsys, hyperbola_file):
+        code, out = run(capsys, "residual", hyperbola_file, "--point=-1,0")
+        assert code == 0
+        assert json.loads(out)["payload"]["point"] == [-1.0, 0.0]
+        code, out = run(capsys, "certify", hyperbola_file, "--point=-1,0")
+        assert code == 0
+        assert json.loads(out)["payload"]["point"] == [-1.0, 0.0]
+
+    def test_xref(self, capsys, hyperbola_file):
+        code, out = run(capsys, "homotopy", hyperbola_file, "--xref=-1,0.5")
+        assert code == 0
+        assert json.loads(out)["config"]["xref"] == [-1.0, 0.5]
+        code, out = run(
+            capsys, "probe", "xref", hyperbola_file, "--xref=-1,0.5", "--radius", "2",
+            "--samples", "64",
+        )
+        assert code == 0
+        assert json.loads(out)["payload"]["config"]["x_ref"] == [-1.0, 0.5]
+
+    def test_region(self, capsys, hyperbola_file, unsolvable_file):
+        code, out = run(
+            capsys, "probe", "pfunction", unsolvable_file, "--region=-2,2", "--pairs", "50",
+        )
+        assert code == 0
+        assert json.loads(out)["payload"]["config"]["region"] == [[-2.0, 2.0]] * 2
+        code, out = run(
+            capsys, "bounds", hyperbola_file, "--region=-2,2", "--samples", "50",
+            "--starts", "20",
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["region"] == [[-2.0, 2.0]] * 2
+
+    def test_space_form_is_refused(self, capsys, hyperbola_file):
+        assert run_command(["residual", hyperbola_file, "--point", "-1,0"]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 class TestExponentGenerateTrialLemke:
     def test_exponent_values(self, capsys):
         code, out = run(capsys, "exponent", "--n", "2", "--d", "2")

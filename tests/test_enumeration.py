@@ -511,6 +511,27 @@ class TestCertify:
             certify_solution(hyperbola_pair, [0.0, 0.0], FAST)
         assert info.value.residual_norm == pytest.approx(np.sqrt(2.0))
 
+    def test_reject_nan_point(self, affine_shift):
+        with pytest.raises(CertificationError) as info:
+            certify_solution(affine_shift, [np.nan, 0.0], FAST)
+        assert np.isnan(info.value.residual_norm)
+
+    def test_reject_overflow_to_nan(self):
+        # f_1 = x_1^2 - x_2^2 is inf - inf = nan at (1e200, 1e200)
+        inst = PcpInstance(
+            PolyMap(
+                (
+                    Polynomial(2, {(2, 0): 1.0, (0, 2): -1.0}),
+                    Polynomial(2, {(0, 1): 1.0}),
+                )
+            ),
+            PolyMap.identity(2),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CertificationError) as info:
+                certify_solution(inst, [1e200, 1e200], FAST)
+        assert np.isnan(info.value.residual_norm)
+
     def test_subset_guard(self):
         inst = PcpInstance(PolyMap.identity(25), PolyMap.identity(25))
         with pytest.raises(ComplexityGuardError):

@@ -10,7 +10,9 @@ from pcpkit import (
     SolveConfig,
     certify_solution,
     natural_map,
+    natural_residual_norm,
     random_instance,
+    trial_instance,
     track_leading_homotopy,
     track_natural_homotopy,
     xref_boundedness_probe,
@@ -77,6 +79,37 @@ class TestExits:
         assert trace.outcome == outcome
         assert trace.message == message
         assert trace.final_t == pytest.approx(final_t, rel=0, abs=1e-12)
+
+
+class TestEndpointResidual:
+    """The t = 1 checkpoint of a converged path carries its natural residual norm."""
+
+    def assert_endpoint_residuals(self, inst, x_ref):
+        converged = 0
+        for trace in (track_natural_homotopy(inst, x_ref, CFG), track_leading_homotopy(inst, CFG)):
+            if trace.converged:
+                last = trace.checkpoints[-1]
+                assert last.t == 1.0
+                assert np.array_equal(last.x, trace.point)
+                assert last.residual == natural_residual_norm(inst, trace.point)
+                converged += 1
+        return converged
+
+    @pytest.mark.parametrize(
+        "fixture",
+        ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair",
+         "swapped_linear", "scalar_shift"],
+    )
+    def test_fixtures(self, request, fixture):
+        inst = request.getfixturevalue(fixture)
+        self.assert_endpoint_residuals(inst, np.full(inst.n, 0.5))
+
+    def test_criterion_10_instances(self):
+        converged = sum(
+            self.assert_endpoint_residuals(trial_instance(2, (2, 2), 0, k), (0.5, 0.5))
+            for k in range(30)
+        )
+        assert converged >= 10
 
 
 class TestLeadingHomotopy:

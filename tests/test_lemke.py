@@ -12,6 +12,7 @@ from pcpkit import (
     enumerate_solutions,
     lemke_lcp,
 )
+from pcpkit.lemke import _lexico_ratio_row
 
 
 def affine_instance(M, q):
@@ -103,3 +104,23 @@ class TestLemke:
             q = rng.standard_normal(n) * 5
             result = lemke_lcp(M, q)
             assert result.solved
+
+
+class TestLexicoRatioRow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_tuple_minimum(self, n):
+        # small integer tableaux tie often, in the ratio and in its tail
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            tableau = rng.integers(0, 3, (n, 2 * n + 2)).astype(float)
+            column = rng.integers(-1, 3, n).astype(float)
+            eligible = column > 1e-12
+            if not eligible.any():
+                continue
+            rows = np.flatnonzero(eligible)
+
+            def ratio(i):
+                return (tableau[i, -1] / column[i], *(tableau[i, :n] / column[i]))
+
+            want = min(rows, key=ratio)
+            assert _lexico_ratio_row(tableau, column, eligible, n) == want

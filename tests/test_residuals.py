@@ -1,5 +1,7 @@
 """Natural map, index-set residuals, and the scalar min inequality."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,3 +251,29 @@ def test_one_region_rule(identity_pair, check):
     for region in ([[-1.0, 0.0, 1.0]] * 2, [[0.5, 0.5], [-1.0, 1.0]]):
         with pytest.raises(InputError):
             check(identity_pair, region)
+
+
+def test_one_residual_norm_rule(tmp_path, capsys):
+    # certify_solution and `pcpkit residual` report natural_residual_norm bit
+    # for bit: a point's norm is the norm of its one-row batch
+    from pcpkit import CertificationError, certify_solution, serialize_instance
+    from pcpkit.cli import run_command
+
+    checked = 0
+    for n, seed in ((2, 0), (2, 1), (3, 2), (3, 3)):
+        inst = random_instance(n, [2] * n, [2] * n, seed)
+        path = tmp_path / f"inst{seed}.json"
+        path.write_text(serialize_instance(inst))
+        for x in np.random.default_rng(seed).uniform(-2.0, 2.0, (60, n)):
+            want = natural_residual_norm(inst, x)
+            try:
+                got = certify_solution(inst, x).residual_norm
+            except CertificationError as rejection:
+                got = rejection.residual_norm
+            assert got == want
+            point = ",".join(repr(float(v)) for v in x)
+            assert run_command(["residual", str(path), f"--point={point}"]) == 0
+            payload = json.loads(capsys.readouterr().out)["payload"]
+            assert payload["natural_residual_norm"] == want
+            checked += 1
+    assert checked == 240
