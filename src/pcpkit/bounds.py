@@ -25,6 +25,7 @@ import numpy as np
 
 from .enumeration import SolutionSet, distance_to_solutions
 from .exceptions import InputError
+from .polynomials import _as_points
 from .residuals import PcpInstance, as_region, natural_residual_norm, sample_box, unit_sphere
 
 
@@ -282,12 +283,7 @@ def verify_global_bound(
     shells = [unit_sphere(rng, samples, inst.n) * r for r in radii]
     points = np.vstack(shells)
     if extra_points is not None:
-        extra = np.asarray(extra_points, dtype=float)
-        if extra.ndim == 1:
-            extra = extra[None, :]
-        if extra.shape[1] != inst.n:
-            raise InputError(f"extra points have dimension {extra.shape[1]}, expected {inst.n}")
-        points = np.vstack([points, extra])
+        points = np.vstack([points, _as_points(extra_points, inst.n)[0]])
     domain = {"radii": radii, "seed": seed, "extra_points": len(points) - samples * len(radii)}
     return _bound_report(inst, sols, points, alpha, global_form=True, claimed_c=claimed_c,
                          domain=domain)

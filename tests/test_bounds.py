@@ -184,6 +184,12 @@ class TestGlobalBound:
         assert report.c_best < 0.02
         assert report.violations  # the valley points breach the claim
 
+    @pytest.mark.parametrize("extra", [5.0, np.zeros((1, 2, 2)), [1.0, 2.0, 3.0]])
+    def test_bad_extra_points(self, affine_shift, extra):
+        sols = enumerate_solutions(affine_shift, CFG)
+        with pytest.raises(InputError):
+            verify_global_bound(affine_shift, sols, [1.0], 10, alpha=1, extra_points=extra)
+
     def test_affine_stable_constant(self, affine_shift):
         sols = enumerate_solutions(affine_shift, CFG)
         report = verify_global_bound(

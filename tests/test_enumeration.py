@@ -27,12 +27,13 @@ from pcpkit import (
 )
 from pcpkit.enumeration import (
     JACOBIAN_CONDITION_LIMIT,
+    STALL_WINDOW,
     NewtonStatus,
     _dedupe_points,
     _start_cloud,
     damped_newton,
 )
-from pcpkit.genericity import random_instance
+from pcpkit.genericity import random_instance, trial_instance
 
 from test_lemke import affine_instance
 
@@ -164,6 +165,46 @@ class TestDampedNewton:
         assert not result.alive[0] and not result.escaped[0]
         assert result.steps[0] == 0
         assert result.points[0, 0] == 1e-12
+
+    def test_steady_row_is_not_retired(self):
+        # x^2 from x = 1: each step halves x and quarters the residual, so
+        # every window more than halves it; 4^-20 is the first power below 1e-12
+        values = lambda x, rows: x**2  # noqa: E731
+        jacobian = lambda x, rows: 2.0 * x[:, :, None]  # noqa: E731
+        result = damped_newton(values, jacobian, np.array([[1.0]]), 1e-12, 100)
+        assert result.status[0] == NewtonStatus.CONVERGED
+        assert result.steps[0] == 20 > 2 * STALL_WINDOW
+
+    def test_stuck_row_is_retired(self):
+        # x^2 + 1 from x = 0.3 creeps towards its minimum 1 at x = 0: its
+        # residual does not halve over the first window
+        values = lambda x, rows: x**2 + 1.0  # noqa: E731
+        jacobian = lambda x, rows: 2.0 * x[:, :, None]  # noqa: E731
+        result = damped_newton(values, jacobian, np.array([[0.3]]), 1e-12, 100)
+        assert result.status[0] == NewtonStatus.STALLED
+        assert result.steps[0] == STALL_WINDOW
+        assert result.norms[0] == pytest.approx(1.0, abs=1e-5)
+        assert not result.alive[0] and not result.escaped[0]
+
+
+class TestStallRule:
+    """Retiring stalled rows keeps every solution the sweep finds."""
+
+    @staticmethod
+    def check(monkeypatch, instances, cfg=None):
+        with_rule = [enumerate_solutions(inst, cfg).to_dict() for inst in instances]
+        # a window longer than the iteration budget never retires a row
+        monkeypatch.setattr(enumeration, "STALL_WINDOW", SolveConfig().max_newton_iters + 1)
+        assert [enumerate_solutions(inst, cfg).to_dict() for inst in instances] == with_rule
+
+    @pytest.mark.parametrize("n, count", [(2, 40), (3, 10)])
+    def test_trial_instances(self, monkeypatch, n, count):
+        self.check(monkeypatch, [trial_instance(n, (2,) * n, 0, k) for k in range(count)])
+
+    def test_dense_cubic(self, monkeypatch):
+        # a window of 6 retires every row that reaches one of its 3 solutions
+        inst = random_instance(2, [3, 3], [3, 3], np.random.SeedSequence([8, 1]))
+        self.check(monkeypatch, [inst], SolveConfig(rng_seed=8))
 
 
 def halton_cloud(n, cfg, mask):
@@ -623,6 +664,12 @@ class TestSolveConfig:
 
 
 class TestDedupe:
+    def test_at_most_one_point_is_kept_as_is(self):
+        for points in (np.zeros((0, 3)), np.array([[1.0, -2.0, 3.0]])):
+            kept, largest = _dedupe_points(points, np.zeros(len(points)), radius=1e-6)
+            assert np.array_equal(kept, points) and kept.shape == points.shape
+            assert largest == len(points)
+
     def test_keeps_smallest_residual(self):
         from pcpkit.enumeration import _dedupe_points
 
