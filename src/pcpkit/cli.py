@@ -406,11 +406,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(arg: str) -> bool:
+    if not arg.startswith("-"):
+        return False
+    try:
+        float(arg.split(",")[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv) -> list[str]:
+    """argv with each negative-number value joined to its option by "=".
+
+    argparse takes a value such as "-1,0" for an option of its own and
+    exits 2 with "expected one argument"; ``--point=-1,0`` it reads as
+    the value, so ``--point -1,0`` is passed on in that form.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        option = joined[-1] if joined else ""
+        if option.startswith("--") and option != "--" and "=" not in option \
+                and _is_negative_number(arg):
+            joined[-1] = f"{option}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def run_command(argv) -> int:
     """Parse argv, run the subcommand, print the report; return the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:

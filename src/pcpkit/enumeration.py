@@ -14,13 +14,13 @@ the box so the completeness claim stays honest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .exceptions import CertificationError, InputError
 from .residuals import (
@@ -319,11 +319,52 @@ def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
     return ((np.asarray(masks)[:, None] >> np.arange(n)) & 1).astype(bool)
 
 
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _scrambled_halton(n: int, seed: np.random.SeedSequence, count: int) -> np.ndarray:
+    """The first ``count`` points of a randomized Halton sequence in [0, 1)^n.
+
+    Coordinate k is the van der Corput sequence in the k-th prime base b
+    with every digit j put through its own random permutation of
+    range(b), for each j with b^-(j+1) > 2^-54 (A. B. Owen, "A randomized
+    Halton algorithm in R", arXiv:1706.02808, 2017).  The permutations
+    come from a generator on the first child of ``seed``, drawn base by
+    base and digit by digit, and each point sums its digits in order, so
+    the result equals ``scipy.stats.qmc.Halton(d=n, scramble=True,
+    seed=np.random.default_rng(seed)).random(count)`` bit for bit.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed.spawn(1)[0]))
+    columns = []
+    for base in _first_primes(n):
+        permutations = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
+        for permutation in permutations:
+            rng.shuffle(permutation)
+        column = np.zeros(count)
+        quotient = np.arange(count)
+        weight = 1.0 / base
+        for permutation in permutations:
+            column += permutation[quotient % base] * weight
+            quotient //= base
+            weight /= base
+        columns.append(column)
+    return np.stack(columns, axis=1)
+
+
 @lru_cache(maxsize=START_CLOUD_CACHE_SIZE)
 def _start_cloud(n: int, rng_seed: int, mask: int, count: int, radius: float) -> np.ndarray:
     """Read-only scrambled Halton cloud in the box [-radius, radius]^n.
 
-    The engine is seeded from (rng_seed, mask) only, so the first k starts
+    The cloud is drawn in-package by :func:`_scrambled_halton`, equal bit
+    for bit to scipy's scrambled ``qmc.Halton`` on the same seed.  The
+    sequence is seeded from (rng_seed, mask) only, so the first k starts
     are a prefix of the first 2k: growing the budget never loses
     previously found roots.  The cloud depends on no instance data, so it
     is cached; at most START_CLOUD_CACHE_SIZE clouds are kept, which at
@@ -331,8 +372,7 @@ def _start_cloud(n: int, rng_seed: int, mask: int, count: int, radius: float) ->
     sweep over more subsets than that draws them again.
     """
     seed = np.random.SeedSequence(entropy=[rng_seed, mask])
-    engine = qmc.Halton(d=n, scramble=True, seed=np.random.default_rng(seed))
-    cloud = (2.0 * engine.random(count) - 1.0) * radius
+    cloud = (2.0 * _scrambled_halton(n, seed, count) - 1.0) * radius
     cloud.flags.writeable = False
     return cloud
 

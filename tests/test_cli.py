@@ -150,7 +150,7 @@ class TestProbeAndBounds:
 
 
 class TestNegativeValues:
-    """Values that start with "-" go after "=": argparse takes "-2,2" for an option."""
+    """A value that starts with "-" follows its option after "=" or a space."""
 
     def test_point(self, capsys, hyperbola_file):
         code, out = run(capsys, "residual", hyperbola_file, "--point=-1,0")
@@ -184,9 +184,24 @@ class TestNegativeValues:
         assert code == 0
         assert json.loads(out)["config"]["region"] == [[-2.0, 2.0]] * 2
 
-    def test_space_form_is_refused(self, capsys, hyperbola_file):
-        assert run_command(["residual", hyperbola_file, "--point", "-1,0"]) == 2
-        assert "expected one argument" in capsys.readouterr().err
+    @pytest.mark.parametrize("head, option, value, tail", [
+        (("residual", "hyperbola"), "--point", "-1,0", ()),
+        (("certify", "hyperbola"), "--point", "-1,0", ()),
+        (("homotopy", "hyperbola"), "--xref", "-1,0.5", ()),
+        (("probe", "xref", "hyperbola"), "--xref", "-1,0.5", ("--radius", "2", "--samples", "64")),
+        (("probe", "pfunction", "unsolvable"), "--region", "-2,2", ("--pairs", "50")),
+        (("bounds", "hyperbola"), "--region", "-2,2", ("--samples", "50", "--starts", "20")),
+    ], ids=["residual", "certify", "homotopy", "probe-xref", "probe-pfunction", "bounds"])
+    def test_space_form_matches_equals_form(
+        self, capsys, hyperbola_file, unsolvable_file, head, option, value, tail
+    ):
+        files = {"hyperbola": hyperbola_file, "unsolvable": unsolvable_file}
+        head = [files.get(arg, arg) for arg in head]
+        code, equals_out = run(capsys, *head, f"{option}={value}", *tail)
+        assert code == 0
+        code, space_out = run(capsys, *head, option, value, *tail)
+        assert code == 0
+        assert space_out == equals_out
 
 
 class TestExponentGenerateTrialLemke:

@@ -1,5 +1,10 @@
 """Index-set enumeration, certification, deduplication, distances."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +39,7 @@ from pcpkit.enumeration import (
     damped_newton,
 )
 from pcpkit.genericity import random_instance, trial_instance
+from pcpkit.residuals import MAX_SUBSET_DIMENSION
 
 from test_lemke import affine_instance
 
@@ -383,6 +389,41 @@ class TestBatchedSweep:
             _start_cloud.cache_clear()
             fresh.append(enumerate_solutions(hyperbola_pair, cfg).to_dict())
         assert alternating == fresh * 2
+
+
+class TestStartCloud:
+    """The in-package draw against scipy's scrambled Halton as the oracle."""
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 12, MAX_SUBSET_DIMENSION])
+    def test_equals_scipy_halton_bit_for_bit(self, n):
+        masks = sorted({0, 1, 2 ** n - 1, 2 ** (n // 2), 2 ** n // 3, 5 * 2 ** n // 7})
+        for rng_seed in range(6):
+            for mask in masks:
+                for count in (1, 80, 200, 397):
+                    cfg = SolveConfig(starts_per_subsystem=count, rng_seed=rng_seed)
+                    cloud = _start_cloud(n, rng_seed, mask, count, cfg.start_box_radius)
+                    want = halton_cloud(n, cfg, mask)
+                    assert np.array_equal(cloud.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 100), (5, 200), (24, 40)])
+    def test_first_k_starts_of_2k_are_the_k_start_cloud(self, n, k):
+        for mask in (0, 3, 2 ** n - 1):
+            short = _start_cloud(n, 4, mask, k, 10.0)
+            long = _start_cloud(n, 4, mask, 2 * k, 10.0)
+            assert np.array_equal(long[:k].view(np.int64), short.view(np.int64))
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, pcpkit, pcpkit.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestAffineSweep:
