@@ -115,6 +115,8 @@ class BoundReport:
     left-hand side dist^alpha locally or min{dist, dist^alpha}
     globally).  ``log10_c_best`` stays meaningful when c_best underflows.
     ``violations`` lists samples breaching a caller-claimed constant.
+    The (dist, residual) ``pairs`` stay out of :meth:`to_dict`; ``pcpkit
+    bounds --csv`` prints them.
     """
 
     alpha: float
@@ -127,11 +129,11 @@ class BoundReport:
     completeness_claim: bool
     pairs: tuple[tuple[float, float], ...]
 
-    def to_dict(self, include_pairs: bool = True) -> dict:
+    def to_dict(self) -> dict:
         def jsonable(value: float):
             return value if np.isfinite(value) else None
 
-        payload = {
+        return {
             "alpha": self.alpha,
             # c_best overflows doubles at huge exponents; log10 stays exact
             "c_best": jsonable(self.c_best),
@@ -146,9 +148,6 @@ class BoundReport:
             "domain": self.domain,
             "completeness_claim": self.completeness_claim,
         }
-        if include_pairs:
-            payload["pairs"] = [[d, r] for d, r in self.pairs]
-        return payload
 
 
 NEAR_SOLUTION_DISTANCE = 0.1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -224,14 +225,24 @@ def _cmd_bounds(args) -> int:
             "instance": args.instance, "alpha": args.alpha, "samples": args.samples,
             "claim": args.claim, "seed": args.seed, **domain, **cfg.to_dict(),
         }
-        _print_report("bounds", config, report.to_dict(include_pairs=False))
+        _print_report("bounds", config, report.to_dict())
     if args.assert_ and report.violations:
         return 1
     return 0
 
 
+# Python's default int_max_str_digits: no longer integer can be printed
+MAX_EXPONENT_DIGITS = 4300
+
+
 def _cmd_exponent(args) -> int:
     n, d = args.n, args.d
+    # digits of the largest exponent, naive_exponent_for(n, d) = (2d + 1)(6d)^(3n - 1),
+    # from logarithms: no big integer is built before the refusal
+    digits = int(math.log10(2 * d + 1) + (3 * n - 1) * math.log10(6 * d)) + 1 if d >= 1 else 0
+    if digits > MAX_EXPONENT_DIGITS:
+        raise PcpError(f"naive exponent has {digits} digits; reports print at most "
+                       f"{MAX_EXPONENT_DIGITS}")
     growth = bounds_mod.exponent_R(n, d)
     holder = bounds_mod.holder_exponent_for(n, d)
     payload = {

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import CertificationError, InputError
+from .polynomials import as_point
 from .residuals import (
     PcpInstance, check_indices, check_subset_dimension, min_phi_of_values, residual_norms,
     sign_feasible,
@@ -395,7 +396,7 @@ def _solve_subsystems(
     """
     n = inst.n
     masks = np.asarray(masks)
-    extra = np.vstack([np.zeros(n)] + ([] if x_ref is None else [np.asarray(x_ref, dtype=float)]))
+    extra = np.vstack([np.zeros(n)] + ([] if x_ref is None else [as_point(x_ref, n, "x_ref")]))
     on_f_sets = _mask_bits(masks, n)
     affine = np.all(
         np.where(on_f_sets, inst.f.component_degrees, inst.g.component_degrees) <= 1, axis=1
@@ -534,9 +535,7 @@ def certify_solution(
     :class:`CertificationError` carrying the residual norm.
     """
     cfg = cfg or SolveConfig()
-    point = np.asarray(x, dtype=float)
-    if point.shape != (inst.n,):
-        raise InputError(f"point has shape {point.shape}, expected ({inst.n},)")
+    point = as_point(x, inst.n, "point")
     fx, gx, jac_f, jac_g = inst.evaluate_pair(point, jacobians=True)
     residual_norm = float(residual_norms(np.minimum(fx, gx))[0])
     if not residual_norm <= cfg.newton_tol:

@@ -113,8 +113,8 @@ class TrialSummary:
     failures: tuple[dict, ...]
     skipped: int
 
-    def to_dict(self, include_records: bool = True) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "n": self.n,
             "degrees": list(self.degrees),
             "trials": self.trials,
@@ -127,10 +127,8 @@ class TrialSummary:
             "lipschitz_rate": self.lipschitz_rate,
             "failures": list(self.failures),
             "skipped": self.skipped,
+            "records": [r.to_dict() for r in self.records],
         }
-        if include_records:
-            payload["records"] = [r.to_dict() for r in self.records]
-        return payload
 
     def csv_rows(self) -> list[dict]:
         return [r.to_dict() for r in self.records]

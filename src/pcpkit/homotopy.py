@@ -1,19 +1,17 @@
 """Continuation solvers for the natural map's existence homotopies.
 
-Two deformations are tracked, both ending at the natural residual m:
+One homotopy is tracked, from a start pair (p, q) to the instance (f, g):
 
-* the reference homotopy  H(x, t) = (1 - t)(x - x_ref) + t m(x),
-  starting at the exact root x_ref of H(., 0);
-* the leading-term homotopy  H(x, t) = min{(1-t) f_inf(x) + t f(x),
-  (1-t) g_inf(x) + t g(x)}, starting at x = 0, the unique root of
-  min{f_inf, g_inf} whenever the leading pair has only the trivial
-  complementary solution.
+    H(x, t) = min{(1 - t) p(x) + t f(x), (1 - t) q(x) + t g(x)},
 
-The corrector is an active-branch semismooth Newton step: each component
-of the min picks the branch with the smaller value (ties pick the f
-side) and contributes that branch's gradient row to the generalized
-Jacobian.  Tracking failure is recorded as evidence, never as a
-certificate of nonexistence.
+so H(., 1) is the natural residual m.  The two existence paths differ
+only in their start pair and start point: the reference homotopy takes
+p = q = x - x_ref from x_ref (H is then (1 - t)(x - x_ref) + t m(x)),
+and the leading-term homotopy takes the leading pair (f_inf, g_inf) from
+0, the unique root of min{f_inf, g_inf} when the leading pair has only
+the trivial solution.  The corrector is an active-branch semismooth
+Newton step on the blended pair (ties pick the f side).  Tracking
+failure is recorded as evidence, never as a certificate of nonexistence.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .enumeration import NewtonStatus, SolveConfig, damped_newton
-from .exceptions import InputError
-from .residuals import PcpInstance, active_branch, natural_jacobian, natural_map
+from .polynomials import as_point
+from .residuals import PcpInstance, active_branch
 
 CORRECTOR_TOL = 1e-8
 DIVERGENCE_NORM = 1e6
@@ -76,24 +74,34 @@ class HomotopyTrace:
         }
 
 
-HFun = Callable[[np.ndarray, float], np.ndarray]
-JFun = Callable[[np.ndarray, float], np.ndarray]
+# (p, q) at x, plus (Jp, Jq) when asked, as PcpInstance.evaluate_pair returns them
+StartPair = Callable[[np.ndarray, bool], tuple[np.ndarray, ...]]
 
 
-def _correct(h: HFun, jac: JFun, x: np.ndarray, t: float, tol: float,
+def _blend(start: StartPair, inst: PcpInstance, x: np.ndarray, t: float,
+           jacobians: bool) -> list[np.ndarray]:
+    """(1-t)(p, q) + t(f, g) at x, plus their Jacobians with ``jacobians``."""
+    pairs = zip(start(x, jacobians), inst.evaluate_pair(x, jacobians))
+    return [(1.0 - t) * a + t * b for a, b in pairs]
+
+
+def _correct(start: StartPair, inst: PcpInstance, x: np.ndarray, t: float, tol: float,
              max_iters: int) -> tuple[np.ndarray, float, int, NewtonStatus]:
     """Semismooth Newton on H(., t): the point, its residual, accepted steps, status."""
     result = damped_newton(
-        lambda pts, rows: h(pts, t), lambda pts, rows: jac(pts, t), x[None, :], tol, max_iters,
-        escape_norm=DIVERGENCE_NORM,
+        lambda pts, rows: np.minimum(*_blend(start, inst, pts, t, False)),
+        lambda pts, rows: active_branch(*_blend(start, inst, pts, t, True))[1],
+        x[None, :], tol, max_iters, escape_norm=DIVERGENCE_NORM,
     )
     return (result.points[0], float(result.norms[0]), int(result.steps[0]),
             NewtonStatus(result.status[0]))
 
 
-def _track(h: HFun, jac: JFun, x0: np.ndarray, cfg: SolveConfig) -> HomotopyTrace:
+def _track(start: StartPair, inst: PcpInstance, x0: np.ndarray,
+           cfg: SolveConfig) -> HomotopyTrace:
     x = np.asarray(x0, dtype=float).copy()
-    checkpoints = [Checkpoint(0.0, x.copy(), float(np.linalg.norm(h(x, 0.0))))]
+    # H(., 0) is min{p, q}; the instance's values are left out, as 0 * inf is nan
+    checkpoints = [Checkpoint(0.0, x.copy(), float(np.linalg.norm(np.minimum(*start(x, False)))))]
     max_norm = float(np.linalg.norm(x))
     t = 0.0
     step = STEP_INITIAL
@@ -113,7 +121,7 @@ def _track(h: HFun, jac: JFun, x0: np.ndarray, cfg: SolveConfig) -> HomotopyTrac
             break
         t_next = min(1.0, t + step)
         point, residual, iterations, status = _correct(
-            h, jac, x, t_next, CORRECTOR_TOL, CORRECTOR_ITERS
+            start, inst, x, t_next, CORRECTOR_TOL, CORRECTOR_ITERS
         )
         if status == NewtonStatus.ESCAPED:
             max_norm = max(max_norm, float(np.linalg.norm(point)))
@@ -133,7 +141,8 @@ def _track(h: HFun, jac: JFun, x0: np.ndarray, cfg: SolveConfig) -> HomotopyTrac
 
     # polish the endpoint down to the certification tolerance; H(., 1) is m,
     # so a converged polish has natural residual norm at most newton_tol
-    point, residual, _, status = _correct(h, jac, x, 1.0, cfg.newton_tol, cfg.max_newton_iters)
+    point, residual, _, status = _correct(start, inst, x, 1.0, cfg.newton_tol,
+                                        cfg.max_newton_iters)
     if status == NewtonStatus.ESCAPED:
         max_norm = max(max_norm, float(np.linalg.norm(point)))
         return finish("diverged", message=f"endpoint polish left the {DIVERGENCE_NORM:.0e} ball")
@@ -151,23 +160,19 @@ def track_natural_homotopy(
 ) -> HomotopyTrace:
     """Track (1 - t)(x - x_ref) + t m(x) from its exact root at t = 0.
 
-    Convergence of the path is evidence for solvability under the
-    reference-point boundedness hypothesis; divergence is evidence
-    against the hypothesis, not a proof of nonexistence.
+    The start pair is p = q = x - x_ref.  Convergence of the path is
+    evidence for solvability under the reference-point boundedness
+    hypothesis; divergence is evidence against the hypothesis, not a
+    proof of nonexistence.
     """
-    cfg = cfg or SolveConfig()
-    reference = np.asarray(x_ref, dtype=float)
-    if reference.shape != (inst.n,):
-        raise InputError(f"x_ref has shape {reference.shape}, expected ({inst.n},)")
+    reference = as_point(x_ref, inst.n, "x_ref")
     eye = np.eye(inst.n)
 
-    def h(x: np.ndarray, t: float) -> np.ndarray:
-        return (1.0 - t) * (x - reference) + t * natural_map(inst, x)
+    def start(x: np.ndarray, jacobians: bool) -> tuple[np.ndarray, ...]:
+        shift = x - reference
+        return (shift, shift, eye, eye) if jacobians else (shift, shift)
 
-    def jac(x: np.ndarray, t: float) -> np.ndarray:
-        return (1.0 - t) * eye + t * natural_jacobian(inst, x)
-
-    return _track(h, jac, reference, cfg)
+    return _track(start, inst, reference, cfg or SolveConfig())
 
 
 def track_leading_homotopy(
@@ -175,23 +180,9 @@ def track_leading_homotopy(
 ) -> HomotopyTrace:
     """Deform the leading-pair min map into the natural map, from x = 0.
 
-    The start is the trivial root of min{f_inf, g_inf}; under the
-    leading-pair regularity hypothesis the zero paths stay bounded and
-    the endpoint solves the full problem.  Lower-order perturbations of
-    the instance leave the t = 0 system unchanged.
+    The start pair is (f_inf, g_inf), whose min has the trivial root;
+    under the leading-pair regularity hypothesis the zero paths stay
+    bounded and the endpoint solves the full problem.  Lower-order
+    perturbations of the instance leave the t = 0 system unchanged.
     """
-    cfg = cfg or SolveConfig()
-    lead = inst.leading_pair
-
-    def blend(x: np.ndarray, t: float, jacobians: bool) -> list[np.ndarray]:
-        """(f_t, g_t), plus their Jacobians with ``jacobians``: (1-t) lead + t full."""
-        pairs = zip(lead.evaluate_pair(x, jacobians), inst.evaluate_pair(x, jacobians))
-        return [(1.0 - t) * a + t * b for a, b in pairs]
-
-    def h(x: np.ndarray, t: float) -> np.ndarray:
-        return np.minimum(*blend(x, t, False))
-
-    def jac(x: np.ndarray, t: float) -> np.ndarray:
-        return active_branch(*blend(x, t, True))[1]
-
-    return _track(h, jac, np.zeros(inst.n), cfg)
+    return _track(inst.leading_pair.evaluate_pair, inst, np.zeros(inst.n), cfg or SolveConfig())

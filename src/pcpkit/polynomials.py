@@ -47,18 +47,22 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
+def as_point(x, n: int, name: str) -> np.ndarray:
+    """``x`` as one float point of shape (n,); ``name`` labels the refusal."""
+    point = np.asarray(x, dtype=float)
+    if point.shape != (n,):
+        raise InputError(f"{name} has shape {point.shape}, expected ({n},)")
+    return point
+
+
 def _as_points(x, arity: int) -> tuple[np.ndarray, bool]:
     """Coerce ``x`` to a (m, arity) float array; report whether it was 1-D."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
-        if pts.shape[0] != arity:
-            raise InputError(f"point has dimension {pts.shape[0]}, expected {arity}")
-        return pts[None, :], True
-    if pts.ndim == 2:
-        if pts.shape[1] != arity:
-            raise InputError(f"points have dimension {pts.shape[1]}, expected {arity}")
-        return pts, False
-    raise InputError(f"expected a point or a batch of points, got ndim={pts.ndim}")
+        return as_point(pts, arity, "point")[None, :], True
+    if pts.ndim != 2 or pts.shape[1] != arity:
+        raise InputError(f"points have shape {pts.shape}, expected (m, {arity})")
+    return pts, False
 
 
 @dataclass(frozen=True)
@@ -381,9 +385,7 @@ class PolyMap:
 
     def plus_constant(self, shift) -> "PolyMap":
         """The map x -> self(x) + shift for a constant vector ``shift``."""
-        vec = np.asarray(shift, dtype=float)
-        if vec.shape != (self.arity,):
-            raise InputError(f"shift has shape {vec.shape}, expected ({self.arity},)")
+        vec = as_point(shift, self.arity, "shift")
         return PolyMap(
             tuple(
                 c + Polynomial.constant(self.arity, v)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .enumeration import STEP_SCALES, SolutionSet, first_lowering
 from .exceptions import DegenerateInputError, EmptyRegionError, InputError
+from .polynomials import as_point
 from .residuals import (
     PcpInstance,
     active_branch,
@@ -314,9 +315,7 @@ def xref_boundedness_probe(
         raise InputError("radius must be positive")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    reference = np.asarray(x_ref, dtype=float)
-    if reference.shape != (inst.n,):
-        raise InputError(f"x_ref has shape {reference.shape}, expected ({inst.n},)")
+    reference = as_point(x_ref, inst.n, "x_ref")
     pair = inst.leading_pair if use_leading else inst
     rng = np.random.default_rng(seed)
 

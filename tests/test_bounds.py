@@ -164,6 +164,7 @@ class TestLocalBound:
         )
         for dist, residual in report.pairs:
             assert residual >= report.c_best * dist * (1 - 1e-12)
+        assert "pairs" not in report.to_dict()  # the pairs go to --csv only
 
 
 class TestGlobalBound:

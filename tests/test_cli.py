@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, deterministic reports."""
 
 import json
+import time
 import warnings
 
 import pytest
@@ -226,6 +227,28 @@ class TestExponentGenerateTrialLemke:
         assert payload["holder_exponent"] == holder.alpha
         assert payload["global_alpha_is_one"] == holder.global_alpha_is_one
         assert payload["naive_exponent"] == naive_exponent(inst)
+
+    def test_exponent_at_the_digit_limit(self, capsys):
+        from pcpkit.bounds import naive_exponent_for
+
+        # (2*2 + 1) * 12^3983 has 4300 digits, the most a report prints
+        code, out = run(capsys, "exponent", "--n", "1328", "--d", "2")
+        assert code == 0
+        assert json.loads(out)["payload"]["naive_exponent"] == naive_exponent_for(1328, 2)
+
+    @pytest.mark.parametrize("n, digits", [(1329, 4303), (2000, 6475),
+                                           (1_000_000_000, 3237543738)])
+    def test_exponent_past_the_digit_limit_refused(self, capsys, n, digits):
+        # refused from logarithms, before any exponent is computed
+        started = time.perf_counter()
+        code = run_command(["exponent", "--n", str(n), "--d", "2"])
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: naive exponent has {digits} digits; reports print at most 4300\n"
+        )
 
     def test_generate_parses_back(self, capsys, tmp_path):
         code, out = run(capsys, "generate", "--n", "2", "--degrees", "2", "--seed", "9")

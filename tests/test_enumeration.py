@@ -64,6 +64,10 @@ class TestSolveSubsystem:
         with pytest.raises(InputError):
             solve_subsystem(affine_shift, (3,), FAST)
 
+    def test_batch_x_ref_refused(self):
+        with pytest.raises(InputError, match=r"x_ref has shape \(1, 2\), expected \(2,\)"):
+            solve_subsystem(trial_instance(2, (2, 2), 0, 1), [0], x_ref=[[1.0, 2.0]])
+
     def test_monotone_in_starts(self, hyperbola_pair):
         # doubling the start budget must keep every previously found root
         small = SolveConfig(starts_per_subsystem=50)
@@ -506,8 +510,33 @@ class TestMetamorphic:
             enumerate_solutions(scaled, cfg), enumerate_solutions(inst, cfg), cfg.dedupe_radius
         )
 
+    @given(pd_lcp_instances(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_permutation(self, inst, data):
+        # y_k = x_perm[k] and component k of the new pair is component perm[k]
+        # of the old, so every solution x maps to x[perm]
+        cfg = SolveConfig()
+        perm = data.draw(st.permutations(range(inst.n)))
+
+        def permuted(poly_map):
+            return PolyMap(tuple(
+                Polynomial(inst.n, {tuple(e[p] for p in perm): c
+                                    for e, c in poly_map.components[i].terms.items()})
+                for i in perm
+            ))
+
+        want = enumerate_solutions(inst, cfg)
+        got = enumerate_solutions(PcpInstance(permuted(inst.f), permuted(inst.g)), cfg)
+        assert len(got) == len(want)
+        for point in got.points:
+            assert np.min(np.linalg.norm(want.points[:, perm] - point, axis=1)) <= cfg.dedupe_radius
+
 
 class TestEnumerate:
+    def test_wrong_length_x_ref_refused(self):
+        with pytest.raises(InputError, match=r"x_ref has shape \(3,\), expected \(2,\)"):
+            enumerate_solutions(trial_instance(2, (2, 2), 0, 1), x_ref=[1.0, 2.0, 3.0])
+
     def test_hyperbola_unique_solution(self, hyperbola_pair):
         sols = enumerate_solutions(hyperbola_pair, FAST)
         assert len(sols) == 1

@@ -85,6 +85,7 @@ class TestTrialPipeline:
         a = genericity_trial(2, (2, 2), 8, seed=3, cfg=FAST)
         b = genericity_trial(2, (2, 2), 8, seed=3, cfg=FAST)
         assert a.to_dict() == b.to_dict()
+        assert a.to_dict()["records"] == [r.to_dict() for r in a.records]
 
     def test_cardinality_bound_quadratic(self):
         summary = genericity_trial(2, (2, 2), 15, seed=11, cfg=FAST)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcpkit import (
+    InputError,
     PcpInstance,
     PolyMap,
     Polynomial,
@@ -17,6 +18,8 @@ from pcpkit import (
     track_natural_homotopy,
     xref_boundedness_probe,
 )
+from pcpkit.homotopy import _blend
+from pcpkit.residuals import active_branch, natural_jacobian
 
 CFG = SolveConfig(starts_per_subsystem=60)
 CORRECTOR_TOL = 1e-8
@@ -50,6 +53,17 @@ class TestNaturalHomotopy:
         for checkpoint in trace.checkpoints:
             assert checkpoint.residual <= CORRECTOR_TOL
 
+    def test_wrong_shape_x_ref_refused(self, affine_shift):
+        with pytest.raises(InputError, match=r"x_ref has shape \(3,\), expected \(2,\)"):
+            track_natural_homotopy(affine_shift, [1.0, 2.0, 3.0], CFG)
+
+    def test_subnormal_reference_tracked(self, affine_shift):
+        # x_ref enters only through the start pair x - x_ref, never as a
+        # polynomial coefficient, so a subnormal coordinate is not refused
+        trace = track_natural_homotopy(affine_shift, [1e-310, 0.5], CFG)
+        assert trace.checkpoints[0].residual == 0.0
+        assert trace.converged
+
     def test_converged_path_stays_in_probed_ball(self, affine_shift):
         radius = 100.0
         probe = xref_boundedness_probe(affine_shift, [2.0, 2.0], radius, samples=4000)
@@ -59,8 +73,46 @@ class TestNaturalHomotopy:
         assert trace.max_point_norm < radius
 
 
+def reference_start(reference, n):
+    """The natural homotopy's start pair p = q = x - x_ref, with Jacobians I."""
+    eye = np.eye(n)
+
+    def start(x, jacobians):
+        shift = x - reference
+        return (shift, shift, eye, eye) if jacobians else (shift, shift)
+
+    return start
+
+
+class TestBlend:
+    """min of the blend of p = q = x - x_ref is (1 - t)(x - x_ref) + t m(x)."""
+
+    @pytest.mark.parametrize("t", [1e-12, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("n, k", [(2, 0), (2, 7), (3, 2)])
+    def test_values_equal_reference_formula_bit_for_bit(self, n, k, t):
+        inst = trial_instance(n, (2,) * n, 0, k)
+        x = 3.0 * np.random.default_rng(k).standard_normal((500, n))
+        reference = np.full(n, 0.5)
+        blended = np.minimum(*_blend(reference_start(reference, n), inst, x, t, False))
+        formula = (1.0 - t) * (x - reference) + t * natural_map(inst, x)
+        assert np.array_equal(blended.view(np.int64), formula.view(np.int64))
+
+    @pytest.mark.parametrize("t", [1e-12, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("n, k", [(2, 0), (2, 7), (3, 2)])
+    def test_jacobian_equals_reference_formula_off_ties(self, n, k, t):
+        # the rows differ only where the blended values tie while f_i > g_i
+        inst = trial_instance(n, (2,) * n, 0, k)
+        x = 3.0 * np.random.default_rng(k).standard_normal((500, n))
+        fb, gb, jac_f, jac_g = _blend(reference_start(np.full(n, 0.5), n), inst, x, t, True)
+        blended = active_branch(fb, gb, jac_f, jac_g)[1]
+        formula = (1.0 - t) * np.eye(n) + t * natural_jacobian(inst, x)
+        untied = fb != gb
+        assert np.count_nonzero(untied) > 0.9 * untied.size
+        assert np.array_equal(blended[untied].view(np.int64), formula[untied].view(np.int64))
+
+
 class TestExits:
-    """Each terminal outcome of the natural homotopy, with its message and last t."""
+    """Each terminal outcome of both homotopies, with its message and last t."""
 
     @pytest.mark.parametrize(
         "fixture, x_ref, outcome, message, final_t",
@@ -76,6 +128,22 @@ class TestExits:
         self, request, fixture, x_ref, outcome, message, final_t
     ):
         trace = track_natural_homotopy(request.getfixturevalue(fixture), x_ref, CFG)
+        assert trace.outcome == outcome
+        assert trace.message == message
+        assert trace.final_t == pytest.approx(final_t, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "fixture, outcome, message, final_t",
+        [
+            ("hyperbola_pair", "stalled", "step size hit the floor", 7.070775609463454e-09),
+            ("unsolvable_pair", "stalled", "step size hit the floor", 9.998620953410866e-09),
+            ("swapped_linear", "converged", "", 1.0),
+        ],
+    )
+    def test_leading_outcome_message_and_final_t(
+        self, request, fixture, outcome, message, final_t
+    ):
+        trace = track_leading_homotopy(request.getfixturevalue(fixture), CFG)
         assert trace.outcome == outcome
         assert trace.message == message
         assert trace.final_t == pytest.approx(final_t, rel=0, abs=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pcpkit import DegenerateInputError, InputError, PolyMap, Polynomial
+from pcpkit.polynomials import as_point
 
 
 def finite_difference_jacobian(poly_map, x, step=1e-5):
@@ -361,3 +362,20 @@ class TestArithmetic:
         f = PolyMap.identity(2).plus_constant([1.0, -2.0])
         assert np.allclose(f.evaluate([0.0, 0.0]), [1.0, -2.0])
         assert np.allclose(f.evaluate([3.0, 4.0]), [4.0, 2.0])
+
+    def test_map_plus_constant_wrong_shape(self):
+        with pytest.raises(InputError, match=r"shift has shape \(3,\), expected \(2,\)"):
+            PolyMap.identity(2).plus_constant([1.0, 2.0, 3.0])
+
+
+class TestAsPoint:
+    def test_point_as_float(self):
+        point = as_point([1, 2], 2, "x")
+        assert point.dtype == float
+        assert np.array_equal(point, [1.0, 2.0])
+
+    @pytest.mark.parametrize("x, shape", [([1.0], "(1,)"), ([[1.0, 2.0]], "(1, 2)"), (1.0, "()")])
+    def test_wrong_shape_named(self, x, shape):
+        with pytest.raises(InputError) as info:
+            as_point(x, 2, "x_ref")
+        assert str(info.value) == f"x_ref has shape {shape}, expected (2,)"
