@@ -60,11 +60,20 @@ def _region(values: list[float], n: int) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(n, 2)
 
 
+def _per_component(values: list[int], n: int) -> list[int]:
+    """One value broadcasts to all n components."""
+    return values * n if len(values) == 1 else values
+
+
+# solver flag -> SolveConfig field
+SOLVER_FLAGS = {"tol": "newton_tol", "starts": "starts_per_subsystem",
+                "box": "start_box_radius", "seed": "rng_seed"}
+
+
 def _config(args) -> SolveConfig:
-    """The solver config of a subcommand with the solver flags; unset flags keep defaults."""
-    flags = {"newton_tol": args.tol, "starts_per_subsystem": args.starts,
-             "start_box_radius": args.box}
-    return SolveConfig(rng_seed=args.seed, **{k: v for k, v in flags.items() if v is not None})
+    """The solver config of the solver flags a subcommand declares; unset flags keep defaults."""
+    settings = {field: getattr(args, flag, None) for flag, field in SOLVER_FLAGS.items()}
+    return SolveConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
 def _load_instance(path: str):
@@ -145,55 +154,18 @@ def _cmd_homotopy(args) -> int:
     return 0
 
 
+def _probe_jacobian(inst, args):
+    cfg = _config(args)
+    sols = enumerate_solutions(inst, cfg)
+    return probes_mod.jacobian_degeneracy_scan(inst, sols), cfg.to_dict()
+
+
 def _cmd_probe(args) -> int:
     document = _load_instance(args.instance)
-    inst = document.instance
-    name = args.name
-    if name == "r0":
-        report = probes_mod.r0_test(
-            inst, samples=args.samples, refine_iters=args.refine,
-            seed=args.seed, componentwise=args.componentwise,
-        )
-    elif name == "r0-shifted":
-        report = probes_mod.r0_shifted_pair_probe(
-            inst, samples=args.samples, refine_iters=args.refine,
-            seed=args.seed, componentwise=args.componentwise,
-        )
-    elif name == "coercivity":
-        if args.radii is None:
-            raise PcpError("probe coercivity needs --radii")
-        report = probes_mod.coercivity_probe(
-            inst, args.radii, samples_per_radius=args.samples, seed=args.seed
-        )
-    elif name == "xref":
-        if args.xref is None or args.radius is None:
-            raise PcpError("probe xref needs --xref and --radius")
-        report = probes_mod.xref_boundedness_probe(
-            inst, args.xref, args.radius, samples=args.samples,
-            use_leading=args.leading, seed=args.seed,
-        )
-    elif name == "karamardian":
-        if args.c is None:
-            raise PcpError("probe karamardian needs --c")
-        report = probes_mod.karamardian_coercivity_probe(
-            inst, args.c, samples=args.samples, seed=args.seed
-        )
-    elif name == "jacobian":
-        cfg = _config(args)
-        sols = enumerate_solutions(inst, cfg)
-        report = probes_mod.jacobian_degeneracy_scan(inst, sols)
-    elif name == "pfunction":
-        if args.pfn_region is None:
-            raise PcpError("probe pfunction needs --region")
-        region = _region(args.pfn_region, inst.n)
-        report = probes_mod.p_function_probe(
-            inst, region, pairs=args.pairs, seed=args.seed
-        )
-    _print_report("probe", {"instance": args.instance, "probe": name, "seed": args.seed},
-                  report.to_dict())
-    if args.assert_ and not report.passed:
-        return 1
-    return 0
+    report, settings = args.run(document.instance, args)
+    config = {"instance": args.instance, "probe": args.name, "seed": args.seed, **settings}
+    _print_report("probe", config, report.to_dict())
+    return 1 if args.assert_ and not report.passed else 0
 
 
 def _cmd_bounds(args) -> int:
@@ -262,20 +234,15 @@ def _cmd_generate(args) -> int:
     degrees_g = args.degrees_g or args.degrees
     if degrees_f is None or degrees_g is None:
         raise PcpError("generate needs --degrees (or --degrees-f and --degrees-g)")
-    if len(degrees_f) == 1:
-        degrees_f = degrees_f * args.n
-    if len(degrees_g) == 1:
-        degrees_g = degrees_g * args.n
-    inst = random_instance(args.n, degrees_f, degrees_g, args.seed)
+    inst = random_instance(args.n, _per_component(degrees_f, args.n),
+                           _per_component(degrees_g, args.n), args.seed)
     metadata = {"name": args.name} if args.name else None
     sys.stdout.write(serialize_instance(inst, metadata))
     return 0
 
 
 def _cmd_trial(args) -> int:
-    if args.degrees is None:
-        raise PcpError("trial needs --degrees")
-    degrees = args.degrees * args.n if len(args.degrees) == 1 else args.degrees
+    degrees = _per_component(args.degrees, args.n)
     cfg = _config(args)
     summary = genericity_trial(args.n, degrees, args.trials, args.seed, cfg)
     if args.csv:
@@ -335,45 +302,72 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.set_defaults(handler=_cmd_solve)
 
-    p = common(sub.add_parser("residual", help="evaluate residuals at a point"))
+    p = sub.add_parser("residual", help="evaluate residuals at a point")
     p.add_argument("instance")
     p.add_argument("--point", type=_floats, required=True)
     p.set_defaults(handler=_cmd_residual)
 
-    p = common(sub.add_parser("certify", help="certify a candidate solution"))
+    p = sub.add_parser("certify", help="certify a candidate solution")
     p.add_argument("instance")
     p.add_argument("--point", type=_floats, required=True)
     p.add_argument("--assert", dest="assert_", action="store_true",
                    help="exit 1 on rejection")
-    _add_solver_flags(p)
+    p.add_argument("--tol", type=float, help="Newton residual tolerance")
     p.set_defaults(handler=_cmd_certify)
 
-    p = common(sub.add_parser("homotopy", help="track a continuation path"))
+    p = sub.add_parser("homotopy", help="track a continuation path")
     p.add_argument("instance")
     p.add_argument("--xref", type=_floats, help="reference point")
     p.add_argument("--leading", action="store_true",
                    help="start from the leading-pair deformation at x = 0")
-    _add_solver_flags(p)
+    p.add_argument("--tol", type=float, help="Newton residual tolerance")
     p.set_defaults(handler=_cmd_homotopy)
 
-    p = common(sub.add_parser("probe", help="run a hypothesis probe"))
-    p.add_argument("name", choices=["r0", "r0-shifted", "coercivity", "xref",
-                                    "karamardian", "jacobian", "pfunction"])
-    p.add_argument("instance")
-    p.add_argument("--samples", type=int, default=2048)
-    p.add_argument("--refine", type=int, default=200)
-    p.add_argument("--componentwise", action="store_true")
-    p.add_argument("--radii", type=_floats)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--xref", type=_floats)
-    p.add_argument("--leading", action="store_true")
-    p.add_argument("--c", type=float)
-    p.add_argument("--region", dest="pfn_region", type=_floats)
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--assert", dest="assert_", action="store_true",
-                   help="exit 1 on a counterexample verdict")
-    _add_solver_flags(p)
+    p = sub.add_parser("probe", help="run a hypothesis probe")
     p.set_defaults(handler=_cmd_probe)
+    probes = p.add_subparsers(dest="name", required=True)
+    # each probe declares the flags its run(inst, args) reads; run returns the
+    # report and the header settings beyond instance, probe and seed
+    shared = common(argparse.ArgumentParser(add_help=False))
+    shared.add_argument("instance")
+    shared.add_argument("--assert", dest="assert_", action="store_true",
+                        help="exit 1 on a counterexample verdict")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[shared])
+    sampled.add_argument("--samples", type=int, default=2048)
+
+    def probe(name: str, parent: argparse.ArgumentParser, run) -> argparse.ArgumentParser:
+        q = probes.add_parser(name, parents=[parent])
+        q.set_defaults(run=run)
+        return q
+
+    for name, call in (("r0", probes_mod.r0_test),
+                       ("r0-shifted", probes_mod.r0_shifted_pair_probe)):
+        q = probe(name, sampled, lambda inst, a, call=call: (call(
+            inst, samples=a.samples, refine_iters=a.refine, seed=a.seed,
+            componentwise=a.componentwise), {}))
+        q.add_argument("--refine", type=int, default=200)
+        q.add_argument("--componentwise", action="store_true")
+
+    q = probe("coercivity", sampled, lambda inst, a: (probes_mod.coercivity_probe(
+        inst, a.radii, samples_per_radius=a.samples, seed=a.seed), {}))
+    q.add_argument("--radii", type=_floats, required=True)
+
+    q = probe("xref", sampled, lambda inst, a: (probes_mod.xref_boundedness_probe(
+        inst, a.xref, a.radius, samples=a.samples, use_leading=a.leading, seed=a.seed), {}))
+    q.add_argument("--xref", type=_floats, required=True)
+    q.add_argument("--radius", type=float, required=True)
+    q.add_argument("--leading", action="store_true")
+
+    q = probe("karamardian", sampled, lambda inst, a: (probes_mod.karamardian_coercivity_probe(
+        inst, a.c, samples=a.samples, seed=a.seed), {}))
+    q.add_argument("--c", type=float, required=True)
+
+    _add_solver_flags(probe("jacobian", shared, _probe_jacobian))
+
+    q = probe("pfunction", shared, lambda inst, a: (probes_mod.p_function_probe(
+        inst, _region(a.region, inst.n), pairs=a.pairs, seed=a.seed), {}))
+    q.add_argument("--region", type=_floats, required=True)
+    q.add_argument("--pairs", type=int, default=1000)
 
     p = common(sub.add_parser("bounds", help="verify an error bound empirically"))
     p.add_argument("instance")

@@ -15,7 +15,7 @@ the box so the completeness claim stays honest.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -45,6 +45,8 @@ STALL_FACTOR = 0.5
 # 1, 1/2, ..., 2^-30
 STEP_SCALES = 0.5 ** np.arange(31)
 NON_ISOLATED_CLUSTER_SIZE = 100
+MAX_NEWTON_ITERS = 100
+FEASIBILITY_TOL = 1e-8
 # (subset, start) rows per damped-Newton call of the sweep; whole subsets
 # are stacked up to this many rows
 SWEEP_CHUNK_ROWS = 1024
@@ -59,24 +61,27 @@ class SolveConfig:
     """Tolerances and budgets for enumeration and path tracking."""
 
     newton_tol: float = 1e-10
-    max_newton_iters: int = 100
     starts_per_subsystem: int = 200
     start_box_radius: float = 10.0
     dedupe_radius: float = 1e-6
-    feasibility_tol: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("newton_tol", "start_box_radius", "dedupe_radius", "feasibility_tol"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
-        if self.max_newton_iters < 1 or self.starts_per_subsystem < 1:
-            raise InputError("iteration and start counts must be >= 1")
+        for name in ("newton_tol", "start_box_radius", "dedupe_radius"):
+            # a NaN fails both comparisons
+            if not 0 < getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if self.starts_per_subsystem < 1:
+            raise InputError("starts_per_subsystem must be >= 1")
         if self.dedupe_radius <= self.newton_tol:
             raise InputError("dedupe_radius must exceed newton_tol")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every setting and the two module constants, in the reports' fixed key order
+        return {"newton_tol": self.newton_tol, "max_newton_iters": MAX_NEWTON_ITERS,
+                "starts_per_subsystem": self.starts_per_subsystem,
+                "start_box_radius": self.start_box_radius, "dedupe_radius": self.dedupe_radius,
+                "feasibility_tol": FEASIBILITY_TOL, "rng_seed": self.rng_seed}
 
 
 @dataclass(frozen=True)
@@ -434,7 +439,7 @@ def _solve_subsystems(
 
         # drive well below tol so certification at tol has slack
         result = damped_newton(
-            values, jacobians, starts, cfg.newton_tol * 1e-2, cfg.max_newton_iters
+            values, jacobians, starts, cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS
         )
         converged = result.alive & (result.norms <= cfg.newton_tol)
         offsets = np.cumsum(sizes[chunk])
@@ -476,7 +481,7 @@ def enumerate_solutions(
 
     points = np.vstack(_solve_subsystems(inst, range(1 << n), cfg, x_ref))
     fx, gx = inst.evaluate_pair(points)
-    feasible = sign_feasible(fx, gx, cfg.feasibility_tol)
+    feasible = sign_feasible(fx, gx, FEASIBILITY_TOL)
     residuals = residual_norms(np.minimum(fx, gx)[feasible])
     points, largest_cluster = _dedupe_points(points[feasible], residuals, cfg.dedupe_radius)
     warnings: list[str] = []
@@ -547,7 +552,7 @@ def certify_solution(
         point=point.copy(),
         active_set=min_phi_of_values(fx, gx).argmin,
         residual_norm=residual_norm,
-        strict_complementarity=bool(np.min(fx + gx) > cfg.feasibility_tol),
+        strict_complementarity=bool(np.min(fx + gx) > FEASIBILITY_TOL),
         min_abs_det_jac=_min_abs_determinant(jac_f, jac_g),
     )
 

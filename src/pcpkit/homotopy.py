@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .enumeration import NewtonStatus, SolveConfig, damped_newton
+from .enumeration import MAX_NEWTON_ITERS, NewtonStatus, SolveConfig, damped_newton
 from .polynomials import as_point
 from .residuals import PcpInstance, active_branch
 
@@ -141,8 +141,7 @@ def _track(start: StartPair, inst: PcpInstance, x0: np.ndarray,
 
     # polish the endpoint down to the certification tolerance; H(., 1) is m,
     # so a converged polish has natural residual norm at most newton_tol
-    point, residual, _, status = _correct(start, inst, x, 1.0, cfg.newton_tol,
-                                        cfg.max_newton_iters)
+    point, residual, _, status = _correct(start, inst, x, 1.0, cfg.newton_tol, MAX_NEWTON_ITERS)
     if status == NewtonStatus.ESCAPED:
         max_norm = max(max_norm, float(np.linalg.norm(point)))
         return finish("diverged", message=f"endpoint polish left the {DIVERGENCE_NORM:.0e} ball")

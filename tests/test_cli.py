@@ -75,6 +75,39 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+# every flag the probes declare, with a valid value
+PROBE_FLAGS = {
+    "--seed": ["1"], "--assert": [], "--samples": ["64"], "--refine": ["5"],
+    "--componentwise": [], "--radii": ["1,2"], "--radius": ["2"], "--xref": ["0,0"],
+    "--leading": [], "--c": ["1"], "--region": ["0,10"], "--pairs": ["50"],
+    "--tol": ["1e-9"], "--starts": ["40"], "--box": ["5"],
+}
+# probe -> (its required flags, the flags it reads besides --seed and --assert)
+PROBE_READS = {
+    "r0": ((), ("--samples", "--refine", "--componentwise")),
+    "r0-shifted": ((), ("--samples", "--refine", "--componentwise")),
+    "coercivity": (("--radii",), ("--samples",)),
+    "xref": (("--xref", "--radius"), ("--samples", "--leading")),
+    "karamardian": (("--c",), ("--samples",)),
+    "jacobian": ((), ("--tol", "--starts", "--box")),
+    "pfunction": (("--region",), ("--pairs",)),
+}
+# (argv head, flag) for each flag a command does not read: the 72 (probe,
+# flag) pairs, then --starts, --box and --seed on certify and homotopy, and
+# --seed on residual
+UNREAD_FLAGS = [
+    (("probe", name, "{instance}", *(a for flag in required for a in (flag, *PROBE_FLAGS[flag]))),
+     flag)
+    for name, (required, reads) in PROBE_READS.items()
+    for flag in PROBE_FLAGS
+    if flag not in ("--seed", "--assert", *required, *reads)
+] + [
+    (("certify", "{instance}", "--point", "1,1"), flag) for flag in ("--starts", "--box", "--seed")
+] + [
+    (("homotopy", "{instance}", "--leading"), flag) for flag in ("--starts", "--box", "--seed")
+] + [(("residual", "{instance}", "--point", "1,1"), "--seed")]
+
+
 class TestSolve:
     def test_hyperbola(self, capsys, hyperbola_file):
         code, out = run(capsys, "solve", hyperbola_file, "--starts", "60")
@@ -122,6 +155,13 @@ class TestProbeAndBounds:
         code, out = run(capsys, "probe", "r0", hyperbola_file, "--assert")
         assert code == 1
         assert json.loads(out)["payload"]["verdict"] == "counterexample"
+
+    def test_probe_jacobian_header_echoes_solver_flags(self, capsys, hyperbola_file):
+        # the header alone reproduces the report
+        _, few = run(capsys, "probe", "jacobian", hyperbola_file, "--starts", "3")
+        _, many = run(capsys, "probe", "jacobian", hyperbola_file, "--starts", "60")
+        assert json.loads(few)["config"]["starts_per_subsystem"] == 3
+        assert json.loads(many)["config"]["starts_per_subsystem"] == 60
 
     def test_probe_pfunction(self, capsys, unsolvable_file):
         code, out = run(
@@ -297,6 +337,21 @@ class TestErrors:
         code, _ = run(capsys, "solve", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "head, flag", UNREAD_FLAGS,
+        ids=["-".join(arg for arg in head[:2] if arg != "{instance}") + flag
+             for head, flag in UNREAD_FLAGS],
+    )
+    def test_unread_flag_refused(self, capsys, hyperbola_file, head, flag):
+        argv = [arg.format(instance=hyperbola_file) for arg in head]
+        code = run_command([*argv, flag, *PROBE_FLAGS[flag]])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage:") and "error:" in lines[-1]
+        assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+        assert captured.out == ""
+
     def test_missing_required_option(self, capsys, hyperbola_file):
         code, _ = run(capsys, "probe", "coercivity", hyperbola_file)
         assert code == 2
@@ -318,6 +373,18 @@ class TestErrors:
         lines = captured.err.splitlines()
         assert "error:" in lines[-1]
         assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--tol", "nan", "newton_tol"),
+        ("--box", "inf", "start_box_radius"),
+    ])
+    def test_non_finite_solver_setting(self, capsys, hyperbola_file, option, value, field):
+        # refused before the sweep, naming the setting
+        code = run_command(["solve", hyperbola_file, option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {field} must be finite and positive, got {value}\n"
         assert captured.out == ""
 
     def test_overflow_to_nan_is_quiet(self, capsys, tmp_path):

@@ -31,7 +31,9 @@ from pcpkit import (
     solve_subsystem,
 )
 from pcpkit.enumeration import (
+    FEASIBILITY_TOL,
     JACOBIAN_CONDITION_LIMIT,
+    MAX_NEWTON_ITERS,
     STALL_WINDOW,
     NewtonStatus,
     _dedupe_points,
@@ -204,7 +206,7 @@ class TestStallRule:
     def check(monkeypatch, instances, cfg=None):
         with_rule = [enumerate_solutions(inst, cfg).to_dict() for inst in instances]
         # a window longer than the iteration budget never retires a row
-        monkeypatch.setattr(enumeration, "STALL_WINDOW", SolveConfig().max_newton_iters + 1)
+        monkeypatch.setattr(enumeration, "STALL_WINDOW", MAX_NEWTON_ITERS + 1)
         assert [enumerate_solutions(inst, cfg).to_dict() for inst in instances] == with_rule
 
     @pytest.mark.parametrize("n, count", [(2, 40), (3, 10)])
@@ -236,7 +238,7 @@ def reference_sweep(inst, masks, cfg, x_ref):
         starts = np.vstack([halton_cloud(inst.n, cfg, mask), *extra])
         result = damped_newton(
             lambda x, rows: system.evaluate(x), lambda x, rows: system.jacobian(x),
-            starts, cfg.newton_tol * 1e-2, cfg.max_newton_iters,
+            starts, cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS,
         )
         found = result.points[result.alive & (result.norms <= cfg.newton_tol)]
         residuals = np.linalg.norm(system.evaluate(found), axis=1)
@@ -558,8 +560,8 @@ class TestEnumerate:
         for cert in sols.certificates:
             m = natural_map(hyperbola_pair, cert.point)
             assert np.linalg.norm(m) <= FAST.newton_tol
-            assert np.all(hyperbola_pair.f.evaluate(cert.point) >= -FAST.feasibility_tol)
-            assert np.all(hyperbola_pair.g.evaluate(cert.point) >= -FAST.feasibility_tol)
+            assert np.all(hyperbola_pair.f.evaluate(cert.point) >= -FEASIBILITY_TOL)
+            assert np.all(hyperbola_pair.g.evaluate(cert.point) >= -FEASIBILITY_TOL)
 
     def test_pairwise_separated(self):
         # three scalar solutions: f = x, g = (x - 1)(x - 2)
@@ -697,7 +699,7 @@ class TestCertify:
                 assert cert.active_set == min_phi(inst, point).argmin
                 assert cert.min_abs_det_jac == min_abs_subsystem_determinant(inst, point)
                 fx, gx = inst.evaluate_pair(point)
-                assert cert.strict_complementarity == bool(np.min(fx + gx) > FAST.feasibility_tol)
+                assert cert.strict_complementarity == bool(np.min(fx + gx) > FEASIBILITY_TOL)
 
 
 class TestDistance:
@@ -731,6 +733,14 @@ class TestSolveConfig:
             SolveConfig(dedupe_radius=1e-12)  # must exceed newton_tol
         with pytest.raises(InputError):
             SolveConfig(starts_per_subsystem=0)
+
+    @pytest.mark.parametrize("field", ["newton_tol", "start_box_radius", "dedupe_radius"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_setting_named(self, field, value):
+        # a NaN tolerance or an infinite radius would certify nothing and
+        # still claim completeness
+        with pytest.raises(InputError, match=f"^{field} must be finite and positive"):
+            SolveConfig(**{field: value})
 
 
 class TestDedupe:
