@@ -146,8 +146,6 @@ def _cmd_homotopy(args) -> int:
     if args.leading:
         trace = track_leading_homotopy(document.instance, cfg)
     else:
-        if args.xref is None:
-            raise PcpError("homotopy needs --xref unless --leading is given")
         config["xref"] = args.xref
         trace = track_natural_homotopy(document.instance, args.xref, cfg)
     _print_report("homotopy", config, trace.to_dict())
@@ -317,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homotopy", help="track a continuation path")
     p.add_argument("instance")
-    p.add_argument("--xref", type=_floats, help="reference point")
-    p.add_argument("--leading", action="store_true",
-                   help="start from the leading-pair deformation at x = 0")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--xref", type=_floats, help="reference point")
+    start.add_argument("--leading", action="store_true",
+                       help="start from the leading-pair deformation at x = 0")
     p.add_argument("--tol", type=float, help="Newton residual tolerance")
     p.set_defaults(handler=_cmd_homotopy)
 

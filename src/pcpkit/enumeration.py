@@ -46,6 +46,8 @@ STALL_FACTOR = 0.5
 STEP_SCALES = 0.5 ** np.arange(31)
 NON_ISOLATED_CLUSTER_SIZE = 100
 MAX_NEWTON_ITERS = 100
+# roots of the sweep closer than this are merged; it must exceed newton_tol
+DEDUPE_RADIUS = 1e-6
 FEASIBILITY_TOL = 1e-8
 # (subset, start) rows per damped-Newton call of the sweep; whole subsets
 # are stacked up to this many rows
@@ -63,24 +65,21 @@ class SolveConfig:
     newton_tol: float = 1e-10
     starts_per_subsystem: int = 200
     start_box_radius: float = 10.0
-    dedupe_radius: float = 1e-6
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("newton_tol", "start_box_radius", "dedupe_radius"):
+        for name in ("newton_tol", "start_box_radius"):
             # a NaN fails both comparisons
             if not 0 < getattr(self, name) < math.inf:
                 raise InputError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.starts_per_subsystem < 1:
             raise InputError("starts_per_subsystem must be >= 1")
-        if self.dedupe_radius <= self.newton_tol:
-            raise InputError("dedupe_radius must exceed newton_tol")
 
     def to_dict(self) -> dict:
-        # every setting and the two module constants, in the reports' fixed key order
+        # every setting and the three module constants, in the reports' fixed key order
         return {"newton_tol": self.newton_tol, "max_newton_iters": MAX_NEWTON_ITERS,
                 "starts_per_subsystem": self.starts_per_subsystem,
-                "start_box_radius": self.start_box_radius, "dedupe_radius": self.dedupe_radius,
+                "start_box_radius": self.start_box_radius, "dedupe_radius": DEDUPE_RADIUS,
                 "feasibility_tol": FEASIBILITY_TOL, "rng_seed": self.rng_seed}
 
 
@@ -227,14 +226,15 @@ def damped_newton(
     pts = np.array(starts, dtype=float)
     values = values_fn(pts, np.arange(len(pts)))
     norms = _row_norms(values, axis=1)
-    # ITERATION_CAP marks the rows still running; converged rows are
-    # relabelled at the end
-    status = np.full(len(pts), NewtonStatus.ITERATION_CAP, dtype=np.int8)
+    # ITERATION_CAP (a plain int: arrays compare with it ~4x faster than with the
+    # enum member) marks the running rows; converged rows are relabelled at the end
+    running = int(NewtonStatus.ITERATION_CAP)
+    status = np.full(len(pts), running, dtype=np.int8)
     steps = np.zeros(len(pts), dtype=int)
     checkpoint = np.full(len(pts), np.inf)
 
     for iteration in range(max_iters):
-        working = np.flatnonzero((status == NewtonStatus.ITERATION_CAP) & ~(norms <= tol))
+        working = np.flatnonzero((status == running) & ~(norms <= tol))
         if working.size == 0:
             break
         escaped = _row_norms(pts[working], axis=1) > escape_norm
@@ -292,7 +292,7 @@ def damped_newton(
                 break
         status[working[pending]] = NewtonStatus.NO_DESCENT
 
-    status[(status == NewtonStatus.ITERATION_CAP) & (norms <= tol)] = NewtonStatus.CONVERGED
+    status[(status == running) & (norms <= tol)] = NewtonStatus.CONVERGED
     return NewtonResult(pts, norms, status, steps)
 
 
@@ -399,6 +399,8 @@ def _solve_subsystems(
     Each subset's roots are deduplicated (smallest subsystem residual
     first) and sorted lexicographically.
     """
+    if DEDUPE_RADIUS <= cfg.newton_tol:
+        raise InputError("dedupe_radius must exceed newton_tol")
     n = inst.n
     masks = np.asarray(masks)
     extra = np.vstack([np.zeros(n)] + ([] if x_ref is None else [as_point(x_ref, n, "x_ref")]))
@@ -447,7 +449,7 @@ def _solve_subsystems(
             rows = slice(stop - size, stop)
             keep = converged[rows]
             unique, _ = _dedupe_points(
-                result.points[rows][keep], result.norms[rows][keep], cfg.dedupe_radius
+                result.points[rows][keep], result.norms[rows][keep], DEDUPE_RADIUS
             )
             roots.append(unique[np.lexsort(unique.T[::-1])])
     return roots
@@ -483,7 +485,7 @@ def enumerate_solutions(
     fx, gx = inst.evaluate_pair(points)
     feasible = sign_feasible(fx, gx, FEASIBILITY_TOL)
     residuals = residual_norms(np.minimum(fx, gx)[feasible])
-    points, largest_cluster = _dedupe_points(points[feasible], residuals, cfg.dedupe_radius)
+    points, largest_cluster = _dedupe_points(points[feasible], residuals, DEDUPE_RADIUS)
     warnings: list[str] = []
     if largest_cluster > NON_ISOLATED_CLUSTER_SIZE:
         warnings.append(

@@ -4,20 +4,20 @@ One homotopy is tracked, from a start pair (p, q) to the instance (f, g):
 
     H(x, t) = min{(1 - t) p(x) + t f(x), (1 - t) q(x) + t g(x)},
 
-so H(., 1) is the natural residual m.  The two existence paths differ
-only in their start pair and start point: the reference homotopy takes
-p = q = x - x_ref from x_ref (H is then (1 - t)(x - x_ref) + t m(x)),
-and the leading-term homotopy takes the leading pair (f_inf, g_inf) from
-0, the unique root of min{f_inf, g_inf} when the leading pair has only
-the trivial solution.  The corrector is an active-branch semismooth
-Newton step on the blended pair (ties pick the f side).  Tracking
-failure is recorded as evidence, never as a certificate of nonexistence.
+so H(., 1) is the natural residual m.  The reference homotopy starts at
+x_ref with p = q = x - x_ref; the leading-term homotopy starts at 0 with
+the leading pair (f_inf, g_inf), whose min has only the root 0 when the
+leading pair has only the trivial solution.  Paths are the rows of one
+tracker: a round makes one active-branch semismooth Newton call (ties
+pick f) over the live rows, each at its own t.  Tracking failure is
+recorded as evidence, never as a certificate of nonexistence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,94 +64,92 @@ class HomotopyTrace:
         return self.outcome == "converged"
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "point": None if self.point is None else [float(v) for v in self.point],
-            "final_t": self.final_t,
-            "max_point_norm": self.max_point_norm,
-            "message": self.message,
-            "checkpoints": [c.to_dict() for c in self.checkpoints],
-        }
+        point = None if self.point is None else [float(v) for v in self.point]
+        return {"outcome": self.outcome, "point": point, "final_t": self.final_t,
+                "max_point_norm": self.max_point_norm, "message": self.message,
+                "checkpoints": [c.to_dict() for c in self.checkpoints]}
 
 
 # (p, q) at x, plus (Jp, Jq) when asked, as PcpInstance.evaluate_pair returns them
 StartPair = Callable[[np.ndarray, bool], tuple[np.ndarray, ...]]
 
 
-def _blend(start: StartPair, inst: PcpInstance, x: np.ndarray, t: float,
-           jacobians: bool) -> list[np.ndarray]:
-    """(1-t)(p, q) + t(f, g) at x, plus their Jacobians with ``jacobians``."""
+def _blend(start: StartPair, inst: PcpInstance, x: np.ndarray, t, jacobians: bool) -> list:
+    """(1-t)(p, q) + t(f, g) at the rows of x, plus Jacobians; t is a float or a column."""
     pairs = zip(start(x, jacobians), inst.evaluate_pair(x, jacobians))
-    return [(1.0 - t) * a + t * b for a, b in pairs]
+    tj = t if isinstance(t, float) else t[:, :, None]  # a column weighs whole Jacobians
+    return [(1.0 - s) * a + s * b for (a, b), s in zip(pairs, (t, t, tj, tj))]
 
 
-def _correct(start: StartPair, inst: PcpInstance, x: np.ndarray, t: float, tol: float,
-             max_iters: int) -> tuple[np.ndarray, float, int, NewtonStatus]:
-    """Semismooth Newton on H(., t): the point, its residual, accepted steps, status."""
-    result = damped_newton(
-        lambda pts, rows: np.minimum(*_blend(start, inst, pts, t, False)),
-        lambda pts, rows: active_branch(*_blend(start, inst, pts, t, True))[1],
-        x[None, :], tol, max_iters, escape_norm=DIVERGENCE_NORM,
-    )
-    return (result.points[0], float(result.norms[0]), int(result.steps[0]),
-            NewtonStatus(result.status[0]))
+def _stacked(pairs: list[StartPair], kind: np.ndarray) -> StartPair:
+    """The start pair of points whose own pair is ``pairs[kind[i]]``."""
+    def start(x: np.ndarray, jacobians: bool) -> list[np.ndarray]:
+        out = [np.empty(x.shape + x.shape[1:] * (j > 1)) for j in range(2 + 2 * jacobians)]
+        for k in set(kind.tolist()):  # np.unique would import numpy.ma
+            for o, v in zip(out, pairs[k](x[kind == k], jacobians)):
+                o[kind == k] = v
+        return out
+    return start
 
 
-def _track(start: StartPair, inst: PcpInstance, x0: np.ndarray,
-           cfg: SolveConfig) -> HomotopyTrace:
-    x = np.asarray(x0, dtype=float).copy()
-    # H(., 0) is min{p, q}; the instance's values are left out, as 0 * inf is nan
-    checkpoints = [Checkpoint(0.0, x.copy(), float(np.linalg.norm(np.minimum(*start(x, False)))))]
-    max_norm = float(np.linalg.norm(x))
-    t = 0.0
-    step = STEP_INITIAL
+def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig | None) -> list:
+    """Track one path per row: row r starts at t = 0 from x0[r], a root of ``starts[r]``."""
+    x, newton_tol = np.array(x0, dtype=float), (cfg or SolveConfig()).newton_tol
+    pairs = list(dict.fromkeys(starts))
+    kind = np.array([pairs.index(s) for s in starts])
+    # H(., 0) is min{p, q}; the instance's values are left out, as 0 * inf is nan.
+    # math.sqrt(v.dot(v)) is np.linalg.norm's own formula for a vector, minus its dispatch
+    checkpoints = [[Checkpoint(0.0, xr.copy(), math.sqrt(hr.dot(hr)))]
+                   for xr, hr in zip(x, np.minimum(*_stacked(pairs, kind)(x, False)))]
+    # a row's last checkpoint holds its x and t; ``done`` maps a finished row to its end
+    max_norm, step, done = [math.sqrt(xr.dot(xr)) for xr in x], [STEP_INITIAL] * len(x), {}
 
-    def finish(outcome: str, point=None, message: str = "") -> HomotopyTrace:
-        return HomotopyTrace(
-            checkpoints=tuple(checkpoints),
-            outcome=outcome,
-            point=point,
-            final_t=t,
-            max_point_norm=max_norm,
-            message=message,
-        )
+    def advance(rows: list[int], polish: bool) -> None:
+        # one corrector call over the rows, each at its own next t, then each row's step rule
+        t_rows = [1.0 if polish else min(1.0, checkpoints[r][-1].t + step[r]) for r in rows]
+        tol, iters = (newton_tol, MAX_NEWTON_ITERS) if polish else (CORRECTOR_TOL, CORRECTOR_ITERS)
+
+        def blend(pts, at, jacobians):
+            if len(rows) == 1:  # one row's start pair and t serve every point
+                return _blend(starts[rows[0]], inst, pts, t_rows[0], jacobians)
+            return _blend(_stacked(pairs, kind[np.take(rows, at)]), inst, pts,
+                          np.array(t_rows)[at, None], jacobians)
+        result = damped_newton(lambda pts, at: np.minimum(*blend(pts, at, False)),
+                               lambda pts, at: active_branch(*blend(pts, at, True))[1],
+                               np.array([checkpoints[r][-1].x for r in rows]), tol, iters,
+                               escape_norm=DIVERGENCE_NORM)
+        for r, t_row, point, residual, code, iterations in zip(
+                rows, t_rows, result.points, *(a.tolist() for a in result[1:])):
+            if code == NewtonStatus.ESCAPED:
+                max_norm[r] = max(max_norm[r], math.sqrt(point.dot(point)))
+                done[r] = ("diverged", None, f"endpoint polish left the {DIVERGENCE_NORM:.0e} ball"
+                           if polish else f"path norm exceeded {DIVERGENCE_NORM:.0e}")
+            elif code != NewtonStatus.CONVERGED:
+                step[r] *= 0.5
+                if polish or step[r] < STEP_FLOOR:
+                    done[r] = ("stalled", None, "endpoint polish failed" if polish
+                               else "step size hit the floor")
+            else:
+                max_norm[r] = max(max_norm[r], math.sqrt(point.dot(point)))
+                if polish:  # the polish refines the t = 1 checkpoint in place
+                    checkpoints[r].pop()
+                    done[r] = ("converged", point.copy(), "")
+                checkpoints[r].append(Checkpoint(t_row, point.copy(), residual))
+                step[r] *= 2.0 if iterations <= 3 else 1.0
 
     for _attempt in range(MAX_STEP_ATTEMPTS):
-        if t >= 1.0:
+        if not (live := [r for r, c in enumerate(checkpoints) if r not in done and c[-1].t < 1]):
             break
-        t_next = min(1.0, t + step)
-        point, residual, iterations, status = _correct(
-            start, inst, x, t_next, CORRECTOR_TOL, CORRECTOR_ITERS
-        )
-        if status == NewtonStatus.ESCAPED:
-            max_norm = max(max_norm, float(np.linalg.norm(point)))
-            return finish("diverged", message=f"path norm exceeded {DIVERGENCE_NORM:.0e}")
-        if status != NewtonStatus.CONVERGED:
-            step *= 0.5
-            if step < STEP_FLOOR:
-                return finish("stalled", message="step size hit the floor")
-            continue
-        x, t = point, t_next
-        max_norm = max(max_norm, float(np.linalg.norm(x)))
-        checkpoints.append(Checkpoint(t, x.copy(), residual))
-        if iterations <= 3:
-            step *= 2.0
+        advance(live, polish=False)
     else:
-        return finish("stalled", message="step attempt budget exhausted")
-
-    # polish the endpoint down to the certification tolerance; H(., 1) is m,
+        for r in live:
+            done.setdefault(r, ("stalled", None, "step attempt budget exhausted"))
+    # polish the endpoints down to the certification tolerance; H(., 1) is m,
     # so a converged polish has natural residual norm at most newton_tol
-    point, residual, _, status = _correct(start, inst, x, 1.0, cfg.newton_tol, MAX_NEWTON_ITERS)
-    if status == NewtonStatus.ESCAPED:
-        max_norm = max(max_norm, float(np.linalg.norm(point)))
-        return finish("diverged", message=f"endpoint polish left the {DIVERGENCE_NORM:.0e} ball")
-    if status != NewtonStatus.CONVERGED:
-        return finish("stalled", message="endpoint polish failed")
-    max_norm = max(max_norm, float(np.linalg.norm(point)))
-    # the last checkpoint is at t = 1; the polish refines it in place (t stays
-    # strictly increasing)
-    checkpoints[-1] = Checkpoint(1.0, point.copy(), residual)
-    return finish("converged", point=point.copy())
+    if rows := [r for r in range(len(x)) if r not in done]:
+        advance(rows, polish=True)
+    return [HomotopyTrace(tuple(c), *done[r][:2], c[-1].t, max_norm[r], done[r][2])
+            for r, c in enumerate(checkpoints)]
 
 
 def track_natural_homotopy(
@@ -171,7 +169,7 @@ def track_natural_homotopy(
         shift = x - reference
         return (shift, shift, eye, eye) if jacobians else (shift, shift)
 
-    return _track(start, inst, reference, cfg or SolveConfig())
+    return _track([start], inst, [reference], cfg)[0]
 
 
 def track_leading_homotopy(
@@ -184,4 +182,4 @@ def track_leading_homotopy(
     bounded and the endpoint solves the full problem.  Lower-order
     perturbations of the instance leave the t = 0 system unchanged.
     """
-    return _track(inst.leading_pair.evaluate_pair, inst, np.zeros(inst.n), cfg or SolveConfig())
+    return _track([inst.leading_pair.evaluate_pair], inst, [np.zeros(inst.n)], cfg)[0]

@@ -387,6 +387,34 @@ class TestErrors:
         assert captured.err == f"error: {field} must be finite and positive, got {value}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, options", [
+        ("certify", ("--point", "1,1")),
+        ("homotopy", ("--xref", "0.5,0.5")),
+        ("homotopy", ("--leading",)),
+    ], ids=["certify", "homotopy-xref", "homotopy-leading"])
+    def test_loose_tolerance_runs_without_the_sweep(self, capsys, hyperbola_file, command, options):
+        # only the sweep dedupes, so only it needs newton_tol below the dedupe radius
+        code, out = run(capsys, command, hyperbola_file, *options, "--tol", "1e-3")
+        assert code == 0
+        assert json.loads(out)["config"]["newton_tol"] == 1e-3
+
+    def test_sweep_refuses_tolerance_at_dedupe_radius(self, capsys, hyperbola_file):
+        code = run_command(["solve", hyperbola_file, "--tol", "1e-6"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: dedupe_radius must exceed newton_tol\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("starts", [("--leading", "--xref", "0.5,0.5"), ()],
+                             ids=["both", "neither"])
+    def test_homotopy_takes_exactly_one_start(self, capsys, hyperbola_file, starts):
+        code = run_command(["homotopy", hyperbola_file, *starts])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage:") and "--xref" in lines[-1] and "--leading" in lines[-1]
+        assert captured.out == ""
+
     def test_overflow_to_nan_is_quiet(self, capsys, tmp_path):
         # on a dense instance, terms overflow to inf - inf = nan at 1e200
         assert run_command(["generate", "--n", "2", "--degrees", "2", "--seed", "1"]) == 0

@@ -31,6 +31,7 @@ from pcpkit import (
     solve_subsystem,
 )
 from pcpkit.enumeration import (
+    DEDUPE_RADIUS,
     FEASIBILITY_TOL,
     JACOBIAN_CONDITION_LIMIT,
     MAX_NEWTON_ITERS,
@@ -79,7 +80,7 @@ class TestSolveSubsystem:
             many = solve_subsystem(hyperbola_pair, subset, large)
             for root in few:
                 assert any(
-                    np.linalg.norm(root - other) <= small.dedupe_radius
+                    np.linalg.norm(root - other) <= DEDUPE_RADIUS
                     for other in many
                 )
 
@@ -242,7 +243,7 @@ def reference_sweep(inst, masks, cfg, x_ref):
         )
         found = result.points[result.alive & (result.norms <= cfg.newton_tol)]
         residuals = np.linalg.norm(system.evaluate(found), axis=1)
-        unique, _ = _dedupe_points(found, residuals, cfg.dedupe_radius)
+        unique, _ = _dedupe_points(found, residuals, DEDUPE_RADIUS)
         roots.append(unique[np.lexsort(unique.T[::-1])])
     return roots
 
@@ -495,7 +496,7 @@ class TestMetamorphic:
         assert_same_solution_sets(
             enumerate_solutions(PcpInstance(inst.g, inst.f), cfg),
             enumerate_solutions(inst, cfg),
-            cfg.dedupe_radius,
+            DEDUPE_RADIUS,
         )
 
     @given(pd_lcp_instances(), st.data())
@@ -509,7 +510,7 @@ class TestMetamorphic:
             PolyMap(tuple(p.scaled(c) for p, c in zip(inst.g.components, scale[inst.n :]))),
         )
         assert_same_solution_sets(
-            enumerate_solutions(scaled, cfg), enumerate_solutions(inst, cfg), cfg.dedupe_radius
+            enumerate_solutions(scaled, cfg), enumerate_solutions(inst, cfg), DEDUPE_RADIUS
         )
 
     @given(pd_lcp_instances(), st.data())
@@ -531,7 +532,7 @@ class TestMetamorphic:
         got = enumerate_solutions(PcpInstance(permuted(inst.f), permuted(inst.g)), cfg)
         assert len(got) == len(want)
         for point in got.points:
-            assert np.min(np.linalg.norm(want.points[:, perm] - point, axis=1)) <= cfg.dedupe_radius
+            assert np.min(np.linalg.norm(want.points[:, perm] - point, axis=1)) <= DEDUPE_RADIUS
 
 
 class TestEnumerate:
@@ -573,7 +574,7 @@ class TestEnumerate:
         pts = sols.points[:, 0]
         assert np.allclose(sorted(pts), [0.0, 1.0, 2.0], atol=1e-8)
         gaps = np.diff(sorted(pts))
-        assert np.all(gaps > FAST.dedupe_radius)
+        assert np.all(gaps > DEDUPE_RADIUS)
 
     def test_determinism(self, hyperbola_pair):
         a = enumerate_solutions(hyperbola_pair, FAST)
@@ -726,15 +727,16 @@ class TestDistance:
 
 
 class TestSolveConfig:
-    def test_validation(self):
+    def test_validation(self, hyperbola_pair):
         with pytest.raises(InputError):
             SolveConfig(newton_tol=-1.0)
         with pytest.raises(InputError):
-            SolveConfig(dedupe_radius=1e-12)  # must exceed newton_tol
-        with pytest.raises(InputError):
             SolveConfig(starts_per_subsystem=0)
+        # the sweep, which dedupes, needs newton_tol below the dedupe radius
+        with pytest.raises(InputError, match="^dedupe_radius must exceed newton_tol$"):
+            enumerate_solutions(hyperbola_pair, SolveConfig(newton_tol=DEDUPE_RADIUS))
 
-    @pytest.mark.parametrize("field", ["newton_tol", "start_box_radius", "dedupe_radius"])
+    @pytest.mark.parametrize("field", ["newton_tol", "start_box_radius"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_setting_named(self, field, value):
         # a NaN tolerance or an infinite radius would certify nothing and
