@@ -298,12 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("solve", help="enumerate the solution set"))
     p.add_argument("instance")
     _add_solver_flags(p)
-    p.set_defaults(handler=_cmd_solve)
+    p.set_defaults(handler=_cmd_solve, parser=p)
 
     p = sub.add_parser("residual", help="evaluate residuals at a point")
     p.add_argument("instance")
     p.add_argument("--point", type=_floats, required=True)
-    p.set_defaults(handler=_cmd_residual)
+    p.set_defaults(handler=_cmd_residual, parser=p)
 
     p = sub.add_parser("certify", help="certify a candidate solution")
     p.add_argument("instance")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert", dest="assert_", action="store_true",
                    help="exit 1 on rejection")
     p.add_argument("--tol", type=float, help="Newton residual tolerance")
-    p.set_defaults(handler=_cmd_certify)
+    p.set_defaults(handler=_cmd_certify, parser=p)
 
     p = sub.add_parser("homotopy", help="track a continuation path")
     p.add_argument("instance")
@@ -320,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     start.add_argument("--leading", action="store_true",
                        help="start from the leading-pair deformation at x = 0")
     p.add_argument("--tol", type=float, help="Newton residual tolerance")
-    p.set_defaults(handler=_cmd_homotopy)
+    p.set_defaults(handler=_cmd_homotopy, parser=p)
 
     p = sub.add_parser("probe", help="run a hypothesis probe")
-    p.set_defaults(handler=_cmd_probe)
+    p.set_defaults(handler=_cmd_probe, parser=p)
     probes = p.add_subparsers(dest="name", required=True)
     # each probe declares the flags its run(inst, args) reads; run returns the
     # report and the header settings beyond instance, probe and seed
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def probe(name: str, parent: argparse.ArgumentParser, run) -> argparse.ArgumentParser:
         q = probes.add_parser(name, parents=[parent])
-        q.set_defaults(run=run)
+        q.set_defaults(run=run, parser=q)
         return q
 
     for name, call in (("r0", probes_mod.r0_test),
@@ -380,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert", dest="assert_", action="store_true",
                    help="exit 1 when the claimed constant is violated")
     _add_solver_flags(p)
-    p.set_defaults(handler=_cmd_bounds)
+    p.set_defaults(handler=_cmd_bounds, parser=p)
 
     p = sub.add_parser("exponent", help="print the error-bound exponents")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=_cmd_exponent)
+    p.set_defaults(handler=_cmd_exponent, parser=p)
 
     p = common(sub.add_parser("generate", help="draw a random instance"))
     p.add_argument("--n", type=int, required=True)
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees-f", dest="degrees_f", type=_ints)
     p.add_argument("--degrees-g", dest="degrees_g", type=_ints)
     p.add_argument("--name")
-    p.set_defaults(handler=_cmd_generate)
+    p.set_defaults(handler=_cmd_generate, parser=p)
 
     p = common(sub.add_parser("trial", help="Monte Carlo over random instances"))
     p.add_argument("--n", type=int, required=True)
@@ -401,11 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--csv", action="store_true", help="per-trial rows as CSV")
     _add_solver_flags(p)
-    p.set_defaults(handler=_cmd_trial)
+    p.set_defaults(handler=_cmd_trial, parser=p)
 
     p = sub.add_parser("lemke", help="solve an LCP by complementary pivoting")
     p.add_argument("problem", help="JSON file with keys 'M' and 'q'")
-    p.set_defaults(handler=_cmd_lemke)
+    p.set_defaults(handler=_cmd_lemke, parser=p)
 
     return parser
 
@@ -442,7 +442,9 @@ def run_command(argv) -> int:
     """Parse argv, run the subcommand, print the report; return the exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(argv))
+        args, unknown = parser.parse_known_args(_join_negative_values(argv))
+        if unknown:  # refused by the innermost subcommand, whose usage lists its own flags
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:

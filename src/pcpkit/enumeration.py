@@ -175,21 +175,14 @@ class NewtonResult(NamedTuple):
         return self.status == NewtonStatus.ESCAPED
 
 
-def _row_norms(a: np.ndarray, axis: int) -> np.ndarray:
-    # a row whose squares overflow gets norm inf, which the kernel treats
-    # as non-finite; that is intended, so the overflow is not reported
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(a, axis=axis)
-
-
 def first_lowering(trial_norms: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a (rows, rungs) ladder with a finite rung below ``norms``, and that rung.
 
-    Returns the index of every such row and, for each, its first such
-    rung; the other rows found no lower rung.
+    Returns a mask of the rows that have such a rung and, for each of
+    them, its first such rung; the other rows found no lower rung.
     """
     lower = np.isfinite(trial_norms) & (trial_norms < norms[:, None])
-    rows = np.flatnonzero(lower.any(axis=1))
+    rows = lower.any(axis=1)
     return rows, lower[rows].argmax(axis=1)
 
 
@@ -208,24 +201,26 @@ def damped_newton(
     the index into ``starts`` of each point, so one call can serve rows
     of different systems.  A row stops once its residual norm is at most
     ``tol``.  It is abandoned when its residual or Jacobian is not
-    finite, its Jacobian is exactly singular (``slogdet`` sign 0) or has
-    1-norm condition number ``||J||_1 ||J^-1||_1`` at or above
-    JACOBIAN_CONDITION_LIMIT, or backtracking cannot decrease its
-    residual; it escapes (and stops) when its norm exceeds
-    ``escape_norm`` before a step.  Every STALL_WINDOW iterations, a
-    working row whose residual norm did not fall to STALL_FACTOR times
-    its norm at the previous check is retired as stalled, and the other
-    working rows record their norm for the next check; a row that is not
-    retired takes one accepted step per iteration, so a kept row follows
-    the same path as without the rule.  One batched inverse of the
-    screened Jacobians gives both the condition numbers and the Newton
-    steps ``-J^-1 F``.  Norms are taken with floating-point overflow ignored: a
-    row whose norm overflows to inf is abandoned as non-finite, without a
-    warning.  ``status`` records why each row stopped.
+    finite, its Jacobian is exactly singular or has 1-norm condition
+    number ``||J||_1 ||J^-1||_1`` at or above JACOBIAN_CONDITION_LIMIT,
+    or backtracking cannot decrease its residual; it escapes (and stops)
+    when its norm exceeds ``escape_norm`` before a step.  Every
+    STALL_WINDOW iterations, a working row whose residual norm did not
+    fall to STALL_FACTOR times its norm at the previous check is retired
+    as stalled, and the other working rows record their norm for the
+    next check; a row that is not retired takes one accepted step per
+    iteration, so a kept row follows the same path as without the rule.
+    One batched inverse of the finite Jacobians gives both the condition
+    numbers and the Newton steps ``-J^-1 F``; only if it raises on an
+    exactly singular row does a ``slogdet`` screen drop the rows of sign
+    0 before a second inverse.  Norms are :func:`residual_norms` with
+    floating-point overflow ignored: a row whose norm overflows to inf is
+    abandoned as non-finite, with no warning.  ``status`` says why rows stop.
     """
     pts = np.array(starts, dtype=float)
     values = values_fn(pts, np.arange(len(pts)))
-    norms = _row_norms(values, axis=1)
+    with np.errstate(over="ignore"):
+        norms = residual_norms(values)
     # ITERATION_CAP (a plain int: arrays compare with it ~4x faster than with the
     # enum member) marks the running rows; converged rows are relabelled at the end
     running = int(NewtonStatus.ITERATION_CAP)
@@ -237,9 +232,11 @@ def damped_newton(
         working = np.flatnonzero((status == running) & ~(norms <= tol))
         if working.size == 0:
             break
-        escaped = _row_norms(pts[working], axis=1) > escape_norm
-        status[working[escaped]] = NewtonStatus.ESCAPED
-        working = working[~escaped]
+        if escape_norm < np.inf:  # no norm is above inf
+            with np.errstate(over="ignore"):
+                escaped = residual_norms(pts[working]) > escape_norm
+            status[working[escaped]] = NewtonStatus.ESCAPED
+            working = working[~escaped]
         finite = np.isfinite(norms[working])
         status[working[~finite]] = NewtonStatus.NON_FINITE
         working = working[finite]
@@ -254,14 +251,18 @@ def damped_newton(
         finite = np.isfinite(jac).all(axis=(1, 2))
         status[working[~finite]] = NewtonStatus.NON_FINITE
         working, jac = working[finite], jac[finite]
-        # a batched inv raises on any exactly singular row; slogdet's sign
-        # finds them without the underflow that det's product can show
-        regular = np.linalg.slogdet(jac)[0] != 0
-        status[working[~regular]] = NewtonStatus.ILL_CONDITIONED
-        working, jac = working[regular], jac[regular]
         with np.errstate(all="ignore"):
-            inverse = np.linalg.inv(jac)
-            cond = np.linalg.norm(jac, 1, axis=(1, 2)) * np.linalg.norm(inverse, 1, axis=(1, 2))
+            try:
+                inverse = np.linalg.inv(jac)
+            except np.linalg.LinAlgError:
+                # a batched inv raises on any exactly singular row; slogdet's sign
+                # finds them without the underflow that det's product can show
+                regular = np.linalg.slogdet(jac)[0] != 0
+                status[working[~regular]] = NewtonStatus.ILL_CONDITIONED
+                working, jac = working[regular], jac[regular]
+                inverse = np.linalg.inv(jac)
+            # np.linalg.norm(., 1, axis=(1, 2))'s own formula, without its dispatch
+            cond = np.multiply(*(np.add.reduce(np.abs(a), 1).max(1) for a in (jac, inverse)))
         good = cond < JACOBIAN_CONDITION_LIMIT
         status[working[~good]] = NewtonStatus.ILL_CONDITIONED
         working = working[good]
@@ -280,14 +281,15 @@ def damped_newton(
             ladder_values = values_fn(
                 ladder.reshape(-1, pts.shape[1]), np.repeat(working[pending], len(scales))
             ).reshape(ladder.shape)
-            ladder_norms = _row_norms(ladder_values, axis=2)
+            with np.errstate(over="ignore"):
+                ladder_norms = residual_norms(ladder_values)
             found, rung = first_lowering(ladder_norms, norms[working[pending]])
             rows = working[pending[found]]
             pts[rows] = ladder[found, rung]
             values[rows] = ladder_values[found, rung]
             norms[rows] = ladder_norms[found, rung]
             steps[rows] += 1
-            pending = np.delete(pending, found)
+            pending = pending[~found]
             if pending.size == 0:
                 break
         status[working[pending]] = NewtonStatus.NO_DESCENT
@@ -418,6 +420,7 @@ def _solve_subsystems(
         chunks[-1].append(k)
         rows_in_chunk += size
 
+    terms = inst._pair_terms  # the Jacobian closure folds its Jacobian block alone
     roots: list[np.ndarray] = []
     for chunk in chunks:
         parts = []
@@ -433,11 +436,11 @@ def _solve_subsystems(
 
         def values(points, rows):
             fx, gx = inst.evaluate_pair(points)
-            return np.where(on_f[rows], fx, gx)
+            return np.where(np.take(on_f, rows, axis=0), fx, gx)
 
         def jacobians(points, rows):
-            _, _, jac_f, jac_g = inst.evaluate_pair(points, jacobians=True)
-            return np.where(on_f[rows, :, None], jac_f, jac_g)
+            jac = terms.evaluate(points, terms.jacobian).reshape(-1, 2, n, n)
+            return np.where(np.take(on_f, rows, axis=0)[:, :, None], jac[:, 0], jac[:, 1])
 
         # drive well below tol so certification at tol has slack
         result = damped_newton(

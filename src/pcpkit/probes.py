@@ -24,6 +24,7 @@ from .residuals import (
     as_region,
     natural_map,
     natural_residual_norm,
+    residual_norms,
     sample_box,
     sign_feasible,
     unit_sphere,
@@ -88,7 +89,7 @@ def _refine_on_sphere(
     and all of a row's scales, are evaluated together: the full step
     seldom lowers ||m|| here, so trying it first would only add a call.
     """
-    x = starts * (radii / np.linalg.norm(starts, axis=1))[:, None]
+    x = starts * (radii / residual_norms(starts))[:, None]
     value = natural_residual_norm(pair, x)
     step = 0.1 * radii
     live = np.arange(len(x))
@@ -98,7 +99,7 @@ def _refine_on_sphere(
         gradient = 2.0 * np.einsum("kij,ki->kj", jac, m)
         # tangential component only: stay on the sphere
         gradient -= (np.einsum("kj,kj->k", gradient, points) / radius**2)[:, None] * points
-        norm = np.linalg.norm(gradient, axis=1)
+        norm = residual_norms(gradient)
         moving = norm >= 1e-16
         live, points, radius = live[moving], points[moving], radius[moving]
         if not live.size:
@@ -106,7 +107,7 @@ def _refine_on_sphere(
         direction = gradient[moving] / norm[moving, None]
         steps = step[live, None] * STEP_SCALES
         trials = points[:, None, :] - steps[..., None] * direction[:, None, :]
-        trials *= (radius[:, None] / np.linalg.norm(trials, axis=2))[..., None]
+        trials *= (radius[:, None] / residual_norms(trials))[..., None]
         trial_values = natural_residual_norm(pair, trials.reshape(-1, pair.n)).reshape(steps.shape)
         pick = first_lowering(trial_values, value[live])
         live = live[pick[0]]

@@ -160,11 +160,15 @@ def natural_jacobian(inst: PcpInstance, x) -> np.ndarray:
 
 
 def residual_norms(m) -> np.ndarray:
-    """Row norms of natural-map values ``m``, shape (rows,).
+    """Euclidean norms over the last axis of ``m``; a point is one row, shape (1,).
 
-    A point is one row, so its norm equals its row's norm in any batch.
+    Squares are added in index order, in any batch and memory layout; up to
+    7 components this is ``np.linalg.norm(m, axis=-1)`` bit for bit.  A lone
+    row is accumulated, as ``add.reduce`` would sum it pairwise.
     """
-    return np.linalg.norm(np.atleast_2d(m), axis=1)
+    squares = np.square(np.atleast_2d(m).T, order="C")  # one component-major copy
+    lone = squares.size == len(squares)
+    return np.sqrt(np.add.accumulate(squares)[-1] if lone else np.add.reduce(squares)).T
 
 
 def sign_feasible(fx, gx, tol: float):

@@ -348,8 +348,22 @@ class TestErrors:
         captured = capsys.readouterr()
         assert code == 2
         lines = captured.err.splitlines()
-        assert lines[0].startswith("usage:") and "error:" in lines[-1]
+        # refused by the command's own parser, whose usage lists the flags it takes
+        command = " ".join(arg for arg in head[:2] if arg != "{instance}")
+        assert lines[0].startswith(f"usage: pcpkit {command} ")
+        assert lines[-1].startswith(f"pcpkit {command}: error: unrecognized arguments: ")
         assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+        assert captured.out == ""
+
+    def test_probe_refuses_a_flag_with_its_own_usage(self, capsys, hyperbola_file):
+        # argparse hands a sub-parser's unknown flags back to the top-level parser,
+        # whose usage lists only the subcommands
+        code = run_command(["probe", "r0", hyperbola_file, "--radii", "1,2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("usage: pcpkit probe r0 ") and "--samples" in captured.err
+        assert captured.err.splitlines()[-1] == (
+            "pcpkit probe r0: error: unrecognized arguments: --radii 1,2")
         assert captured.out == ""
 
     def test_missing_required_option(self, capsys, hyperbola_file):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
-from pcpkit import enumeration
+from pcpkit import enumeration, homotopy
 from pcpkit import (
     CertificationError,
     ComplexityGuardError,
@@ -35,7 +36,10 @@ from pcpkit.enumeration import (
     FEASIBILITY_TOL,
     JACOBIAN_CONDITION_LIMIT,
     MAX_NEWTON_ITERS,
+    STALL_FACTOR,
     STALL_WINDOW,
+    STEP_SCALES,
+    NewtonResult,
     NewtonStatus,
     _dedupe_points,
     _start_cloud,
@@ -121,6 +125,27 @@ class TestDampedNewton:
         assert result.escaped[0] and not result.alive[0]
         assert np.linalg.norm(result.points[0]) > 1e6
 
+    @pytest.mark.parametrize("escape_norm, status", [
+        (np.inf, NewtonStatus.NON_FINITE), (1e6, NewtonStatus.ESCAPED),
+    ])
+    def test_overflowing_norm_is_inf_without_warning(self, escape_norm, status):
+        # F(x) = x at 1e200: finite values whose squares overflow
+        identity = (lambda x, rows: x), (lambda x, rows: np.broadcast_to(np.eye(3), (len(x), 3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = damped_newton(*identity, np.full((1, 3), 1e200), 1e-12, 50, escape_norm)
+        assert result.norms[0] == np.inf and result.status[0] == status
+
+    def test_overflowing_ladder_is_no_descent_without_warning(self):
+        # x^2 - 1 from 1e-100: every rung of the step towards 5e99 has finite
+        # values whose squares overflow, so none lowers the residual
+        values = lambda x, rows: x**2 - 1.0  # noqa: E731
+        jacobian = lambda x, rows: 2.0 * x[:, :, None]  # noqa: E731
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = damped_newton(values, jacobian, np.array([[1e-100]]), 1e-12, 50)
+        assert result.status[0] == NewtonStatus.NO_DESCENT and result.steps[0] == 0
+
     def test_singular_jacobian_abandons_row(self):
         values, jacobian = self.cubic(8.0)
         result = damped_newton(values, jacobian, np.array([[0.0], [1.0]]), 1e-12, 50)
@@ -154,6 +179,18 @@ class TestDampedNewton:
         assert list(result.status) == [NewtonStatus.CONVERGED, NewtonStatus.ILL_CONDITIONED]
         assert np.allclose(result.points[0], 1.0) and result.steps[0] == 1
         assert result.steps[1] == 0
+
+    def test_condition_is_taken_in_the_one_norm(self):
+        # this matrix has 1-norm condition about 6 / eps, above the limit, and
+        # inf-norm condition about 2 / eps, below it; its transpose has them
+        # the other way round
+        matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 3e-14]])
+        assert np.linalg.cond(matrix, 1) > JACOBIAN_CONDITION_LIMIT > np.linalg.cond(matrix, np.inf)
+        matrices = np.stack([matrix, matrix.T])
+        values = lambda x, rows: np.einsum("rij,rj->ri", matrices[rows], x - 1.0)  # noqa: E731
+        jacobian = lambda x, rows: matrices[rows]  # noqa: E731
+        result = damped_newton(values, jacobian, np.zeros((2, 3)), 1e-12, 50)
+        assert list(result.status) == [NewtonStatus.ILL_CONDITIONED, NewtonStatus.CONVERGED]
 
     def test_backtrack_takes_first_improving_scale(self):
         # from x = 2 the full arctan Newton step overshoots; scale 1/2 is the
@@ -198,6 +235,197 @@ class TestDampedNewton:
         assert result.steps[0] == STALL_WINDOW
         assert result.norms[0] == pytest.approx(1.0, abs=1e-5)
         assert not result.alive[0] and not result.escaped[0]
+
+
+def reference_damped_newton(values_fn, jacobian_fn, starts, tol, max_iters, escape_norm=np.inf):
+    """The kernel as it was first written: a slogdet screen before every inverse,
+    np.linalg.norm for every norm and the condition number, np.delete for the
+    pending rows."""
+    def row_norms(a, axis):
+        with np.errstate(over="ignore"):
+            return np.linalg.norm(a, axis=axis)
+
+    pts = np.array(starts, dtype=float)
+    values = values_fn(pts, np.arange(len(pts)))
+    norms = row_norms(values, axis=1)
+    running = int(NewtonStatus.ITERATION_CAP)
+    status = np.full(len(pts), running, dtype=np.int8)
+    steps = np.zeros(len(pts), dtype=int)
+    checkpoint = np.full(len(pts), np.inf)
+    for iteration in range(max_iters):
+        working = np.flatnonzero((status == running) & ~(norms <= tol))
+        if working.size == 0:
+            break
+        escaped = row_norms(pts[working], axis=1) > escape_norm
+        status[working[escaped]] = NewtonStatus.ESCAPED
+        working = working[~escaped]
+        finite = np.isfinite(norms[working])
+        status[working[~finite]] = NewtonStatus.NON_FINITE
+        working = working[finite]
+        if iteration % STALL_WINDOW == 0:
+            halved = norms[working] <= STALL_FACTOR * checkpoint[working]
+            status[working[~halved]] = NewtonStatus.STALLED
+            working = working[halved]
+            checkpoint[working] = norms[working]
+        if working.size == 0:
+            continue
+        jac = jacobian_fn(pts[working], working)
+        finite = np.isfinite(jac).all(axis=(1, 2))
+        status[working[~finite]] = NewtonStatus.NON_FINITE
+        working, jac = working[finite], jac[finite]
+        regular = np.linalg.slogdet(jac)[0] != 0
+        status[working[~regular]] = NewtonStatus.ILL_CONDITIONED
+        working, jac = working[regular], jac[regular]
+        with np.errstate(all="ignore"):
+            inverse = np.linalg.inv(jac)
+            cond = np.linalg.norm(jac, 1, axis=(1, 2)) * np.linalg.norm(inverse, 1, axis=(1, 2))
+        good = cond < JACOBIAN_CONDITION_LIMIT
+        status[working[~good]] = NewtonStatus.ILL_CONDITIONED
+        working = working[good]
+        if working.size == 0:
+            continue
+        newton_steps = -np.einsum("rij,rj->ri", inverse[good], values[working])
+        base = pts[working]
+        pending = np.arange(working.size)
+        for scales in (STEP_SCALES[:1], STEP_SCALES[1:]):
+            ladder = base[pending, None] + scales[:, None] * newton_steps[pending, None]
+            ladder_values = values_fn(
+                ladder.reshape(-1, pts.shape[1]), np.repeat(working[pending], len(scales))
+            ).reshape(ladder.shape)
+            ladder_norms = row_norms(ladder_values, axis=2)
+            lower = np.isfinite(ladder_norms) & (ladder_norms < norms[working[pending]][:, None])
+            found = np.flatnonzero(lower.any(axis=1))
+            rung = lower[found].argmax(axis=1)
+            rows = working[pending[found]]
+            pts[rows] = ladder[found, rung]
+            values[rows] = ladder_values[found, rung]
+            norms[rows] = ladder_norms[found, rung]
+            steps[rows] += 1
+            pending = np.delete(pending, found)
+            if pending.size == 0:
+                break
+        status[working[pending]] = NewtonStatus.NO_DESCENT
+    status[(status == running) & (norms <= tol)] = NewtonStatus.CONVERGED
+    return NewtonResult(pts, norms, status, steps)
+
+
+def mixed_batch(n, count, rng):
+    """Rows of F_r(x) = A_r x + c_r x^3 + e_r x^2 - b_r with starts of every kind.
+
+    Kinds: 0 converging, 1 exactly singular Jacobian at the start (a zero
+    coordinate of x^3 - 8, or a rank-deficient integer A_r), 2 condition
+    number 1e15, 3 non-finite (an inf or NaN coordinate, or values whose
+    squares overflow), 4 escaping from 1e5 towards x^3 = 1e21, 5 stalling
+    on x^2 + 1, which has no real root.
+    """
+    kind = rng.integers(0, 6, count)
+    kind[:6] = np.arange(6)
+    a = np.zeros((count, n, n))
+    c, e, b = np.zeros((3, count, n))
+    starts = rng.uniform(-2.0, 2.0, (count, n))
+    eye = np.eye(n)
+    for r, k in enumerate(kind):
+        if k == 0:
+            a[r] = rng.standard_normal((n, n)) + n * eye
+            c[r], b[r] = 0.1, rng.standard_normal(n)
+        elif k == 1 and rng.random() < 0.5:
+            c[r], b[r] = 1.0, 8.0
+            starts[r, rng.integers(n)] = 0.0
+        elif k == 1:  # rank n - 1
+            a[r] = rng.integers(-3, 4, (n, n - 1)) @ rng.integers(-3, 4, (n - 1, n))
+            b[r] = rng.standard_normal(n)
+        elif k == 2:  # at n = 1 the lone 1e-15 is perfectly conditioned
+            a[r] = np.diag(np.r_[1.0, np.full(n - 1, 1e-15)]) if n > 1 else 1e-15
+            b[r] = a[r] @ np.ones(n)
+        elif k == 3:
+            a[r] = eye
+            starts[r, rng.integers(n)] = rng.choice([np.inf, -np.inf, np.nan, 1e200])
+        elif k == 4:
+            c[r], b[r] = 1.0, 1e21
+            starts[r] = 1e5
+        else:
+            e[r], b[r] = 1.0, -1.0
+            starts[r] = rng.uniform(0.1, 0.5, n)
+
+    def values(x, rows):
+        with np.errstate(all="ignore"):
+            return np.einsum("rij,rj->ri", a[rows], x) + c[rows] * x**3 + e[rows] * x**2 - b[rows]
+
+    def jacobian(x, rows):
+        with np.errstate(all="ignore"):
+            return a[rows] + np.einsum("ri,ij->rij", 3.0 * c[rows] * x**2 + 2.0 * e[rows] * x, eye)
+
+    return values, jacobian, starts
+
+
+def assert_same_result(got, want):
+    for name, g, w in zip(NewtonResult._fields, got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+class TestKernelReference:
+    """The kernel against its first formulation, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("escape_norm", [np.inf, 1e6])
+    def test_mixed_batches(self, monkeypatch, n, escape_norm):
+        screens = []
+        slogdet = np.linalg.slogdet
+        statuses = set()
+        for seed in range(4):
+            values, jacobian, starts = mixed_batch(n, 48, np.random.default_rng([n, seed]))
+            want = reference_damped_newton(
+                values, jacobian, starts, 1e-12, MAX_NEWTON_ITERS, escape_norm
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "slogdet", lambda a: screens.append(len(a)) or slogdet(a))
+                got = damped_newton(values, jacobian, starts, 1e-12, MAX_NEWTON_ITERS, escape_norm)
+            assert_same_result(got, want)
+            statuses |= set(got.status.tolist())
+        # every outcome occurs, and singular rows sent the kernel down its slogdet screen
+        assert screens
+        expected = {NewtonStatus.CONVERGED, NewtonStatus.ILL_CONDITIONED, NewtonStatus.NON_FINITE}
+        assert expected <= statuses
+        assert statuses & {NewtonStatus.STALLED, NewtonStatus.NO_DESCENT}
+        assert (NewtonStatus.ESCAPED in statuses) == (escape_norm < np.inf)
+
+    def test_sweeps_match(self, monkeypatch):
+        # every kernel call of a sweep and a homotopy, through the real callbacks
+        calls = []
+
+        def paired(*args, **kwargs):
+            got = damped_newton(*args, **kwargs)
+            assert_same_result(got, reference_damped_newton(*args, **kwargs))
+            calls.append(len(args[2]))
+            return got
+
+        monkeypatch.setattr(enumeration, "damped_newton", paired)
+        monkeypatch.setattr(homotopy, "damped_newton", paired)
+        for k in range(3):
+            inst = trial_instance(2, (2, 2), 0, k)
+            enumerate_solutions(inst, FAST)
+            homotopy.track_natural_homotopy(inst, np.full(2, 0.5), FAST)
+        enumerate_solutions(random_instance(3, [3] * 3, [2] * 3, 5), FAST)
+        assert len(calls) > 10
+
+    def test_inverse_raises_exactly_on_slogdet_sign_zero(self):
+        # rank-deficient integer matrices: LU pivoting meets an exact zero on
+        # some of them and a rounded nonzero on others; inv and slogdet agree
+        rng = np.random.default_rng(2024)
+        raised = []
+        for _ in range(10_000):
+            n = int(rng.integers(2, 8))
+            rank = int(rng.integers(1, n))
+            matrix = (rng.integers(-3, 4, (n, rank)) @ rng.integers(-3, 4, (rank, n))).astype(float)
+            try:
+                with np.errstate(all="ignore"):
+                    np.linalg.inv(matrix)
+                raised.append(False)
+            except np.linalg.LinAlgError:
+                raised.append(True)
+            assert raised[-1] == (np.linalg.slogdet(matrix)[0] == 0)
+        assert 0 < sum(raised) < len(raised)
 
 
 class TestStallRule:

@@ -27,6 +27,7 @@ from pcpkit import (
     scalar_min_bound,
     verify_local_bound,
 )
+from pcpkit.residuals import MAX_SUBSET_DIMENSION, residual_norms
 
 from conftest import scalar_instance
 
@@ -85,6 +86,62 @@ class TestNaturalMap:
             points = rng.uniform(-2.0, 2.0, size=(500, n))
             norms = natural_residual_norm(inst, points)
             assert [natural_residual_norm(inst, p) for p in points] == norms.tolist()
+
+
+def wide_range_rows(rng, shape):
+    """Signed entries of magnitude 1e-300 to 1e300, with some inf, -inf and NaN."""
+    rows = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300.0, 300.0, shape)
+    special = rng.random(shape) < 0.03
+    rows[special] = rng.choice([np.inf, -np.inf, np.nan], special.sum())
+    return rows
+
+
+def in_order_norms(rows):
+    """sqrt(((x_0^2 + x_1^2) + x_2^2) + ...), one component at a time."""
+    squares = rows * rows
+    total = squares[..., 0].copy()
+    for k in range(1, rows.shape[-1]):
+        total = total + squares[..., k]
+    return np.sqrt(total)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestResidualNorms:
+    """The one row-norm rule: squares added in index order over the last axis."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_numpy_norm_up_to_seven_components(self, n):
+        rng = np.random.default_rng(n)
+        for shape in ((500, n), (40, 31, n), (1, n), (n,)):
+            rows = wide_range_rows(rng, shape)
+            with np.errstate(over="ignore"):
+                assert_same_bits(residual_norms(rows), np.linalg.norm(np.atleast_2d(rows), axis=-1))
+
+    @pytest.mark.parametrize("n", range(1, MAX_SUBSET_DIMENSION + 1))
+    def test_one_norm_per_row_in_any_layout(self, n):
+        rng = np.random.default_rng(100 + n)
+        # moderate magnitudes too: there the order of the additions shows in the last digits
+        moderate = rng.standard_normal((60, n)) * 10.0 ** rng.uniform(-2.0, 2.0, (60, n))
+        rows = np.vstack([wide_range_rows(rng, (60, n)), moderate])
+        wide = np.zeros((240, 3 * n))
+        wide[::2, ::3] = rows
+        with np.errstate(over="ignore"):
+            want = in_order_norms(rows)
+            assert_same_bits(residual_norms(rows), want)
+            assert_same_bits(residual_norms(np.asfortranarray(rows)), want)
+            assert_same_bits(residual_norms(wide[::2, ::3]), want)
+            assert_same_bits(residual_norms(rows[:, None, :]), want[:, None])
+            assert_same_bits(residual_norms(rows.reshape(12, 10, n)), want.reshape(12, 10))
+            for k, row in enumerate(rows):
+                assert_same_bits(residual_norms(row), want[k : k + 1])
+                assert_same_bits(residual_norms(rows[k : k + 1]), want[k : k + 1])
+                assert_same_bits(residual_norms(rows[k : k + 1, None]), want[k : k + 1, None])
+
+    def test_empty_batch(self):
+        assert residual_norms(np.zeros((0, 3))).shape == (0,)
 
 
 class TestNaturalJacobian:
