@@ -171,18 +171,14 @@ def _cmd_bounds(args) -> int:
     inst = document.instance
     cfg = _config(args)
     sols = enumerate_solutions(inst, cfg)
-    if args.global_:
-        if args.radii is None:
-            raise PcpError("bounds --global needs --radii")
+    if args.radii is not None:
         report = bounds_mod.verify_global_bound(
             inst, sols, args.radii, args.samples, args.alpha,
             seed=args.seed, claimed_c=args.claim,
         )
         domain = {"radii": args.radii}
     else:
-        if args.bounds_region is None:
-            raise PcpError("bounds needs --region (or --global with --radii)")
-        region = _region(args.bounds_region, inst.n)
+        region = _region(args.region, inst.n)
         report = bounds_mod.verify_local_bound(
             inst, sols, region, args.samples, args.alpha,
             seed=args.seed, claimed_c=args.claim,
@@ -284,8 +280,19 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--box", type=float, help="start box radius")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads no prefix of a flag as the flag, nor do its sub-parsers.
+
+    Sub-parsers are made of the parser's own class, so every subcommand and
+    probe refuses ``--c`` rather than read it as some longer flag.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcpkit",
         description="Polynomial complementarity problems: solve, probe, verify bounds.",
     )
@@ -372,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--region", dest="bounds_region", type=_floats)
-    p.add_argument("--global", dest="global_", action="store_true")
-    p.add_argument("--radii", type=_floats)
+    domain = p.add_mutually_exclusive_group(required=True)
+    domain.add_argument("--region", type=_floats, help="box lo,hi[,lo,hi...]: the local bound")
+    domain.add_argument("--radii", type=_floats, help="sphere radii: the global bound")
     p.add_argument("--claim", type=float, help="claimed constant to test")
     p.add_argument("--csv", action="store_true", help="dump dist,residual pairs as CSV")
     p.add_argument("--assert", dest="assert_", action="store_true",

@@ -386,14 +386,14 @@ def _start_cloud(n: int, rng_seed: int, mask: int, count: int, radius: float) ->
 
 
 def _solve_subsystems(
-    inst: PcpInstance, masks: Sequence[int], cfg: SolveConfig, x_ref
+    inst: PcpInstance, masks: Sequence[int], cfg: SolveConfig
 ) -> list[np.ndarray]:
     """Roots of each index set's square system, in the order of ``masks``.
 
-    A subset's starts are its start cloud, the origin and x_ref; a subset
-    whose square system is affine (every component of degree <= 1, so its
-    Bezout number is at most 1) starts from the origin and x_ref only.
-    Its Jacobian is the same matrix at every point, so every start gets
+    A subset's starts are its start cloud and the origin; a subset whose
+    square system is affine (every component of degree <= 1, so its
+    Bezout number is at most 1) starts from the origin alone.  Its
+    Jacobian is the same matrix at every point, so every start gets
     the same verdict, and one full step reaches its one root wherever it
     lies.  Whole subsets' starts are stacked, up to SWEEP_CHUNK_ROWS rows,
     into one damped-Newton call; row r solves {f_i = 0 on I, g_i = 0 off
@@ -405,12 +405,12 @@ def _solve_subsystems(
         raise InputError("dedupe_radius must exceed newton_tol")
     n = inst.n
     masks = np.asarray(masks)
-    extra = np.vstack([np.zeros(n)] + ([] if x_ref is None else [as_point(x_ref, n, "x_ref")]))
+    origin = np.zeros((1, n))
     on_f_sets = _mask_bits(masks, n)
     affine = np.all(
         np.where(on_f_sets, inst.f.component_degrees, inst.g.component_degrees) <= 1, axis=1
     )
-    sizes = np.where(affine, 0, cfg.starts_per_subsystem) + len(extra)
+    sizes = np.where(affine, 0, cfg.starts_per_subsystem) + 1
     chunks: list[list[int]] = [[]]
     rows_in_chunk = 0
     for k, size in enumerate(sizes):
@@ -430,7 +430,7 @@ def _solve_subsystems(
                     n, cfg.rng_seed, int(masks[k]), cfg.starts_per_subsystem,
                     cfg.start_box_radius,
                 ))
-            parts.append(extra)
+            parts.append(origin)
         starts = np.vstack(parts)
         on_f = np.repeat(on_f_sets[chunk], sizes[chunk], axis=0)
 
@@ -462,7 +462,6 @@ def solve_subsystem(
     inst: PcpInstance,
     index_set: Iterable[int],
     cfg: SolveConfig | None = None,
-    x_ref=None,
 ) -> np.ndarray:
     """Roots of the square system {f_i = 0 on I, g_j = 0 off I}.
 
@@ -473,18 +472,16 @@ def solve_subsystem(
     """
     idx = check_indices(index_set, inst.n)
     mask = sum(1 << i for i in idx)
-    return _solve_subsystems(inst, [mask], cfg or SolveConfig(), x_ref)[0]
+    return _solve_subsystems(inst, [mask], cfg or SolveConfig())[0]
 
 
-def enumerate_solutions(
-    inst: PcpInstance, cfg: SolveConfig | None = None, x_ref=None
-) -> SolutionSet:
+def enumerate_solutions(inst: PcpInstance, cfg: SolveConfig | None = None) -> SolutionSet:
     """Sweep all 2^n index subsets and certify the feasible roots found."""
     cfg = cfg or SolveConfig()
     n = inst.n
     check_subset_dimension(n, "enumeration")
 
-    points = np.vstack(_solve_subsystems(inst, range(1 << n), cfg, x_ref))
+    points = np.vstack(_solve_subsystems(inst, range(1 << n), cfg))
     fx, gx = inst.evaluate_pair(points)
     feasible = sign_feasible(fx, gx, FEASIBILITY_TOL)
     residuals = residual_norms(np.minimum(fx, gx)[feasible])

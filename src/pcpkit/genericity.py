@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import verify_global_bound
-from .enumeration import SolveConfig, enumerate_solutions
+from .enumeration import DEDUPE_RADIUS, SolveConfig, enumerate_solutions
 from .exceptions import InputError, PcpError
 from .lemke import lemke_lcp
 from .polynomials import Exponents, PolyMap, Polynomial
@@ -89,7 +89,6 @@ class TrialRecord:
     lipschitz_c: float
     lemke_status: str | None = None
     lemke_agrees: bool | None = None
-    error: str | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -240,7 +239,7 @@ def genericity_trial(
                         lemke_agrees = False
                     else:
                         gaps = np.linalg.norm(sols.points - result.z[None, :], axis=1)
-                        lemke_agrees = bool(np.min(gaps) <= 1e-6)
+                        lemke_agrees = bool(np.min(gaps) <= DEDUPE_RADIUS)
             except PcpError as error:
                 lemke_status = "budget-error"
                 failures.append(

@@ -350,29 +350,13 @@ class PolyMap:
         d = self.degree
         return PolyMap(tuple(c.homogeneous_part(d) for c in self.components))
 
-    def leading_terms_componentwise(self, degrees: Sequence[int]) -> "PolyMap":
-        """Per-component homogeneous parts at the given degrees.
+    def leading_terms_componentwise(self) -> "PolyMap":
+        """Per-component homogeneous parts, each at its component's own degree.
 
-        ``degrees[i]`` must be at least the actual degree of component i;
-        the result component is then the degree-``degrees[i]`` part of it
-        (possibly zero).
+        The degree is floored at 1, so a constant component (whose part of
+        degree 1 is empty) becomes zero.
         """
-        degrees = tuple(int(d) for d in degrees)
-        if len(degrees) != self.arity:
-            raise InputError(
-                f"expected {self.arity} degrees, got {len(degrees)}"
-            )
-        parts = []
-        for i, (component, d) in enumerate(zip(self.components, degrees)):
-            if d < 1:
-                raise InputError(f"degrees must be positive, got {d} at index {i}")
-            if d < component.degree:
-                raise InputError(
-                    f"degrees[{i}] = {d} is below the component degree "
-                    f"{component.degree}"
-                )
-            parts.append(component.homogeneous_part(d))
-        return PolyMap(tuple(parts))
+        return PolyMap(tuple(c.homogeneous_part(max(c.degree, 1)) for c in self.components))
 
     # -- arithmetic ---------------------------------------------------
 

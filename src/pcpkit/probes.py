@@ -33,10 +33,14 @@ from .residuals import (
 R0_TOL = 1e-8
 # r0_shifted_pair_probe adds this to every component of g_inf
 R0_SHIFT = 1.0
+# the sphere radii r0_shifted_pair_probe scans: the shifted condition is not scale invariant
+R0_SHIFT_RADII = (0.25, 0.5, 1.0, 2.0, 4.0)
 # karamardian_coercivity_probe samples radii up to this multiple of max(1, ||m(0)||/c)
 KARAMARDIAN_RADIUS_FACTOR = 10.0
 DEGENERACY_TOL = 1e-8
 COERCIVITY_VANISH_TOL = 1e-10
+# projected-descent iterations per sphere minimum of coercivity_probe
+COERCIVITY_REFINE_ITERS = 60
 # fitted growth exponents at or below this are flagged as "no coercive growth"
 GROWTH_FLAG_THRESHOLD = 0.25
 P_FUNCTION_POSITIVE_TOL = 1e-9
@@ -198,27 +202,24 @@ def r0_shifted_pair_probe(
     refine_iters: int = 200,
     seed: int = 0,
     componentwise: bool = False,
-    radii: Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0),
 ) -> ProbeReport:
     """Combined check: leading pair alone and with a positive shift of g.
 
     Runs the trivial-solution probe on (f_inf, g_inf) and then scans
-    spheres of several radii for nonzero solutions of the inhomogeneous
-    pair (f_inf, g_inf + R0_SHIFT).  The shifted condition is not scale
-    invariant, hence the multi-radius scan.
+    the spheres of radii R0_SHIFT_RADII for nonzero solutions of the
+    inhomogeneous pair (f_inf, g_inf + R0_SHIFT).  The shifted condition
+    is not scale invariant, hence the multi-radius scan.
     """
     base = r0_test(inst, samples, refine_iters, seed, componentwise)
     pair = inst.componentwise_leading_pair if componentwise else inst.leading_pair
     shift = np.full(inst.n, R0_SHIFT)
-    if not len(radii):
-        raise InputError("need at least one radius")
     shifted = PcpInstance(pair.f, pair.g.plus_constant(shift))
 
     rng = np.random.default_rng(seed + 1)
-    points, values, _ = _sphere_minima(shifted, radii, samples, 1, refine_iters, rng)
+    points, values, _ = _sphere_minima(shifted, R0_SHIFT_RADII, samples, 1, refine_iters, rng)
     k = int(np.argmin(values))
     best_point, best_norm = points[k], float(values[k])
-    total = samples * len(radii)
+    total = samples * len(R0_SHIFT_RADII)
 
     config = {
         "samples": samples,
@@ -226,7 +227,7 @@ def r0_shifted_pair_probe(
         "seed": seed,
         "componentwise": componentwise,
         "shift": [float(v) for v in shift],
-        "radii": [float(r) for r in radii],
+        "radii": [float(r) for r in R0_SHIFT_RADII],
     }
     statistics = {
         "base_verdict": base.verdict,
@@ -248,16 +249,15 @@ def coercivity_probe(
     radii: Sequence[float],
     samples_per_radius: int = 512,
     seed: int = 0,
-    refine_iters: int = 60,
 ) -> ProbeReport:
     """Estimate the growth of the sphere minimum of the natural residual.
 
     For each radius R the probe estimates phi(R) = min over the sphere of
-    ||m(x)|| (sampling plus light refinement) and fits log phi against
-    log R, reporting the fitted constant and exponent.  A radius where
-    phi collapses below 1e-10 is a counterexample (the residual nearly
-    vanishes far out); a fitted exponent at or below the growth-flag
-    threshold marks the absence of coercive growth.
+    ||m(x)|| (sampling, then COERCIVITY_REFINE_ITERS refinement steps) and
+    fits log phi against log R, reporting the fitted constant and exponent.
+    A radius where phi collapses below 1e-10 is a counterexample (the
+    residual nearly vanishes far out); a fitted exponent at or below the
+    growth-flag threshold marks the absence of coercive growth.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 2:
@@ -267,7 +267,9 @@ def coercivity_probe(
     if samples_per_radius < 1:
         raise InputError("samples_per_radius must be >= 1")
     rng = np.random.default_rng(seed)
-    points, phi, _ = _sphere_minima(inst, radii, samples_per_radius, 1, refine_iters, rng)
+    points, phi, _ = _sphere_minima(
+        inst, radii, samples_per_radius, 1, COERCIVITY_REFINE_ITERS, rng
+    )
     witness = None
     vanished = np.flatnonzero(phi <= COERCIVITY_VANISH_TOL)
     if vanished.size:
@@ -288,7 +290,7 @@ def coercivity_probe(
         "radii": radii,
         "samples_per_radius": samples_per_radius,
         "seed": seed,
-        "refine_iters": refine_iters,
+        "refine_iters": COERCIVITY_REFINE_ITERS,
     }
     statistics = {
         "phi_by_radius": [float(v) for v in phi],
@@ -396,12 +398,10 @@ def karamardian_coercivity_probe(
     return _report("karamardian-coercivity", witness, samples, statistics, config)
 
 
-def jacobian_degeneracy_scan(
-    inst: PcpInstance, sols: SolutionSet, threshold: float = DEGENERACY_TOL
-) -> ProbeReport:
+def jacobian_degeneracy_scan(inst: PcpInstance, sols: SolutionSet) -> ProbeReport:
     """Scan solutions for a vanishing index-set Jacobian determinant.
 
-    A solution where min_I |det Jac_I| falls at or below the threshold is
+    A solution where min_I |det Jac_I| falls at or below DEGENERACY_TOL is
     degeneracy evidence (the necessary condition for an unbounded
     solution set fires there) and is reported as a counterexample to
     nondegeneracy.
@@ -411,14 +411,14 @@ def jacobian_degeneracy_scan(
     for certificate in sols.certificates:
         value = certificate.min_abs_det_jac
         values.append(value)
-        if value <= threshold:
+        if value <= DEGENERACY_TOL:
             flagged.append(
                 {
                     "point": [float(v) for v in certificate.point],
                     "min_abs_det_jac": value,
                 }
             )
-    config = {"threshold": threshold, "solutions": len(sols)}
+    config = {"threshold": DEGENERACY_TOL, "solutions": len(sols)}
     statistics = {
         "min_abs_det_by_solution": values,
         "flagged_count": len(flagged),

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .exceptions import ComplexityGuardError, InputError
-from .polynomials import CompiledTerms, PolyMap
+from .polynomials import CompiledTerms, PolyMap, as_point
 
 # Cap for anything that walks all 2^n index subsets.
 MAX_SUBSET_DIMENSION = 24
@@ -132,11 +132,8 @@ class PcpInstance:
     @cached_property
     def componentwise_leading_pair(self) -> "PcpInstance":
         """Instance of per-component top-degree parts (realized degrees)."""
-        f_degrees = tuple(max(d, 1) for d in self.f.component_degrees)
-        g_degrees = tuple(max(d, 1) for d in self.g.component_degrees)
         return PcpInstance(
-            self.f.leading_terms_componentwise(f_degrees),
-            self.g.leading_terms_componentwise(g_degrees),
+            self.f.leading_terms_componentwise(), self.g.leading_terms_componentwise()
         )
 
 
@@ -199,14 +196,14 @@ def _phi_costs(fx: np.ndarray, gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def phi_residual(inst: PcpInstance, indices: Iterable[int], x) -> float:
-    """Index-set residual Phi_I(x) for a 0-based index set I.
+    """Index-set residual Phi_I(x) at one point x for a 0-based index set I.
 
     Sum of |f_i| + [-g_i]_+ over i in I plus [-f_i]_+ + |g_i| over the
     complement.  Zero exactly when x solves the complementarity system
     with equalities f_i = 0 on I and g_i = 0 off I.
     """
     idx = check_indices(indices, inst.n)
-    inside, outside = _phi_costs(*inst.evaluate_pair(np.asarray(x, dtype=float)))
+    inside, outside = _phi_costs(*inst.evaluate_pair(as_point(x, inst.n, "x")))
     mask = np.zeros(inst.n, dtype=bool)
     mask[list(idx)] = True
     return float(np.sum(np.where(mask, inside, outside)))

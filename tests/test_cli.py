@@ -106,6 +106,25 @@ UNREAD_FLAGS = [
 ] + [
     (("homotopy", "{instance}", "--leading"), flag) for flag in ("--starts", "--box", "--seed")
 ] + [(("residual", "{instance}", "--point", "1,1"), "--seed")]
+# (argv head, a prefix of a flag the command declares) for every command and probe
+FLAG_PREFIXES = [
+    (("solve", "{instance}"), ("--st", "10")),
+    (("residual", "{instance}", "--point", "1,1"), ("--poi", "1,1")),
+    (("certify", "{instance}", "--point", "1,1"), ("--to", "1e-3")),
+    (("homotopy", "{instance}", "--leading"), ("--to", "1e-3")),
+    (("probe", "r0", "{instance}"), ("--c",)),
+    (("probe", "r0-shifted", "{instance}"), ("--comp",)),
+    (("probe", "coercivity", "{instance}", "--radii", "1,2"), ("--samp", "64")),
+    (("probe", "xref", "{instance}", "--xref", "0,0", "--radius", "2"), ("--lead",)),
+    (("probe", "karamardian", "{instance}", "--c", "1"), ("--samp", "64")),
+    (("probe", "jacobian", "{instance}"), ("--st", "40")),
+    (("probe", "pfunction", "{instance}", "--region", "0,10"), ("--pair", "50")),
+    (("bounds", "{instance}", "--region", "0,2"), ("--samp", "50")),
+    (("exponent", "--n", "2", "--d", "3"), ("--he",)),
+    (("generate", "--n", "2", "--degrees", "2"), ("--na", "x")),
+    (("trial", "--n", "1", "--degrees", "1", "--trials", "1"), ("--cs",)),
+    (("lemke", "{instance}"), ("--he",)),
+]
 
 
 class TestSolve:
@@ -183,7 +202,7 @@ class TestProbeAndBounds:
 
     def test_bounds_assert_violation(self, capsys, hyperbola_file):
         code, out = run(
-            capsys, "bounds", hyperbola_file, "--global", "--radii", "1,5",
+            capsys, "bounds", hyperbola_file, "--radii", "1,5",
             "--samples", "200", "--alpha", "1", "--claim", "1000.0",
             "--starts", "60", "--assert",
         )
@@ -311,7 +330,8 @@ class TestExponentGenerateTrialLemke:
         )
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0].startswith("spawn_index,")
+        assert lines[0] == ("spawn_index,solution_count,strict_ok,r0_ok,lipschitz_ok,"
+                            "lipschitz_c,lemke_status,lemke_agrees")
         assert len(lines) == 4
 
     def test_lemke(self, capsys, tmp_path):
@@ -353,6 +373,31 @@ class TestErrors:
         assert lines[0].startswith(f"usage: pcpkit {command} ")
         assert lines[-1].startswith(f"pcpkit {command}: error: unrecognized arguments: ")
         assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "head, prefix", FLAG_PREFIXES,
+        ids=["-".join(arg for arg in head[:2] if not arg.startswith(("{", "-")))
+             for head, _ in FLAG_PREFIXES],
+    )
+    def test_flag_prefix_refused(self, capsys, hyperbola_file, head, prefix):
+        # a prefix is not read as the flag it begins ("--c" is not --componentwise)
+        argv = [arg.format(instance=hyperbola_file) for arg in head]
+        code = run_command([*argv, *prefix])
+        captured = capsys.readouterr()
+        assert code == 2
+        command = " ".join(arg for arg in head[:2] if not arg.startswith(("{", "-")))
+        assert captured.err.startswith(f"usage: pcpkit {command} ")
+        assert captured.err.splitlines()[-1] == (
+            f"pcpkit {command}: error: unrecognized arguments: {' '.join(prefix)}")
+        assert captured.out == ""
+
+    def test_top_level_flag_prefix_refused(self, capsys):
+        # "--he" is not --help: no help page, but the missing command's refusal
+        code = run_command(["--he"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines()[0] == "usage: pcpkit [-h]"
         assert captured.out == ""
 
     def test_probe_refuses_a_flag_with_its_own_usage(self, capsys, hyperbola_file):
@@ -427,6 +472,17 @@ class TestErrors:
         assert code == 2
         lines = captured.err.splitlines()
         assert lines[0].startswith("usage:") and "--xref" in lines[-1] and "--leading" in lines[-1]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("domain", [("--region", "-2,2", "--radii", "1,5"), ()],
+                             ids=["both", "neither"])
+    def test_bounds_takes_exactly_one_domain(self, capsys, hyperbola_file, domain):
+        code = run_command(["bounds", hyperbola_file, *domain])
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: pcpkit bounds ")
+        assert "--region" in lines[-1] and "--radii" in lines[-1]
         assert captured.out == ""
 
     def test_overflow_to_nan_is_quiet(self, capsys, tmp_path):

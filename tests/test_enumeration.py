@@ -71,10 +71,6 @@ class TestSolveSubsystem:
         with pytest.raises(InputError):
             solve_subsystem(affine_shift, (3,), FAST)
 
-    def test_batch_x_ref_refused(self):
-        with pytest.raises(InputError, match=r"x_ref has shape \(1, 2\), expected \(2,\)"):
-            solve_subsystem(trial_instance(2, (2, 2), 0, 1), [0], x_ref=[[1.0, 2.0]])
-
     def test_monotone_in_starts(self, hyperbola_pair):
         # doubling the start budget must keep every previously found root
         small = SolveConfig(starts_per_subsystem=50)
@@ -455,7 +451,7 @@ def halton_cloud(n, cfg, mask):
     return (2.0 * engine.random(cfg.starts_per_subsystem) - 1.0) * cfg.start_box_radius
 
 
-def reference_sweep(inst, masks, cfg, x_ref):
+def reference_sweep(inst, masks, cfg):
     """Per-subset sweep: one PolyMap and one Newton call per index set."""
     roots = []
     for mask in masks:
@@ -463,8 +459,7 @@ def reference_sweep(inst, masks, cfg, x_ref):
             inst.f.components[i] if mask >> i & 1 else inst.g.components[i]
             for i in range(inst.n)
         ))
-        extra = [np.zeros(inst.n)] + ([np.asarray(x_ref, dtype=float)] if x_ref is not None else [])
-        starts = np.vstack([halton_cloud(inst.n, cfg, mask), *extra])
+        starts = np.vstack([halton_cloud(inst.n, cfg, mask), np.zeros(inst.n)])
         result = damped_newton(
             lambda x, rows: system.evaluate(x), lambda x, rows: system.jacobian(x),
             starts, cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS,
@@ -478,6 +473,14 @@ def reference_sweep(inst, masks, cfg, x_ref):
 
 def assert_same_points(got, want):
     assert np.array_equal(got, want)
+
+
+def sweep(inst, masks, cfg, alone):
+    """The sweep's roots of each subset: all in one batch, or one solve_subsystem call each."""
+    if not alone:
+        return enumeration._solve_subsystems(inst, masks, cfg)
+    return [solve_subsystem(inst, [i for i in range(inst.n) if mask >> i & 1], cfg)
+            for mask in masks]
 
 
 def pd_lcp(n, seed):
@@ -503,41 +506,38 @@ def kernel_rows(monkeypatch):
 class TestBatchedSweep:
     """The (subset, start) batch against the per-subset reference sweep."""
 
-    def check(self, inst, cfg, x_ref, monkeypatch):
+    def check(self, inst, cfg, alone, monkeypatch):
         masks = range(1 << inst.n)
-        got_roots = enumeration._solve_subsystems(inst, masks, cfg, x_ref)
-        want_roots = reference_sweep(inst, masks, cfg, x_ref)
+        got_roots = sweep(inst, masks, cfg, alone)
+        want_roots = reference_sweep(inst, masks, cfg)
         for got, want in zip(got_roots, want_roots, strict=True):
             assert_same_points(got, want)
         # the rest of the enumeration, once on each sweep's roots
         solution_sets = []
         for roots in (got_roots, want_roots):
             monkeypatch.setattr(enumeration, "_solve_subsystems", lambda *args: roots)
-            solution_sets.append(enumerate_solutions(inst, cfg, x_ref))
+            solution_sets.append(enumerate_solutions(inst, cfg))
         monkeypatch.undo()
         got, want = solution_sets
         assert got.completeness_claim == want.completeness_claim
         assert_same_points(got.points, want.points)
 
-    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("alone", [False, True])
     @pytest.mark.parametrize(
         "fixture",
         ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair",
          "swapped_linear", "scalar_shift"],
     )
-    def test_fixtures(self, request, monkeypatch, fixture, with_ref):
-        inst = request.getfixturevalue(fixture)
-        x_ref = np.full(inst.n, 0.5) if with_ref else None
-        self.check(inst, FAST, x_ref, monkeypatch)
+    def test_fixtures(self, request, monkeypatch, fixture, alone):
+        self.check(request.getfixturevalue(fixture), FAST, alone, monkeypatch)
 
-    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("alone", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_random_instances(self, monkeypatch, n, with_ref):
+    def test_random_instances(self, monkeypatch, n, alone):
         cfg = SolveConfig(starts_per_subsystem=40)
         for seed in range(2):
             inst = random_instance(n, [2] * n, [2] * n, 100 * n + seed)
-            x_ref = np.linspace(-1.0, 1.0, n) if with_ref else None
-            self.check(inst, cfg, x_ref, monkeypatch)
+            self.check(inst, cfg, alone, monkeypatch)
 
     def test_several_chunks(self, monkeypatch):
         # 8 subsets of 401 rows: two subsets per chunk, so four kernel calls
@@ -550,9 +550,9 @@ class TestBatchedSweep:
             return damped_newton(*args, **kwargs)
 
         monkeypatch.setattr(enumeration, "damped_newton", counted)
-        got = enumeration._solve_subsystems(inst, range(8), cfg, None)
+        got = enumeration._solve_subsystems(inst, range(8), cfg)
         assert calls == [802] * 4
-        for roots, want in zip(got, reference_sweep(inst, range(8), cfg, None), strict=True):
+        for roots, want in zip(got, reference_sweep(inst, range(8), cfg), strict=True):
             assert_same_points(roots, want)
 
     def test_one_kernel_call_per_chunk(self, monkeypatch, hyperbola_pair):
@@ -566,11 +566,10 @@ class TestBatchedSweep:
         enumerate_solutions(hyperbola_pair)
         assert calls == [4 * 201]
 
-    @pytest.mark.parametrize("x_ref, rows", [(None, 8), (np.full(3, 0.5), 16)])
-    def test_affine_subsets_start_at_origin_and_ref(self, kernel_rows, x_ref, rows):
-        # every subset of an LCP is affine: one start, two with x_ref
-        enumerate_solutions(affine_instance(*pd_lcp(3, 0)), x_ref=x_ref)
-        assert kernel_rows == [rows]
+    def test_affine_subsets_start_at_origin(self, kernel_rows):
+        # every subset of an LCP is affine: one start each
+        enumerate_solutions(affine_instance(*pd_lcp(3, 0)))
+        assert kernel_rows == [8]
 
     def test_only_affine_subsets_drop_the_cloud(self, kernel_rows):
         # f = Id, g quadratic: only the all-f subset is affine
@@ -579,10 +578,9 @@ class TestBatchedSweep:
             Polynomial(2, {(1, 1): 1.0, (0, 0): -1.0}),
         ))
         inst = PcpInstance(PolyMap.identity(2), g)
-        got = enumeration._solve_subsystems(inst, range(4), SolveConfig(), None)
+        got = enumeration._solve_subsystems(inst, range(4), SolveConfig())
         assert kernel_rows == [3 * 201 + 1]
-        for roots, want in zip(got, reference_sweep(inst, range(4), SolveConfig(), None),
-                               strict=True):
+        for roots, want in zip(got, reference_sweep(inst, range(4), SolveConfig()), strict=True):
             assert_same_points(roots, want)
 
     def test_status_counts_sum_to_starts(self, monkeypatch):
@@ -662,42 +660,36 @@ class TestStartCloud:
 
 
 class TestAffineSweep:
-    """Affine subsets take the origin and x_ref only; the cloud finds nothing more."""
+    """Affine subsets start from the origin alone; the cloud finds nothing more."""
 
-    @pytest.mark.parametrize("with_ref", [False, True])
+    @pytest.mark.parametrize("alone", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_pd_lcp_matches_reference_and_lemke(self, n, with_ref):
+    def test_pd_lcp_matches_reference_and_lemke(self, n, alone):
         cfg = SolveConfig()
         for seed in range(2):
             M, q = pd_lcp(n, 10 * n + seed)
             inst = affine_instance(M, q)
-            x_ref = np.linspace(-2.0, 3.0, n) if with_ref else None
             masks = range(1 << n)
-            got_roots = enumeration._solve_subsystems(inst, masks, cfg, x_ref)
-            for got, want in zip(got_roots, reference_sweep(inst, masks, cfg, x_ref),
-                                 strict=True):
+            got_roots = sweep(inst, masks, cfg, alone)
+            for got, want in zip(got_roots, reference_sweep(inst, masks, cfg), strict=True):
                 # non-integer coefficients: the root may move in its last bits
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            sols = enumerate_solutions(inst, cfg, x_ref)
+            sols = enumerate_solutions(inst, cfg)
             assert len(sols) == 1
             assert np.linalg.norm(sols.points[0] - lemke_lcp(M, q).z) <= 1e-8
 
-    @pytest.mark.parametrize("q, x_ref, singular_roots", [
-        ((-1.0, -1.0), None, []),
-        ((-1.0, -1.0), (0.5, 0.5), [(0.5, 0.5)]),
-        ((-1.0, -1.0), (2.0, -1.0), [(2.0, -1.0)]),
-        ((-1.0, -1.0), (3.0, 0.0), []),
-        ((0.0, 0.0), None, [(0.0, 0.0)]),
-        ((0.0, 0.0), (3.0, 0.0), [(0.0, 0.0)]),
+    @pytest.mark.parametrize("q, singular_roots", [
+        ((-1.0, -1.0), []),
+        ((0.0, 0.0), [(0.0, 0.0)]),
     ])
-    def test_rank_deficient_subset(self, q, x_ref, singular_roots):
-        # M = [[1, 1], [1, 1]]: the all-g subset is singular, so a row keeps
-        # its start if that start is a root and is abandoned otherwise
+    def test_rank_deficient_subset(self, q, singular_roots):
+        # M = [[1, 1], [1, 1]]: the all-g subset is singular, so its one row
+        # keeps the origin if the origin is a root and is abandoned otherwise
         inst = affine_instance([[1.0, 1.0], [1.0, 1.0]], q)
         cfg = SolveConfig()
-        got = enumeration._solve_subsystems(inst, range(4), cfg, x_ref)
-        for roots, want in zip(got, reference_sweep(inst, range(4), cfg, x_ref), strict=True):
+        got = enumeration._solve_subsystems(inst, range(4), cfg)
+        for roots, want in zip(got, reference_sweep(inst, range(4), cfg), strict=True):
             assert_same_points(roots, want)
         assert_same_points(got[0], np.reshape(singular_roots, (-1, 2)))
 
@@ -764,10 +756,6 @@ class TestMetamorphic:
 
 
 class TestEnumerate:
-    def test_wrong_length_x_ref_refused(self):
-        with pytest.raises(InputError, match=r"x_ref has shape \(3,\), expected \(2,\)"):
-            enumerate_solutions(trial_instance(2, (2, 2), 0, 1), x_ref=[1.0, 2.0, 3.0])
-
     def test_hyperbola_unique_solution(self, hyperbola_pair):
         sols = enumerate_solutions(hyperbola_pair, FAST)
         assert len(sols) == 1

@@ -301,39 +301,26 @@ class TestLeadingTerms:
     def test_componentwise_leading(self):
         y1 = Polynomial(2, {(0, 1): 1.0, (0, 0): -1.0})
         xy1 = Polynomial(2, {(1, 1): 1.0, (0, 0): -1.0})
-        lead = PolyMap((y1, xy1)).leading_terms_componentwise((1, 2))
+        lead = PolyMap((y1, xy1)).leading_terms_componentwise()
         assert lead.components[0].terms == {(0, 1): 1.0}
         assert lead.components[1].terms == {(1, 1): 1.0}
 
     def test_componentwise_homogeneous_fixed_point(self):
         f = PolyMap.identity(3)
-        assert f.leading_terms_componentwise((1, 1, 1)) == f
+        assert f.leading_terms_componentwise() == f
 
     def test_componentwise_can_vanish(self):
-        # component x + 1 has no degree-3 part; map degree must stay >= 1,
-        # so pair it with a live second component
+        # the constant component has no degree-1 part; map degree must stay
+        # >= 1, so pair it with a live second component
         f = PolyMap(
             (
-                Polynomial(2, {(1, 0): 1.0, (0, 0): 1.0}),
-                Polynomial(2, {(0, 3): 1.0}),
+                Polynomial.constant(2, 1.0),
+                Polynomial(2, {(0, 3): 1.0, (1, 0): 2.0}),
             )
         )
-        lead = f.leading_terms_componentwise((3, 3))
+        lead = f.leading_terms_componentwise()
         assert lead.components[0].is_zero
         assert lead.components[1].terms == {(0, 3): 1.0}
-
-    def test_componentwise_degree_too_small(self):
-        f = PolyMap.identity(2)
-        with pytest.raises(InputError):
-            f.leading_terms_componentwise((1, 0))
-        g = PolyMap(
-            (
-                Polynomial(2, {(2, 0): 1.0}),
-                Polynomial(2, {(0, 1): 1.0}),
-            )
-        )
-        with pytest.raises(InputError):
-            g.leading_terms_componentwise((1, 1))
 
     def test_homogeneity_identity(self):
         rng = np.random.default_rng(11)

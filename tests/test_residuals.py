@@ -170,6 +170,15 @@ class TestPhi:
         with pytest.raises(InputError):
             phi_residual(affine_shift, (5,), [0.0, 0.0])
 
+    def test_batch_refused(self):
+        # Phi_I is one point's residual: a batch is refused, as min_phi refuses it,
+        # rather than summed over its rows into one number
+        inst = random_instance(2, (2, 2), (2, 2), 1)
+        batch = np.array([[0.5, -1.0], [1.0, 2.0], [-3.0, 0.25]])
+        with pytest.raises(InputError, match=r"x has shape \(3, 2\), expected \(2,\)"):
+            phi_residual(inst, (0,), batch)
+        assert all(phi_residual(inst, (0,), row) >= 0.0 for row in batch)
+
     def test_min_phi_scalar(self, scalar_shift):
         value, argmin = min_phi(scalar_shift, [0.5])
         assert value == pytest.approx(0.5)
