@@ -228,7 +228,7 @@ def _bound_report(
         samples=len(points),
         domain=domain,
         completeness_claim=sols.completeness_claim,
-        pairs=tuple((float(d), float(r)) for d, r in zip(dists, residuals)),
+        pairs=tuple(zip(dists.tolist(), residuals.tolist())),
     )
 
 

@@ -11,6 +11,7 @@ output.  Exit codes: 0 success, 1 counterexample/rejection under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -291,7 +292,14 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    Parsing leaves the parser as it was, so every ``run_command`` shares
+    it.  Handlers and probe runners look up the pcpkit functions they
+    call when they run, so a function replaced later is the one called.
+    """
     parser = _Parser(
         prog="pcpkit",
         description="Polynomial complementarity problems: solve, probe, verify bounds.",
@@ -346,9 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         q.set_defaults(run=run, parser=q)
         return q
 
-    for name, call in (("r0", probes_mod.r0_test),
-                       ("r0-shifted", probes_mod.r0_shifted_pair_probe)):
-        q = probe(name, sampled, lambda inst, a, call=call: (call(
+    for name, call in (("r0", "r0_test"), ("r0-shifted", "r0_shifted_pair_probe")):
+        q = probe(name, sampled, lambda inst, a, call=call: (getattr(probes_mod, call)(
             inst, samples=a.samples, refine_iters=a.refine, seed=a.seed,
             componentwise=a.componentwise), {}))
         q.add_argument("--refine", type=int, default=200)

@@ -165,10 +165,6 @@ class Polynomial:
             terms[key] = terms.get(key, 0.0) + coefficient * e
         return Polynomial(self.arity, terms)
 
-    @cached_property
-    def gradient(self) -> tuple["Polynomial", ...]:
-        return tuple(self.partial(i) for i in range(self.arity))
-
     def homogeneous_part(self, degree: int) -> "Polynomial":
         """The sum of all terms of total degree exactly ``degree``."""
         if degree < 0:
@@ -211,9 +207,11 @@ class CompiledTerms:
     of shapes (depth, entries) and (depth, entries, 1): entry k is a
     component, or an exact partial (row-major), and column k lists its
     terms' rows in the monomial table and their coefficients, in that
-    polynomial's own term order.  Short columns are padded with the
-    table's last row, the constant -0.0, and coefficient 1.0: ``x + -0.0
-    == x`` for every float x, so padding never changes a sum, and no zero
+    polynomial's own term order.  Partials are compiled from the
+    components' term lists and equal ``Polynomial.partial``, their
+    reference, bit for bit.  Short columns are padded with the table's
+    last row, the constant -0.0, and coefficient 1.0: ``x + -0.0 == x``
+    for every float x, so padding never changes a sum, and no zero
     coefficient meets another entry's overflowing monomial (``0 * inf``).
     """
 
@@ -221,17 +219,25 @@ class CompiledTerms:
         self.arity = arity = components[0].arity
         rows: dict[Exponents, int] = {}
 
-        def block(polys: Sequence[Polynomial]) -> tuple[np.ndarray, np.ndarray]:
-            depth = max(1, *(len(p.terms) for p in polys))
-            index = np.full((depth, len(polys)), -1, dtype=np.intp)
-            coefficients = np.ones((depth, len(polys)))
-            for k, p in enumerate(polys):
-                index[: len(p.terms), k] = [rows.setdefault(key, len(rows)) for key in p.terms]
-                coefficients[: len(p.terms), k] = list(p.terms.values())
+        def block(entries: Sequence[Mapping[Exponents, float]]) -> tuple[np.ndarray, np.ndarray]:
+            depth = max(1, *(len(terms) for terms in entries))
+            index = np.full((depth, len(entries)), -1, dtype=np.intp)
+            coefficients = np.ones((depth, len(entries)))
+            for k, terms in enumerate(entries):
+                index[: len(terms), k] = [rows.setdefault(key, len(rows)) for key in terms]
+                coefficients[: len(terms), k] = list(terms.values())
             return index, coefficients[..., None]
 
-        self.values = block(components)
-        self.jacobian = block([part for c in components for part in c.gradient])
+        def partial(terms: Mapping[Exponents, float], i: int) -> dict[Exponents, float]:
+            # (kappa - e_i, c * kappa_i) in the component's term order: lowering
+            # one exponent keeps grlex order and distinct terms distinct, and
+            # c * kappa_i is neither 0 nor below COEFFICIENT_FLOOR, so this is
+            # Polynomial.partial(i).terms without a Polynomial built
+            return {key[:i] + (key[i] - 1,) + key[i + 1 :]: c * key[i]
+                    for key, c in terms.items() if key[i]}
+
+        self.values = block([c.terms for c in components])
+        self.jacobian = block([partial(c.terms, i) for c in components for i in range(arity)])
         self.exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), arity).T
 
     def monomials(self, pts: np.ndarray) -> np.ndarray:

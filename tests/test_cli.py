@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from pcpkit.cli import run_command
+from pcpkit import probes
+from pcpkit.cli import build_parser, run_command
 from pcpkit.documents import serialize_instance
 from pcpkit.genericity import random_instance
 
@@ -199,6 +200,10 @@ class TestProbeAndBounds:
         lines = out.strip().splitlines()
         assert lines[0] == "dist,residual"
         assert len(lines) == 51
+        # each pair prints as the repr of two Python floats, not of numpy scalars
+        for line in lines[1:]:
+            dist, residual = line.split(",")
+            assert line == f"{float(dist)!r},{float(residual)!r}"
 
     def test_bounds_assert_violation(self, capsys, hyperbola_file):
         code, out = run(
@@ -207,6 +212,53 @@ class TestProbeAndBounds:
             "--starts", "60", "--assert",
         )
         assert code == 1
+
+
+class TestOneParser:
+    """run_command shares one parser per process; no call leaks into the next."""
+
+    @pytest.mark.parametrize("name, attr", [("r0", "r0_test"),
+                                            ("r0-shifted", "r0_shifted_pair_probe")])
+    def test_probe_runner_calls_a_replaced_function(
+            self, capsys, monkeypatch, hyperbola_file, name, attr):
+        argv = ["probe", name, hyperbola_file, "--samples", "64", "--refine", "5"]
+        first = run(capsys, *argv)
+        calls = []
+        original = getattr(probes, attr)
+
+        def recorded(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(probes, attr, recorded)
+        assert run(capsys, *argv) == first
+        assert len(calls) == 1 and calls[0]["samples"] == 64
+
+    def test_calls_match_calls_on_a_fresh_parser(self, capsys, hyperbola_file):
+        r0 = ["probe", "r0", hyperbola_file, "--samples", "64", "--refine", "5"]
+        sequence = [
+            ["solve", hyperbola_file, "--bogus"],
+            ["--help"],
+            [*r0, "--componentwise"],
+            ["solve", hyperbola_file],
+            r0,
+        ]
+
+        def outcome(argv):
+            code = run_command(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        build_parser.cache_clear()
+        shared = [outcome(argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0]
+        assert shared[0][2].startswith("usage: pcpkit solve ")
+        assert shared[1][1].startswith("usage: pcpkit [-h]")
 
 
 class TestNegativeValues:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcpkit import DegenerateInputError, InputError, PolyMap, Polynomial
-from pcpkit.polynomials import as_point
+from pcpkit.polynomials import CompiledTerms, as_point
 
 
 def finite_difference_jacobian(poly_map, x, step=1e-5):
@@ -136,8 +136,37 @@ class TestJacobian:
 def per_component_reference(poly_map, x):
     """Values and Jacobian from Polynomial.evaluate of each component and partial."""
     values = np.stack([c.evaluate(x) for c in poly_map.components], axis=-1)
-    rows = [np.stack([p.evaluate(x) for p in c.gradient], axis=-1) for c in poly_map.components]
+    rows = [np.stack([c.partial(i).evaluate(x) for i in range(c.arity)], axis=-1)
+            for c in poly_map.components]
     return values, np.stack(rows, axis=-2)
+
+
+def reference_compile(components):
+    """CompiledTerms' blocks and exponents, with each partial a Polynomial.partial."""
+    rows = {}
+
+    def block(polys):
+        depth = max(1, *(len(p.terms) for p in polys))
+        index = np.full((depth, len(polys)), -1, dtype=np.intp)
+        coefficients = np.ones((depth, len(polys)))
+        for k, p in enumerate(polys):
+            index[: len(p.terms), k] = [rows.setdefault(key, len(rows)) for key in p.terms]
+            coefficients[: len(p.terms), k] = list(p.terms.values())
+        return index, coefficients[..., None]
+
+    n = components[0].arity
+    values = block(components)
+    jacobian = block([c.partial(i) for c in components for i in range(n)])
+    exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), n).T
+    return values, jacobian, exponents
+
+
+def assert_compiles_as_reference(components):
+    compiled = CompiledTerms(components)
+    values, jacobian, exponents = reference_compile(components)
+    for got, want in zip((*compiled.values, *compiled.jacobian), (*values, *jacobian)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(compiled.exponents, exponents)
 
 
 def assert_bit_identical(poly_map, x):
@@ -262,6 +291,29 @@ class TestCompiledEvaluation:
                 values, jacobian = per_component_reference(poly_map, batch)
                 assert np.array_equal(poly_map.evaluate(batch), values, equal_nan=True)
                 assert np.array_equal(poly_map.jacobian(batch), jacobian, equal_nan=True)
+
+    def test_compiled_partials_match_reference(self):
+        from pcpkit import random_instance
+
+        rng = np.random.default_rng(13)
+        for n in range(1, 5):
+            for degree in range(1, 5):
+                degrees = [int(d) for d in rng.integers(1, degree + 1, size=n)]
+                inst = random_instance(n, [degree] * n, degrees, int(rng.integers(2**31)))
+                lead = inst.componentwise_leading_pair
+                for poly_map in (inst.f, inst.g, lead.f, lead.g):
+                    assert_compiles_as_reference(poly_map.components)
+
+    def test_compiled_partials_of_constant_and_overflowing_terms(self):
+        # a constant component has only empty partials; 1.5e308 * 2 overflows
+        # to inf in the partial in x, as in Polynomial.partial
+        components = (
+            Polynomial.constant(2, 3.0),
+            Polynomial(2, {(2, 0): 1.5e308, (0, 1): -1.0, (0, 0): 2.0}),
+        )
+        assert_compiles_as_reference(components)
+        assert_compiles_as_reference(components[:1] + (Polynomial.constant(2, -1.0),))
+        assert CompiledTerms(components).jacobian[1][0, 2, 0] == np.inf
 
     def test_single_term_scalar_maps_close(self):
         # n = 1 with one term
