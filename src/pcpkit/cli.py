@@ -51,6 +51,13 @@ def _ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer: numpy's generators refuse negative seeds."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _region(values: list[float], n: int) -> np.ndarray:
     if len(values) == 2:
         values = values * n
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--seed", type=_seed, default=0, help="RNG seed >= 0 (default 0)")
         return p
 
     p = common(sub.add_parser("solve", help="enumerate the solution set"))

@@ -25,6 +25,7 @@ config echo, so every report can be reproduced from its own header.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -62,6 +63,8 @@ def _parse_component(entry: Any, n: int, path: str) -> Polynomial:
             coefficient = float(raw)
         except ValueError:
             raise ParseError(f"unparsable coefficient {raw!r}", f"{term_path}.coefficient")
+        _expect(math.isfinite(coefficient), f"coefficient {raw!r} is not finite",
+                f"{term_path}.coefficient")
         exponents = term["exponents"]
         _expect(
             isinstance(exponents, list)

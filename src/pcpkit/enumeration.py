@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import CertificationError, InputError
-from .polynomials import as_point
+from .polynomials import _as_points, as_point
 from .residuals import (
     PcpInstance, check_indices, check_subset_dimension, min_phi_of_values, residual_norms,
     sign_feasible,
@@ -49,8 +49,8 @@ MAX_NEWTON_ITERS = 100
 # roots of the sweep closer than this are merged; it must exceed newton_tol
 DEDUPE_RADIUS = 1e-6
 FEASIBILITY_TOL = 1e-8
-# (subset, start) rows per damped-Newton call of the sweep; whole subsets
-# are stacked up to this many rows
+# the most (subset, start) rows per damped-Newton call of the sweep, which
+# runs its one start table in consecutive slices of this many rows
 SWEEP_CHUNK_ROWS = 1024
 # cached start clouds; covers every subset of one configuration up to n = 8
 START_CLOUD_CACHE_SIZE = 256
@@ -74,6 +74,8 @@ class SolveConfig:
                 raise InputError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.starts_per_subsystem < 1:
             raise InputError("starts_per_subsystem must be >= 1")
+        if self.rng_seed < 0:
+            raise InputError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def to_dict(self) -> dict:
         # every setting and the three module constants, in the reports' fixed key order
@@ -390,71 +392,56 @@ def _solve_subsystems(
 ) -> list[np.ndarray]:
     """Roots of each index set's square system, in the order of ``masks``.
 
-    A subset's starts are its start cloud and the origin; a subset whose
+    A subset's starts are its start cloud then the origin; a subset whose
     square system is affine (every component of degree <= 1, so its
-    Bezout number is at most 1) starts from the origin alone.  Its
-    Jacobian is the same matrix at every point, so every start gets
-    the same verdict, and one full step reaches its one root wherever it
-    lies.  Whole subsets' starts are stacked, up to SWEEP_CHUNK_ROWS rows,
-    into one damped-Newton call; row r solves {f_i = 0 on I, g_i = 0 off
-    I} for the mask of its subset, read from the shared f/g pair table.
-    Each subset's roots are deduplicated (smallest subsystem residual
-    first) and sorted lexicographically.
+    Bezout number is at most 1) starts from the origin alone: its Jacobian
+    is the same at every point, and one full step reaches its one root.
+    Row r of the one start table solves {f_i = 0 on I, g_i = 0 off I} for
+    its subset's mask, read from the shared f/g pair table.  Damped Newton
+    runs on consecutive slices of at most SWEEP_CHUNK_ROWS rows; a row's
+    result does not depend on its slice.  Each subset's roots are deduped
+    (smallest subsystem residual first) and sorted lexicographically.
     """
     if DEDUPE_RADIUS <= cfg.newton_tol:
         raise InputError("dedupe_radius must exceed newton_tol")
     n = inst.n
     masks = np.asarray(masks)
-    origin = np.zeros((1, n))
     on_f_sets = _mask_bits(masks, n)
-    affine = np.all(
-        np.where(on_f_sets, inst.f.component_degrees, inst.g.component_degrees) <= 1, axis=1
-    )
+    degrees = np.where(on_f_sets, inst.f.component_degrees, inst.g.component_degrees)
+    affine = np.all(degrees <= 1, axis=1)
     sizes = np.where(affine, 0, cfg.starts_per_subsystem) + 1
-    chunks: list[list[int]] = [[]]
-    rows_in_chunk = 0
-    for k, size in enumerate(sizes):
-        if chunks[-1] and rows_in_chunk + size > SWEEP_CHUNK_ROWS:
-            chunks.append([])
-            rows_in_chunk = 0
-        chunks[-1].append(k)
-        rows_in_chunk += size
-
-    terms = inst._pair_terms  # the Jacobian closure folds its Jacobian block alone
-    roots: list[np.ndarray] = []
-    for chunk in chunks:
-        parts = []
-        for k in chunk:
-            if not affine[k]:
-                parts.append(_start_cloud(
-                    n, cfg.rng_seed, int(masks[k]), cfg.starts_per_subsystem,
-                    cfg.start_box_radius,
-                ))
-            parts.append(origin)
-        starts = np.vstack(parts)
-        on_f = np.repeat(on_f_sets[chunk], sizes[chunk], axis=0)
-
-        def values(points, rows):
-            fx, gx = inst.evaluate_pair(points)
-            return np.where(np.take(on_f, rows, axis=0), fx, gx)
-
-        def jacobians(points, rows):
-            jac = terms.evaluate(points, terms.jacobian).reshape(-1, 2, n, n)
-            return np.where(np.take(on_f, rows, axis=0)[:, :, None], jac[:, 0], jac[:, 1])
-
-        # drive well below tol so certification at tol has slack
-        result = damped_newton(
-            values, jacobians, starts, cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS
+    ends = np.cumsum(sizes)
+    starts = np.zeros((ends[-1], n))  # each subset's last row is the origin
+    for end, mask in zip(ends[~affine] - 1, masks[~affine]):
+        starts[end - cfg.starts_per_subsystem:end] = _start_cloud(
+            n, cfg.rng_seed, int(mask), cfg.starts_per_subsystem, cfg.start_box_radius
         )
-        converged = result.alive & (result.norms <= cfg.newton_tol)
-        offsets = np.cumsum(sizes[chunk])
-        for stop, size in zip(offsets, sizes[chunk]):
-            rows = slice(stop - size, stop)
-            keep = converged[rows]
-            unique, _ = _dedupe_points(
-                result.points[rows][keep], result.norms[rows][keep], DEDUPE_RADIUS
-            )
-            roots.append(unique[np.lexsort(unique.T[::-1])])
+    on_f = np.repeat(on_f_sets, sizes, axis=0)
+    terms = inst._pair_terms  # the Jacobian closure folds its Jacobian block alone
+
+    def values(points, rows):
+        fx, gx = inst.evaluate_pair(points)
+        return np.where(np.take(branch, rows, axis=0), fx, gx)
+
+    def jacobians(points, rows):
+        jac = terms.evaluate(points, terms.jacobian).reshape(-1, 2, n, n)
+        return np.where(np.take(branch, rows, axis=0)[:, :, None], jac[:, 0], jac[:, 1])
+
+    results = []
+    for first in range(0, len(starts), SWEEP_CHUNK_ROWS):
+        rows = slice(first, first + SWEEP_CHUNK_ROWS)
+        branch = on_f[rows]  # the slice's f/g table, read by the two closures
+        # drive well below tol so certification at tol has slack
+        results.append(damped_newton(
+            values, jacobians, starts[rows], cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS
+        ))
+    result = NewtonResult(*map(np.concatenate, zip(*results)))
+    converged = result.alive & (result.norms <= cfg.newton_tol)
+    roots = []
+    for rows in map(slice, ends - sizes, ends):
+        keep = converged[rows]
+        unique, _ = _dedupe_points(result.points[rows][keep], result.norms[rows][keep], DEDUPE_RADIUS)
+        roots.append(unique[np.lexsort(unique.T[::-1])])
     return roots
 
 
@@ -562,14 +549,12 @@ def certify_solution(
 def distance_to_solutions(sols: SolutionSet, x) -> float | np.ndarray:
     """Euclidean distance from x to the listed points; exactly 1 when empty.
 
-    Batch aware: a (m, n) input yields a (m,) vector of distances.
+    Batch aware: a (m, n) input yields a (m,) vector of distances.  Points
+    whose length is not the solutions' dimension raise InputError.
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
     if len(sols) == 0:
-        return 1.0 if single else np.ones(pts.shape[0])
+        return 1.0 if np.ndim(x) == 1 else np.ones(len(x))
     solutions = sols.points
-    if single:
-        return float(np.min(np.linalg.norm(solutions - pts[None, :], axis=1)))
-    deltas = pts[:, None, :] - solutions[None, :, :]
-    return np.min(np.linalg.norm(deltas, axis=2), axis=1)
+    pts, single = _as_points(x, solutions.shape[1])
+    distances = np.min(np.linalg.norm(pts[:, None, :] - solutions[None, :, :], axis=2), axis=1)
+    return float(distances[0]) if single else distances

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import verify_global_bound
-from .enumeration import DEDUPE_RADIUS, SolveConfig, enumerate_solutions
+from .enumeration import DEDUPE_RADIUS, SolveConfig, distance_to_solutions, enumerate_solutions
 from .exceptions import InputError, PcpError
 from .lemke import lemke_lcp
 from .polynomials import Exponents, PolyMap, Polynomial
@@ -235,11 +235,7 @@ def genericity_trial(
                 result = lemke_lcp(M, q)
                 lemke_status = result.status
                 if result.solved:
-                    if count == 0:
-                        lemke_agrees = False
-                    else:
-                        gaps = np.linalg.norm(sols.points - result.z[None, :], axis=1)
-                        lemke_agrees = bool(np.min(gaps) <= DEDUPE_RADIUS)
+                    lemke_agrees = bool(distance_to_solutions(sols, result.z) <= DEDUPE_RADIUS)
             except PcpError as error:
                 lemke_status = "budget-error"
                 failures.append(

@@ -65,8 +65,12 @@ def lemke_lcp(M, q) -> LcpResult:
     raises :class:`PivotBudgetError`; lexicographic tie-breaking makes
     this unreachable on non-degenerate data.
     """
-    M = np.asarray(M, dtype=float)
-    q = np.asarray(q, dtype=float)
+    try:
+        M, q = np.asarray(M, dtype=float), np.asarray(q, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("M and q must be rectangular arrays of numbers") from None
+    if not (np.isfinite(M).all() and np.isfinite(q).all()):
+        raise InputError("M and q must hold finite numbers")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"M must be square, got shape {M.shape}")
     n = M.shape[0]
@@ -119,11 +123,10 @@ def lemke_lcp(M, q) -> LcpResult:
     values[basis] = tableau[:, -1]
     w, z = values[:n], values[n : 2 * n]
     # internal sanity: complementary basic solutions satisfy the system
-    residual = M @ z + q - w
+    residual = np.linalg.norm(M @ z + q - w)
     gap = abs(float(z @ w))
-    if gap > COMPLEMENTARITY_TOL or np.linalg.norm(residual) > 1e-7 * (
-        1.0 + np.linalg.norm(q)
-    ):
+    # a NaN gap or residual fails its comparison
+    if not (gap <= COMPLEMENTARITY_TOL and residual <= 1e-7 * (1.0 + np.linalg.norm(q))):
         raise PivotBudgetError(
             f"pivoting finished with inconsistent basis (gap {gap:.2e})"
         )

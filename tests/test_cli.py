@@ -393,6 +393,32 @@ class TestExponentGenerateTrialLemke:
         assert code == 0
         assert json.loads(out)["payload"]["z"] == [1.0, 1.0]
 
+    @pytest.mark.parametrize("text", [
+        '{"M": [["a"]], "q": [1]}',
+        '{"M": [[1, 0], [1]], "q": [-1, -1]}',
+        '{"M": [[1]], "q": ["x"]}',
+        # JSON reads 1e400 as inf
+        '{"M": [[1e400]], "q": [-1]}',
+    ], ids=["non-numeric-M", "ragged-M", "non-numeric-q", "infinite-M"])
+    def test_lemke_refuses_what_it_cannot_pivot_on(self, capsys, tmp_path, text):
+        path = tmp_path / "lcp.json"
+        path.write_text(text)
+        code = run_command(["lemke", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: M and q must ")
+        assert captured.out == ""
+
+    def test_lemke_overflow_is_not_a_solution(self, capsys, tmp_path):
+        # finite data whose pivots overflow: z = inf once passed the NaN-blind sanity check
+        path = tmp_path / "lcp.json"
+        path.write_text(json.dumps({"M": [[1e-11]], "q": [-1e300]}))
+        code = run_command(["lemke", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: pivoting finished with inconsistent basis (gap nan)\n"
+        assert captured.out == ""
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -402,6 +428,48 @@ class TestErrors:
     def test_unknown_flag(self, capsys):
         code, _ = run(capsys, "solve", "--bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_coefficient(self, capsys, tmp_path, raw):
+        # a generated instance with one non-finite coefficient is refused, not solved
+        assert run_command(["generate", "--n", "2", "--degrees", "2", "--seed", "1"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        document["f"][0][0]["coefficient"] = raw
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = run_command(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: $.f[0][0].coefficient: coefficient {raw!r} is not finite\n"
+        assert captured.out == ""
+
+    # one command line per command that takes --seed: solve, bounds, generate,
+    # trial and the seven probes
+    SEEDED = [
+        ("solve", "{instance}"),
+        ("bounds", "{instance}", "--radii", "1,5"),
+        ("generate", "--n", "2", "--degrees", "2"),
+        ("trial", "--n", "1", "--degrees", "1", "--trials", "1"),
+    ] + [
+        ("probe", name, "{instance}",
+         *(a for flag in required for a in (flag, *PROBE_FLAGS[flag])))
+        for name, (required, _) in PROBE_READS.items()
+    ]
+
+    @pytest.mark.parametrize("head", SEEDED, ids=["-".join(h[:2]) if h[0] == "probe" else h[0]
+                                                  for h in SEEDED])
+    def test_negative_seed_refused(self, capsys, hyperbola_file, head):
+        # numpy refuses a negative seed with a ValueError; the parser refuses it first
+        argv = [arg.format(instance=hyperbola_file) for arg in head]
+        code = run_command([*argv, "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        command = " ".join(head[:2]) if head[0] == "probe" else head[0]
+        assert captured.err.startswith(f"usage: pcpkit {command} ")
+        assert captured.err.splitlines()[-1] == (
+            f"pcpkit {command}: error: argument --seed: expected a non-negative integer, got '-1'")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_schema_violation(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -62,6 +62,15 @@ class TestParse:
             parse_instance(json.dumps(bad))
         assert "coefficient" in info.value.path
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_coefficient_rejected(self, raw):
+        # float() parses these; a NaN or infinite coefficient would certify nothing
+        bad = json.loads(json.dumps(HYPERBOLA_DOC))
+        bad["f"][0][0]["coefficient"] = raw
+        with pytest.raises(ParseError) as info:
+            parse_instance(json.dumps(bad))
+        assert info.value.path == "$.f[0][0].coefficient"
+
     def test_duplicate_exponents_rejected(self):
         bad = json.loads(json.dumps(HYPERBOLA_DOC))
         bad["f"][0].append({"coefficient": "2.0", "exponents": [0, 0]})

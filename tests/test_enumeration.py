@@ -540,7 +540,7 @@ class TestBatchedSweep:
             self.check(inst, cfg, alone, monkeypatch)
 
     def test_several_chunks(self, monkeypatch):
-        # 8 subsets of 401 rows: two subsets per chunk, so four kernel calls
+        # 8 subsets of 401 rows in slices of 1024: subsets 2, 5 and 7 span two slices
         cfg = SolveConfig(starts_per_subsystem=400)
         inst = random_instance(3, [2] * 3, [2] * 3, 7)
         calls = []
@@ -551,9 +551,37 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(enumeration, "damped_newton", counted)
         got = enumeration._solve_subsystems(inst, range(8), cfg)
-        assert calls == [802] * 4
+        assert calls == [1024, 1024, 1024, 136]
         for roots, want in zip(got, reference_sweep(inst, range(8), cfg), strict=True):
             assert_same_points(roots, want)
+
+    @pytest.mark.parametrize("cap", [7, 333])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_slice_size_changes_nothing(self, monkeypatch, n, cap):
+        # each row's path is its own, so any slicing gives the same bytes; with
+        # 41-row subsets neither cap is a multiple of a subset, so slices split subsets
+        cfg = SolveConfig(starts_per_subsystem=40)
+        masks = range(1 << n)
+        for seed in range(2):
+            inst = random_instance(n, [2] * n, [2] * n, 50 * n + seed)
+            want_roots = enumeration._solve_subsystems(inst, masks, cfg)
+            want = enumerate_solutions(inst, cfg).to_dict()
+            with monkeypatch.context() as patch:
+                patch.setattr(enumeration, "SWEEP_CHUNK_ROWS", cap)
+                got_roots = enumeration._solve_subsystems(inst, masks, cfg)
+                got = enumerate_solutions(inst, cfg).to_dict()
+            for roots, want_subset in zip(got_roots, want_roots, strict=True):
+                assert roots.shape == want_subset.shape
+                assert roots.tobytes() == want_subset.tobytes()
+            assert got == want
+            assert sum(map(len, want_roots)) > 0
+
+    def test_kernel_calls_stay_under_the_cap(self, kernel_rows):
+        # 4 subsets of 2001 rows: no call may take a whole subset past the cap
+        inst = random_instance(2, [2, 2], [2, 2], 3)
+        enumeration._solve_subsystems(inst, range(4), SolveConfig(starts_per_subsystem=2000))
+        assert max(kernel_rows) <= enumeration.SWEEP_CHUNK_ROWS
+        assert sum(kernel_rows) == 4 * 2001
 
     def test_one_kernel_call_per_chunk(self, monkeypatch, hyperbola_pair):
         calls = []
@@ -941,6 +969,15 @@ class TestDistance:
         singles = [distance_to_solutions(sols, p) for p in pts]
         assert np.allclose(batch, singles)
 
+    @pytest.mark.parametrize("x", [[0.5], [1.0, 1.0, 1.0], np.zeros((3, 1)), 0.5],
+                             ids=["short", "long", "narrow-batch", "scalar"])
+    def test_misshapen_points_refused(self, x):
+        # two solutions in the plane: a length-1 point would broadcast against them
+        sols = enumerate_solutions(affine_instance([[-1.0, 0.0], [0.0, 1.0]], [1.0, -1.0]))
+        assert len(sols) == 2
+        with pytest.raises(InputError):
+            distance_to_solutions(sols, x)
+
 
 class TestSolveConfig:
     def test_validation(self, hyperbola_pair):
@@ -948,6 +985,9 @@ class TestSolveConfig:
             SolveConfig(newton_tol=-1.0)
         with pytest.raises(InputError):
             SolveConfig(starts_per_subsystem=0)
+        # numpy's generators refuse negative seeds
+        with pytest.raises(InputError, match="^rng_seed must be >= 0"):
+            SolveConfig(rng_seed=-1)
         # the sweep, which dedupes, needs newton_tol below the dedupe radius
         with pytest.raises(InputError, match="^dedupe_radius must exceed newton_tol$"):
             enumerate_solutions(hyperbola_pair, SolveConfig(newton_tol=DEDUPE_RADIUS))

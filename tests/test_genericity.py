@@ -2,9 +2,11 @@
 
 import pytest
 
+from pcpkit import genericity
 from pcpkit import (
     InputError,
     PolyMap,
+    SolutionSet,
     SolveConfig,
     enumerate_solutions,
     genericity_trial,
@@ -102,6 +104,16 @@ class TestTrialPipeline:
         for record in summary.records:
             if record.lemke_status in ("solution", "trivial"):
                 assert record.lemke_agrees is True
+
+    def test_lemke_disagrees_with_an_empty_solution_set(self, monkeypatch):
+        # a Lemke solution is at distance 1 from an empty set, above the dedupe radius
+        def nothing_found(inst, cfg):
+            return SolutionSet(certificates=(), config=cfg, completeness_claim=True)
+
+        monkeypatch.setattr(genericity, "enumerate_solutions", nothing_found)
+        summary = genericity_trial(1, (1,), 10, seed=2, cfg=FAST)
+        solved = [r for r in summary.records if r.lemke_status in ("solution", "trivial")]
+        assert solved and all(r.lemke_agrees is False for r in solved)
 
     def test_failure_reproduction_seed(self):
         summary = genericity_trial(2, (2, 2), 5, seed=21, cfg=FAST)

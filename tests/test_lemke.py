@@ -94,6 +94,18 @@ class TestLemke:
         with pytest.raises(InputError):
             lemke_lcp(np.eye(2), [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("M, q", [
+        ([["a"]], [1.0]),
+        ([[1.0, 0.0], [1.0]], [-1.0, -1.0]),
+        ([[1.0]], ["x"]),
+        ([[np.inf]], [-1.0]),
+        ([[1.0]], [np.nan]),
+    ], ids=["non-numeric-M", "ragged-M", "non-numeric-q", "infinite-M", "nan-q"])
+    def test_refuses_what_it_cannot_pivot_on(self, M, q):
+        # an infinite M once reported z = w = 0 as a solution, although w = -1
+        with pytest.raises(InputError, match="^M and q must "):
+            lemke_lcp(M, q)
+
     def test_p_matrix_always_solvable(self):
         # diagonally dominant positive matrices admit a solution for any q
         rng = np.random.default_rng(4)
