@@ -53,9 +53,13 @@ def _ints(text: str) -> list[int]:
 
 def _seed(text: str) -> int:
     """A non-negative integer: numpy's generators refuse negative seeds."""
-    if not text.strip().isdecimal():
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    return seed
 
 
 def _region(values: list[float], n: int) -> np.ndarray:

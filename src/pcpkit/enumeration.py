@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ MAX_NEWTON_ITERS = 100
 DEDUPE_RADIUS = 1e-6
 FEASIBILITY_TOL = 1e-8
 # the most (subset, start) rows per damped-Newton call of the sweep, which
-# runs its one start table in consecutive slices of this many rows
+# runs the subsets' starts, end to end, in consecutive slices of this many rows
 SWEEP_CHUNK_ROWS = 1024
 # cached start clouds; covers every subset of one configuration up to n = 8
 START_CLOUD_CACHE_SIZE = 256
@@ -392,56 +392,56 @@ def _solve_subsystems(
 ) -> list[np.ndarray]:
     """Roots of each index set's square system, in the order of ``masks``.
 
-    A subset's starts are its start cloud then the origin; a subset whose
-    square system is affine (every component of degree <= 1, so its
-    Bezout number is at most 1) starts from the origin alone: its Jacobian
-    is the same at every point, and one full step reaches its one root.
-    Row r of the one start table solves {f_i = 0 on I, g_i = 0 off I} for
-    its subset's mask, read from the shared f/g pair table.  Damped Newton
-    runs on consecutive slices of at most SWEEP_CHUNK_ROWS rows; a row's
-    result does not depend on its slice.  Each subset's roots are deduped
-    (smallest subsystem residual first) and sorted lexicographically.
+    A subset starts from its start cloud then the origin, or from the
+    origin alone if its square system is affine (degree <= 1 throughout,
+    Bezout number <= 1: one full step reaches its one root).  Damped Newton
+    runs all subsets' starts end to end in slices of at most
+    SWEEP_CHUNK_ROWS rows, each built as it runs; a row's result does not
+    depend on its slice.  A subset's converged rows are deduped (smallest
+    subsystem residual first) and sorted once its last row has run.
     """
     if DEDUPE_RADIUS <= cfg.newton_tol:
         raise InputError("dedupe_radius must exceed newton_tol")
     n = inst.n
-    masks = np.asarray(masks)
     on_f_sets = _mask_bits(masks, n)
     degrees = np.where(on_f_sets, inst.f.component_degrees, inst.g.component_degrees)
-    affine = np.all(degrees <= 1, axis=1)
-    sizes = np.where(affine, 0, cfg.starts_per_subsystem) + 1
+    sizes = np.where(np.all(degrees <= 1, axis=1), 0, cfg.starts_per_subsystem) + 1
     ends = np.cumsum(sizes)
-    starts = np.zeros((ends[-1], n))  # each subset's last row is the origin
-    for end, mask in zip(ends[~affine] - 1, masks[~affine]):
-        starts[end - cfg.starts_per_subsystem:end] = _start_cloud(
-            n, cfg.rng_seed, int(mask), cfg.starts_per_subsystem, cfg.start_box_radius
-        )
-    on_f = np.repeat(on_f_sets, sizes, axis=0)
-    terms = inst._pair_terms  # the Jacobian closure folds its Jacobian block alone
+    begins = ends - sizes
 
-    def values(points, rows):
+    def values(points, rows, on_f):  # on_f: the slice's f/g table, one row per start
         fx, gx = inst.evaluate_pair(points)
-        return np.where(np.take(branch, rows, axis=0), fx, gx)
+        return np.where(np.take(on_f, rows, axis=0), fx, gx)
 
-    def jacobians(points, rows):
-        jac = terms.evaluate(points, terms.jacobian).reshape(-1, 2, n, n)
-        return np.where(np.take(branch, rows, axis=0)[:, :, None], jac[:, 0], jac[:, 1])
+    def jacobians(points, rows, on_f):  # folds the Jacobian block alone
+        jac = inst._pair_terms.evaluate(points, inst._pair_terms.jacobian).reshape(-1, 2, n, n)
+        return np.where(np.take(on_f, rows, axis=0)[:, :, None], jac[:, 0], jac[:, 1])
 
-    results = []
-    for first in range(0, len(starts), SWEEP_CHUNK_ROWS):
-        rows = slice(first, first + SWEEP_CHUNK_ROWS)
-        branch = on_f[rows]  # the slice's f/g table, read by the two closures
+    def start_rows(k, low, high):  # rows low:high of the start table, all in subset k
+        if sizes[k] == 1:
+            return np.zeros((1, n))
+        cloud = _start_cloud(n, cfg.rng_seed, int(masks[k]), sizes[k] - 1, cfg.start_box_radius)
+        return np.vstack([cloud, np.zeros((1, n))])[low - begins[k]:high - begins[k]]
+
+    roots, pending = [], []
+    for first in range(0, ends[-1], SWEEP_CHUNK_ROWS):
+        stop = min(first + SWEEP_CHUNK_ROWS, ends[-1])
+        subsets = range(np.searchsorted(ends, first, "right"), np.searchsorted(begins, stop))
+        lows, highs = np.maximum(begins[subsets], first), np.minimum(ends[subsets], stop)
+        starts = np.vstack([start_rows(*bounds) for bounds in zip(subsets, lows, highs)])
+        on_f = np.repeat(on_f_sets[subsets], highs - lows, axis=0)
         # drive well below tol so certification at tol has slack
-        results.append(damped_newton(
-            values, jacobians, starts[rows], cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS
-        ))
-    result = NewtonResult(*map(np.concatenate, zip(*results)))
-    converged = result.alive & (result.norms <= cfg.newton_tol)
-    roots = []
-    for rows in map(slice, ends - sizes, ends):
-        keep = converged[rows]
-        unique, _ = _dedupe_points(result.points[rows][keep], result.norms[rows][keep], DEDUPE_RADIUS)
-        roots.append(unique[np.lexsort(unique.T[::-1])])
+        result = damped_newton(partial(values, on_f=on_f), partial(jacobians, on_f=on_f),
+                               starts, cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS)
+        converged = result.alive & (result.norms <= cfg.newton_tol)
+        for k, low, high in zip(subsets, lows - first, highs - first):
+            keep = converged[low:high]
+            pending.append((result.points[low:high][keep], result.norms[low:high][keep]))
+            if first + high == ends[k]:
+                points, norms = pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending))
+                unique, _ = _dedupe_points(points, norms, DEDUPE_RADIUS)
+                roots.append(unique[np.lexsort(unique.T[::-1])])
+                pending = []
     return roots
 
 

@@ -471,6 +471,15 @@ class TestErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text", ["+5", "5_0", " 50 "])
+    def test_seed_takes_what_int_takes(self, capsys, text):
+        # only negative values are refused; every spelling int() reads still parses
+        head = ["generate", "--n", "2", "--degrees", "2", "--seed"]
+        assert run_command([*head, str(int(text))]) == 0
+        want = capsys.readouterr()
+        assert run_command([*head, text]) == 0
+        assert capsys.readouterr() == want
+
     def test_schema_violation(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, "n": 2, "f": [], "g": []}')
