@@ -113,9 +113,10 @@ class SolutionCertificate:
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Certified, deduplicated solutions found by the enumerator."""
+    """Certified, deduplicated solutions of an instance in n variables."""
 
     certificates: tuple[SolutionCertificate, ...]
+    n: int
     config: SolveConfig
     completeness_claim: bool
     warnings: tuple[str, ...] = ()
@@ -125,9 +126,8 @@ class SolutionSet:
 
     @property
     def points(self) -> np.ndarray:
-        if not self.certificates:
-            return np.zeros((0, 0))
-        return np.array([c.point for c in self.certificates])
+        """The (len(self), n) solution points."""
+        return np.array([c.point for c in self.certificates]).reshape(-1, self.n)
 
     def to_dict(self) -> dict:
         return {
@@ -188,6 +188,19 @@ def first_lowering(trial_norms: np.ndarray, norms: np.ndarray) -> tuple[np.ndarr
     return rows, lower[rows].argmax(axis=1)
 
 
+def one_norms(a: np.ndarray) -> np.ndarray:
+    """The 1-norm of each matrix of an (m, n, n) stack: its largest column sum of |a|.
+
+    From one component-major copy of |a|, its rows are added in order into
+    the (n, m) column sums and a running maximum is taken over the columns,
+    so no numpy loop runs over an axis of length n; this is
+    ``np.linalg.norm(a, 1, axis=(1, 2))`` bit for bit, NaN, inf and
+    overflow included.
+    """
+    rows = np.abs(a.transpose(1, 2, 0), order="C")
+    return np.maximum.reduce(np.add.reduce(rows, axis=0), axis=0)
+
+
 def damped_newton(
     values_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     jacobian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -213,11 +226,15 @@ def damped_newton(
     next check; a row that is not retired takes one accepted step per
     iteration, so a kept row follows the same path as without the rule.
     One batched inverse of the finite Jacobians gives both the condition
-    numbers and the Newton steps ``-J^-1 F``; only if it raises on an
-    exactly singular row does a ``slogdet`` screen drop the rows of sign
-    0 before a second inverse.  Norms are :func:`residual_norms` with
-    floating-point overflow ignored: a row whose norm overflows to inf is
-    abandoned as non-finite, with no warning.  ``status`` says why rows stop.
+    numbers (:func:`one_norms` of J and J^-1) and the Newton steps
+    ``-J^-1 F``; only if it raises on an exactly singular row does a
+    ``slogdet`` screen drop the rows of sign 0 before a second inverse.
+    Each row then tries its full step ``x + s`` and, if that does not
+    lower its norm, the other STEP_SCALES together, built component by
+    component; the callbacks take points in either memory order.  Norms
+    are :func:`residual_norms` with floating-point overflow ignored: a row
+    whose norm overflows to inf is abandoned as non-finite, with no
+    warning.  ``status`` says why rows stop.
     """
     pts = np.array(starts, dtype=float)
     values = values_fn(pts, np.arange(len(pts)))
@@ -263,8 +280,7 @@ def damped_newton(
                 status[working[~regular]] = NewtonStatus.ILL_CONDITIONED
                 working, jac = working[regular], jac[regular]
                 inverse = np.linalg.inv(jac)
-            # np.linalg.norm(., 1, axis=(1, 2))'s own formula, without its dispatch
-            cond = np.multiply(*(np.add.reduce(np.abs(a), 1).max(1) for a in (jac, inverse)))
+            cond = one_norms(jac) * one_norms(inverse)
         good = cond < JACOBIAN_CONDITION_LIMIT
         status[working[~good]] = NewtonStatus.ILL_CONDITIONED
         working = working[good]
@@ -273,28 +289,39 @@ def damped_newton(
         newton_steps = -np.einsum("rij,rj->ri", inverse[good], values[working])
 
         # backtracking: a row takes the first of the STEP_SCALES whose
-        # residual is finite and below its current one.  The shorter scales
-        # are evaluated together, and only for the rows the full step did
-        # not improve: most steps are accepted at full length.
+        # residual is finite and below its current one.  Scale 1 is the full
+        # step base + step (1.0 * s == s), and as the rows' norms are finite,
+        # "finite and below" is "below".  The shorter scales are evaluated
+        # together, and only for the rows the full step did not improve: most
+        # steps are accepted at full length.  Both rebind the ladder's names,
+        # so no earlier iteration's rungs outlive their use.
         base = pts[working]
-        pending = np.arange(working.size)
-        for scales in (STEP_SCALES[:1], STEP_SCALES[1:]):
-            ladder = base[pending, None] + scales[:, None] * newton_steps[pending, None]
-            ladder_values = values_fn(
-                ladder.reshape(-1, pts.shape[1]), np.repeat(working[pending], len(scales))
-            ).reshape(ladder.shape)
-            with np.errstate(over="ignore"):
-                ladder_norms = residual_norms(ladder_values)
-            found, rung = first_lowering(ladder_norms, norms[working[pending]])
-            rows = working[pending[found]]
-            pts[rows] = ladder[found, rung]
-            values[rows] = ladder_values[found, rung]
-            norms[rows] = ladder_norms[found, rung]
-            steps[rows] += 1
-            pending = pending[~found]
-            if pending.size == 0:
-                break
-        status[working[pending]] = NewtonStatus.NO_DESCENT
+        ladder = base + newton_steps
+        ladder_values = values_fn(ladder, working)
+        with np.errstate(over="ignore"):
+            ladder_norms = residual_norms(ladder_values)
+        found = ladder_norms < norms[working]
+        rows = working[found]
+        pts[rows], values[rows] = ladder[found], ladder_values[found]
+        norms[rows] = ladder_norms[found]
+        steps[rows] += 1
+        pending = np.flatnonzero(~found)
+        if pending.size == 0:
+            continue
+        # the shorter rungs as (component, row, scale): one component's rungs at a time
+        scales = STEP_SCALES[1:]
+        ladder = base[pending].T[:, :, None] + newton_steps[pending].T[:, :, None] * scales
+        ladder_values = values_fn(
+            ladder.reshape(len(ladder), -1).T, np.repeat(working[pending], len(scales))
+        ).reshape(pending.size, len(scales), -1)
+        with np.errstate(over="ignore"):
+            ladder_norms = residual_norms(ladder_values)
+        found, rung = first_lowering(ladder_norms, norms[working[pending]])
+        rows = working[pending[found]]
+        pts[rows], values[rows] = ladder[:, found, rung].T, ladder_values[found, rung]
+        norms[rows] = ladder_norms[found, rung]
+        steps[rows] += 1
+        status[working[pending[~found]]] = NewtonStatus.NO_DESCENT
 
     status[(status == running) & (norms <= tol)] = NewtonStatus.CONVERGED
     return NewtonResult(pts, norms, status, steps)
@@ -409,13 +436,18 @@ def _solve_subsystems(
     ends = np.cumsum(sizes)
     begins = ends - sizes
 
-    def values(points, rows, on_f):  # on_f: the slice's f/g table, one row per start
-        fx, gx = inst.evaluate_pair(points)
-        return np.where(np.take(on_f, rows, axis=0), fx, gx)
+    terms = inst._pair_terms
 
-    def jacobians(points, rows, on_f):  # folds the Jacobian block alone
-        jac = inst._pair_terms.evaluate(points, inst._pair_terms.jacobian).reshape(-1, 2, n, n)
-        return np.where(np.take(on_f, rows, axis=0)[:, :, None], jac[:, 0], jac[:, 1])
+    # each callback folds one block of the f/g table component-major and picks
+    # f_i or g_i per row with one np.where on its (n, rows) branch table; the
+    # fresh pick, not the fold, is transposed to the kernel's row-major shape
+    def values(points, rows, on_f):  # on_f: the slice's f/g table, one column per start
+        sums = terms.fold(points, terms.values)  # f_1..f_n, g_1..g_n
+        return np.where(np.take(on_f, rows, axis=1), sums[:n], sums[n:]).T
+
+    def jacobians(points, rows, on_f):
+        sums = terms.fold(points, terms.jacobian).reshape(2, n, n, -1)  # (f/g, i, j, row)
+        return np.where(np.take(on_f, rows, axis=1)[:, None], sums[0], sums[1]).transpose(2, 0, 1)
 
     def start_rows(k, low, high):  # rows low:high of the start table, all in subset k
         if sizes[k] == 1:
@@ -429,7 +461,7 @@ def _solve_subsystems(
         subsets = range(np.searchsorted(ends, first, "right"), np.searchsorted(begins, stop))
         lows, highs = np.maximum(begins[subsets], first), np.minimum(ends[subsets], stop)
         starts = np.vstack([start_rows(*bounds) for bounds in zip(subsets, lows, highs)])
-        on_f = np.repeat(on_f_sets[subsets], highs - lows, axis=0)
+        on_f = np.repeat(on_f_sets[subsets].T, highs - lows, axis=1)
         # drive well below tol so certification at tol has slack
         result = damped_newton(partial(values, on_f=on_f), partial(jacobians, on_f=on_f),
                                starts, cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS)
@@ -489,6 +521,7 @@ def enumerate_solutions(inst: PcpInstance, cfg: SolveConfig | None = None) -> So
 
     return SolutionSet(
         certificates=tuple(certificates),
+        n=n,
         config=cfg,
         completeness_claim=not warnings,
         warnings=tuple(warnings),
@@ -550,11 +583,13 @@ def distance_to_solutions(sols: SolutionSet, x) -> float | np.ndarray:
     """Euclidean distance from x to the listed points; exactly 1 when empty.
 
     Batch aware: a (m, n) input yields a (m,) vector of distances.  Points
-    whose length is not the solutions' dimension raise InputError.
+    whose length is not the set's dimension n raise InputError, also when
+    the set is empty.
     """
+    pts, single = _as_points(x, sols.n)
     if len(sols) == 0:
-        return 1.0 if np.ndim(x) == 1 else np.ones(len(x))
-    solutions = sols.points
-    pts, single = _as_points(x, solutions.shape[1])
-    distances = np.min(np.linalg.norm(pts[:, None, :] - solutions[None, :, :], axis=2), axis=1)
+        distances = np.ones(len(pts))
+    else:
+        gaps = np.linalg.norm(pts[:, None, :] - sols.points[None, :, :], axis=2)
+        distances = np.min(gaps, axis=1)
     return float(distances[0]) if single else distances

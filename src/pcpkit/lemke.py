@@ -81,6 +81,15 @@ def lemke_lcp(M, q) -> LcpResult:
         z = np.zeros(n)
         return LcpResult(status="trivial", z=z, w=q.copy(), pivots=0)
 
+    # a pivot on extreme data may overflow; the basis check then refuses the
+    # run with PivotBudgetError, whatever the caller's warning filters
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _pivot(M, q)
+
+
+def _pivot(M: np.ndarray, q: np.ndarray) -> LcpResult:
+    """Lemke's pivots on LCP(M, q) with q not nonnegative; see :func:`lemke_lcp`."""
+    n = len(q)
     # Tableau for w - Mz - z0*e = q with basis columns carried in place:
     # columns [w_1..w_n | z_1..z_n | z0 | rhs].
     tableau = np.hstack([np.eye(n), -M, -np.ones((n, 1)), q[:, None]])

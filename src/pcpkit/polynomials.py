@@ -254,6 +254,10 @@ class CompiledTerms:
         table[-1] = -0.0
         return table
 
+    def fold(self, pts: np.ndarray, block: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """One block's entries at a batch (m, arity) of points, component-major: (entries, m)."""
+        return _fold(self.monomials(pts), *block)
+
     def evaluate(self, x, *blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """The blocks' entries side by side, at a point or a batch (m, entries)."""
         pts, single = _as_points(x, self.arity)

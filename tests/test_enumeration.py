@@ -1,5 +1,7 @@
 """Index-set enumeration, certification, deduplication, distances."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -44,6 +46,7 @@ from pcpkit.enumeration import (
     _dedupe_points,
     _start_cloud,
     damped_newton,
+    one_norms,
 )
 from pcpkit.genericity import random_instance, trial_instance
 from pcpkit.residuals import MAX_SUBSET_DIMENSION
@@ -51,6 +54,37 @@ from pcpkit.residuals import MAX_SUBSET_DIMENSION
 from test_lemke import affine_instance
 
 FAST = SolveConfig(starts_per_subsystem=60)
+# sha256 of every subset's roots from _solve_subsystems (shape then bytes, in mask
+# order) and of json.dumps(enumerate_solutions(inst).to_dict()) at the default
+# SolveConfig, as the subset-major kernel wrote them (numpy 2.4, x86-64);
+# trial-n-k is trial_instance(n, (2,) * n, 3, k), dense-s is a dense n = 2, d = 3
+# random_instance on seed s
+SWEEP_DIGESTS = {
+    "trial-1-0": ("4c1088467881a66a4d1dbd56c3a9cbb2ccae66b8824e9d1cccb80b6548f4829b",
+                 "a7e75d27f6ec0c489bd747e11fa716be9dcf9c300f479ba9caaca1a49fb48cbb"),
+    "trial-1-3": ("657be3a4310554907001358f3804076d8859483267cb5065d78f07c0da4baf07",
+                 "25c697850f02b24758bee5711e119ed2cfba556d24715fb77d5013d2bf83c663"),
+    "trial-2-0": ("68e86942a8843b9905c35e9c555413b07b1dba4dd6df961c085dc80815fad643",
+                 "554d2984ffbd40b802ecf7277c6a86fda45c2ae2cb88c49c76e8b94043063ec8"),
+    "trial-2-3": ("74c5b5a5e1b25e91874de5732a57f980d9dbacabab2c13f8c4fd49d732338f05",
+                 "7e529ba13e0c4bceb9cb92798b8aa55c83069eb6af0a0f494ac1e415ebc8b7b7"),
+    "trial-3-0": ("a3bf174e90b40da7dc6928bb968c9a40ce4d832b682a86c9cc4702dcb5e88f77",
+                 "bc3fe94c046756a45ce09ee3a4e6b2fa9e050480462c794cb953f550936f55e9"),
+    "trial-3-3": ("52a2d2c99a20f6c311a573083040ea1b460b124d38497ff0e6832a28be395cdb",
+                 "f09bc8cc9bf28ac16b6b079d3dbea258919b1254d8c6df657cbdc1fd04416d3a"),
+    "trial-4-0": ("70374f6dd0102d6b6f5e3a3a514a4fa4f11176b48e35191c478c726120a8a20e",
+                 "4af7d59921726d20d0aeee55aa7162ca8222ad749b039b7384ef25c08397a8c7"),
+    "trial-4-3": ("dab2cb0a38da9e474c8b64e8a613a66f31a9f8ff165797ae6ef1925aee86e8d8",
+                 "47419031a466ede7f331cef88157a99c4c9d2a68600789695bb812ebca9db102"),
+    "trial-5-0": ("423c3327e458545796c09ca41d12f1e926af4b037fa2b6bbfee2c75e64226ca9",
+                 "50b360094eec2204555168a2a9e7b41b375b31fdb152b19919a244a7b105a9e9"),
+    "trial-5-3": ("58899bcde9962cb43c21380a6c53381745f8e0c13de59eaf0e04910d13e2b22f",
+                 "1e746e95a7357c8e549492b8f5d4b4ed0298979164852cd4056f110ee7b17447"),
+    "dense-1": ("8a875b897a8fc4b7655a090950ed1e875961799382ba7130b2a16dcf0313caca",
+               "592d691cb3248685ee2097786985f87aa6b620d553c23fa05e4ebcbcac9ff56e"),
+    "dense-2": ("d7ac8a75b3b84f1fb734219ce0fdfc4bfda09ab330a34909a2dfc4b8fd06b2c2",
+               "6c459b218354aebb78e622f2f75a7023b55862e663ad25bfa3a7c6fbf6df0147"),
+}
 
 
 class TestSolveSubsystem:
@@ -360,6 +394,57 @@ def assert_same_result(got, want):
         assert g.tobytes() == w.tobytes(), name
 
 
+class TestOneNorms:
+    """The kernel's 1-norm against np.linalg.norm, byte for byte."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 37])
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_equals_linalg_norm(self, n, rows):
+        rng = np.random.default_rng([n, rows])
+        stack = rng.standard_normal((rows, n, n)) * 10.0 ** rng.integers(-3, 4, (rows, n, n))
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1e300, 1e-300]
+        hit = rng.random((rows, n, n)) < 0.1
+        stack[hit] = rng.choice(special, hit.sum())
+        # whole columns of huge entries overflow the column sum to inf
+        stack[rows // 2, :, 0] = 1e308
+        for a in (stack, np.asfortranarray(stack), stack.transpose(0, 2, 1)):
+            with np.errstate(over="ignore"):
+                want = np.linalg.norm(a, 1, axis=(1, 2))
+                got = one_norms(a)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBranchPick:
+    """The sweep's callbacks equal the subset's own PolyMap bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_values_and_jacobians(self, monkeypatch, n):
+        inst = random_instance(n, [2] * n, [3] * n, 40 + n)
+        rng = np.random.default_rng(n)
+        points = rng.standard_normal((23, n)) * 3.0
+        callbacks = []
+
+        def captured(values_fn, jacobian_fn, starts, *args):
+            callbacks.append((values_fn, jacobian_fn, len(starts)))
+            return damped_newton(values_fn, jacobian_fn, starts, *args)
+
+        monkeypatch.setattr(enumeration, "damped_newton", captured)
+        for mask in range(1 << n):
+            index_set = [i for i in range(n) if mask >> i & 1]
+            solve_subsystem(inst, index_set, SolveConfig(starts_per_subsystem=5))
+            values_fn, jacobian_fn, count = callbacks.pop()
+            system = PolyMap(tuple(
+                inst.f.components[i] if mask >> i & 1 else inst.g.components[i]
+                for i in range(n)
+            ))
+            rows = rng.integers(0, count, len(points))
+            for pts in (points, np.asfortranarray(points)):
+                for got, want in ((values_fn(pts, rows), system.evaluate(points)),
+                                  (jacobian_fn(pts, rows), system.jacobian(points))):
+                    assert got.shape == want.shape
+                    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
 class TestKernelReference:
     """The kernel against its first formulation, bit for bit."""
 
@@ -650,6 +735,34 @@ class TestBatchedSweep:
             _start_cloud.cache_clear()
             fresh.append(enumerate_solutions(hyperbola_pair, cfg).to_dict())
         assert alternating == fresh * 2
+
+
+class TestSweepDigests:
+    """Every subset's roots and the report are pinned byte for byte."""
+
+    @staticmethod
+    def digests(inst, monkeypatch):
+        sweeps = []
+        solve = enumeration._solve_subsystems
+        monkeypatch.setattr(enumeration, "_solve_subsystems",
+                            lambda *args: sweeps.append(solve(*args)) or sweeps[-1])
+        report = enumerate_solutions(inst).to_dict()
+        roots = hashlib.sha256()
+        for subset_roots in sweeps[0]:
+            roots.update(np.array(subset_roots.shape).tobytes())
+            roots.update(subset_roots.tobytes())
+        return roots.hexdigest(), hashlib.sha256(json.dumps(report).encode()).hexdigest()
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_trial_instances(self, monkeypatch, n, k):
+        inst = trial_instance(n, (2,) * n, 3, k)
+        assert self.digests(inst, monkeypatch) == SWEEP_DIGESTS[f"trial-{n}-{k}"]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_dense_cubics(self, monkeypatch, seed):
+        inst = random_instance(2, (3, 3), (3, 3), seed)
+        assert self.digests(inst, monkeypatch) == SWEEP_DIGESTS[f"dense-{seed}"]
 
 
 class TestStartCloud:
@@ -953,6 +1066,14 @@ class TestDistance:
         assert distance_to_solutions(sols, [7.0, -3.0]) == 1.0
         batch = distance_to_solutions(sols, np.zeros((4, 2)))
         assert np.all(batch == 1.0)
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [0.5], np.zeros((3, 1)), 0.5],
+                             ids=["long", "short", "narrow-batch", "scalar"])
+    def test_empty_set_refuses_misshapen_points(self, unsolvable_pair, x):
+        sols = enumerate_solutions(unsolvable_pair, FAST)
+        assert len(sols) == 0 and sols.points.shape == (0, 2)
+        with pytest.raises(InputError):
+            distance_to_solutions(sols, x)
 
     def test_member_and_offset(self, hyperbola_pair):
         sols = enumerate_solutions(hyperbola_pair, FAST)

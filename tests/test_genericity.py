@@ -108,7 +108,7 @@ class TestTrialPipeline:
     def test_lemke_disagrees_with_an_empty_solution_set(self, monkeypatch):
         # a Lemke solution is at distance 1 from an empty set, above the dedupe radius
         def nothing_found(inst, cfg):
-            return SolutionSet(certificates=(), config=cfg, completeness_claim=True)
+            return SolutionSet(certificates=(), n=inst.n, config=cfg, completeness_claim=True)
 
         monkeypatch.setattr(genericity, "enumerate_solutions", nothing_found)
         summary = genericity_trial(1, (1,), 10, seed=2, cfg=FAST)

@@ -6,6 +6,7 @@ import pytest
 from pcpkit import (
     InputError,
     PcpInstance,
+    PivotBudgetError,
     PolyMap,
     Polynomial,
     SolveConfig,
@@ -105,6 +106,11 @@ class TestLemke:
         # an infinite M once reported z = w = 0 as a solution, although w = -1
         with pytest.raises(InputError, match="^M and q must "):
             lemke_lcp(M, q)
+
+    def test_overflowing_pivot_is_refused_without_warning(self):
+        # the pivot divides -1e300 by -1e-11; the suite turns RuntimeWarnings into errors
+        with pytest.raises(PivotBudgetError, match="inconsistent basis"):
+            lemke_lcp([[1e-11]], [-1e300])
 
     def test_p_matrix_always_solvable(self):
         # diagonally dominant positive matrices admit a solution for any q
