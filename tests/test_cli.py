@@ -315,6 +315,33 @@ class TestNegativeValues:
         assert code == 0
         assert space_out == equals_out
 
+    @pytest.mark.parametrize("head, option, value, tail", [
+        (head, option, value, tail)
+        for head, option, tail in (
+            (("residual", "hyperbola"), "--point", ()),
+            (("probe", "xref", "hyperbola"), "--xref", ("--radius", "2", "--samples", "64")),
+            (("bounds", "hyperbola"), "--region", ("--samples", "50", "--starts", "20")),
+            (("probe", "coercivity", "hyperbola"), "--radii", ("--samples", "64")),
+        )
+        for value in ("-1,0", "-.5,2", "-1e-3,0.5", "-inf,0", "-nan,0")
+    ] + [
+        (("probe", "xref", "hyperbola", "--xref", "0,0"), "--radius", "-2", ()),
+        (("probe", "karamardian", "hyperbola"), "--c", "-1", ()),
+        (("solve", "hyperbola"), "--tol", "-1e-9", ()),
+        (("bounds", "hyperbola", "--radii", "1,5"), "--claim", "-1",
+         ("--samples", "50", "--starts", "20")),
+    ])
+    def test_value_forms_agree(self, capsys, hyperbola_file, head, option, value, tail):
+        # "--opt v" and "--opt=v" give the same report, errors and exit code
+        head = [hyperbola_file if arg == "hyperbola" else arg for arg in head]
+        outcomes = []
+        for form in ((option, value), (f"{option}={value}",)):
+            code = run_command([*head, *form, *tail])
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        assert "expected one argument" not in outcomes[0][2]
+
 
 class TestExponentGenerateTrialLemke:
     def test_exponent_values(self, capsys):
