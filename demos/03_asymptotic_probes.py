@@ -78,6 +78,6 @@ print("  yet this instance has none: uniqueness never implies existence\n")
 print("== Jacobian degeneracy at the solutions ==")
 cfg = SolveConfig(starts_per_subsystem=120)
 sols = enumerate_solutions(affine, cfg)
-scan = jacobian_degeneracy_scan(affine, sols)
+scan = jacobian_degeneracy_scan(sols)
 print(f"  Id / x-1: {scan.verdict}, min |det Jac_I| per solution = "
       f"{scan.statistics['min_abs_det_by_solution']}")

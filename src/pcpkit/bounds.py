@@ -26,7 +26,9 @@ import numpy as np
 from .enumeration import SolutionSet, distance_to_solutions
 from .exceptions import InputError
 from .polynomials import _as_points
-from .residuals import PcpInstance, as_region, natural_residual_norm, sample_box, unit_sphere
+from .residuals import (
+    PcpInstance, as_region, check_positive, natural_residual_norm, sample_box, unit_sphere,
+)
 
 
 def exponent_R(n: int, d: int) -> int:
@@ -182,8 +184,6 @@ def _bound_statistics(
 
     violations: list[dict] = []
     if claimed_c is not None:
-        if claimed_c <= 0:
-            raise InputError("claimed_c must be positive")
         log_claim = np.log(claimed_c)
         breach = usable & (log_res < log_claim + log_lhs)
         for k in np.flatnonzero(breach):
@@ -202,6 +202,15 @@ def _near_solution_fit(dists: np.ndarray, residuals: np.ndarray) -> ExponentFit 
     if mask.sum() < 2 or np.ptp(np.log(dists[mask])) == 0.0:
         return None
     return empirical_exponent_fit(np.column_stack([dists[mask], residuals[mask]]))
+
+
+def _check_settings(samples: int, alpha: float, claimed_c: float | None) -> None:
+    """Refuse a verification's settings before it samples."""
+    if samples < 1:
+        raise InputError("samples must be >= 1")
+    check_positive("alpha", alpha)
+    if claimed_c is not None:
+        check_positive("claimed_c", claimed_c)
 
 
 def _bound_report(
@@ -248,8 +257,7 @@ def verify_local_bound(
     c_best conservative but can corrupt the fitted exponent (carried via
     the completeness flag).
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
+    _check_settings(samples, alpha, claimed_c)
     box = as_region(region, inst.n)
     rng = np.random.default_rng(seed)
     points = sample_box(rng, box, samples)
@@ -273,11 +281,12 @@ def verify_global_bound(
     ``samples`` points are drawn on every listed radius; ``extra_points``
     lets callers inject adversarial probe sequences.
     """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
+    _check_settings(samples, alpha, claimed_c)
     radii = [float(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii):
-        raise InputError("radii must be positive")
+    if not radii:
+        raise InputError("need at least one radius")
+    for r in radii:
+        check_positive("radii", r)
     rng = np.random.default_rng(seed)
     shells = [unit_sphere(rng, samples, inst.n) * r for r in radii]
     points = np.vstack(shells)

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -167,7 +168,7 @@ def _cmd_homotopy(args) -> int:
 def _probe_jacobian(inst, args):
     cfg = _config(args)
     sols = enumerate_solutions(inst, cfg)
-    return probes_mod.jacobian_degeneracy_scan(inst, sols), cfg.to_dict()
+    return probes_mod.jacobian_degeneracy_scan(sols), cfg.to_dict()
 
 
 def _cmd_probe(args) -> int:
@@ -301,6 +302,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        # argparse's negative-number rule, widened to lists and inf/nan: -1,0 is a value
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 @functools.cache
@@ -435,39 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_negative_number(arg: str) -> bool:
-    if not arg.startswith("-"):
-        return False
-    try:
-        float(arg.split(",")[0])
-    except ValueError:
-        return False
-    return True
-
-
-def _join_negative_values(argv) -> list[str]:
-    """argv with each negative-number value joined to its option by "=".
-
-    argparse takes a value such as "-1,0" for an option of its own and
-    exits 2 with "expected one argument"; ``--point=-1,0`` it reads as
-    the value, so ``--point -1,0`` is passed on in that form.
-    """
-    joined: list[str] = []
-    for arg in argv:
-        option = joined[-1] if joined else ""
-        if option.startswith("--") and option != "--" and "=" not in option \
-                and _is_negative_number(arg):
-            joined[-1] = f"{option}={arg}"
-        else:
-            joined.append(arg)
-    return joined
-
-
 def run_command(argv) -> int:
     """Parse argv, run the subcommand, print the report; return the exit code."""
     parser = build_parser()
     try:
-        args, unknown = parser.parse_known_args(_join_negative_values(argv))
+        args, unknown = parser.parse_known_args(argv)
         if unknown:  # refused by the innermost subcommand, whose usage lists its own flags
             args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exit_:

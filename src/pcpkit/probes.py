@@ -10,7 +10,6 @@ re-evaluated against the probed predicate before being reported.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .residuals import (
     PcpInstance,
     active_branch,
     as_region,
+    check_positive,
     natural_map,
     natural_residual_norm,
     residual_norms,
@@ -83,9 +83,10 @@ def _report(
 
 def _refine_on_sphere(
     pair: PcpInstance, starts: np.ndarray, radii: np.ndarray, iters: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient descent for ||min{f, g}||^2, row k on the sphere radii[k].
 
+    Returns the refined points and the ||m|| the descent tracks for them.
     Each row steps along its tangential gradient by the first of
     step * STEP_SCALES whose projected point lowers ||m||; the step
     starts at 0.1 * R and grows by 1.5 when taken.  A row stops at a
@@ -116,7 +117,7 @@ def _refine_on_sphere(
         pick = first_lowering(trial_values, value[live])
         live = live[pick[0]]
         x[live], value[live], step[live] = trials[pick], trial_values[pick], 1.5 * steps[pick]
-    return x
+    return x, value
 
 
 def _sphere_minima(
@@ -137,13 +138,12 @@ def _sphere_minima(
     order = np.argsort(norms, axis=1, kind="stable")[:, :keep]
     starts = np.take_along_axis(points, order[..., None], axis=1)
     keep = order.shape[1]
-    refined = _refine_on_sphere(pair, starts.reshape(-1, n), np.repeat(radii, keep), iters)
-    refined_norms = natural_residual_norm(pair, refined).reshape(count, keep)
-    refined = refined.reshape(count, keep, n)
-    rows, best = np.arange(count), np.argmin(refined_norms, axis=1)
+    refined, phi = _refine_on_sphere(pair, starts.reshape(-1, n), np.repeat(radii, keep), iters)
+    refined, phi = refined.reshape(count, keep, n), phi.reshape(count, keep)
+    rows, best = np.arange(count), np.argmin(phi, axis=1)
     sampled = norms[rows, order[:, 0]]
-    lower = refined_norms[rows, best] < sampled
-    values = np.where(lower, refined_norms[rows, best], sampled)
+    lower = phi[rows, best] < sampled
+    values = np.where(lower, phi[rows, best], sampled)
     return np.where(lower[:, None], refined[rows, best], starts[:, 0]), values, norms
 
 
@@ -168,6 +168,8 @@ def r0_test(
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
+    if refine_iters < 0:
+        raise InputError("refine_iters must be >= 0")
     pair = inst.componentwise_leading_pair if componentwise else inst.leading_pair
     if pair.f.is_zero or pair.g.is_zero:
         raise DegenerateInputError("leading pair contains the zero map")
@@ -262,8 +264,10 @@ def coercivity_probe(
     radii = [float(r) for r in radii]
     if len(radii) < 2:
         raise InputError("need at least two radii")
-    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InputError("radii must be positive and strictly increasing")
+    for r in radii:
+        check_positive("radii", r)
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InputError("radii must be strictly increasing")
     if samples_per_radius < 1:
         raise InputError("samples_per_radius must be >= 1")
     rng = np.random.default_rng(seed)
@@ -314,8 +318,7 @@ def xref_boundedness_probe(
     With ``use_leading`` the leading-pair min map replaces m.  Any sample
     with a nonpositive pairing is a counterexample witness.
     """
-    if radius <= 0:
-        raise InputError("radius must be positive")
+    check_positive("radius", radius)
     if samples < 1:
         raise InputError("samples must be >= 1")
     reference = as_point(x_ref, inst.n, "x_ref")
@@ -358,8 +361,7 @@ def karamardian_coercivity_probe(
     max(1, .)] with random directions.  A sample violating the inequality
     beyond the relative float guard is a counterexample witness.
     """
-    if c <= 0:
-        raise InputError("c must be positive")
+    check_positive("c", c)
     if samples < 1:
         raise InputError("samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -398,8 +400,8 @@ def karamardian_coercivity_probe(
     return _report("karamardian-coercivity", witness, samples, statistics, config)
 
 
-def jacobian_degeneracy_scan(inst: PcpInstance, sols: SolutionSet) -> ProbeReport:
-    """Scan solutions for a vanishing index-set Jacobian determinant.
+def jacobian_degeneracy_scan(sols: SolutionSet) -> ProbeReport:
+    """Scan a solution set's certificates for a vanishing index-set Jacobian determinant.
 
     A solution where min_I |det Jac_I| falls at or below DEGENERACY_TOL is
     degeneracy evidence (the necessary condition for an unbounded
@@ -455,7 +457,6 @@ def p_function_probe(
     region,
     pairs: int = 1000,
     seed: int = 0,
-    solutions: SolutionSet | None = None,
 ) -> ProbeReport:
     """Probe the pairwise sign condition behind uniqueness of solutions.
 
@@ -463,19 +464,20 @@ def p_function_probe(
     the region and checks that some index i has
     (f_i(x) - f_i(y))(g_i(x) - g_i(y)) > 0 beyond the float guard.  A
     pair with no such index is a counterexample: two solutions could then
-    coexist.  When a solution set with at least two points inside the
-    feasible region is supplied, those exact pairs are re-tested first;
-    at solution pairs every product is nonpositive, so they must trip the
-    probe.
+    coexist.
     """
     if pairs < 1:
         raise InputError("pairs must be >= 1")
     box = as_region(region, inst.n)
     rng = np.random.default_rng(seed)
-
-    def pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        (fx, gx), (fy, gy) = inst.evaluate_pair(x), inst.evaluate_pair(y)
-        return (fx - fy) * (gx - gy)
+    xs = _feasible_region_samples(inst, box, pairs, rng)
+    ys = _feasible_region_samples(inst, box, pairs, rng)
+    identical = np.all(xs == ys, axis=1)
+    if np.any(identical):
+        ys[identical] = _feasible_region_samples(inst, box, int(identical.sum()), rng)
+    (fx, gx), (fy, gy) = inst.evaluate_pair(xs), inst.evaluate_pair(ys)
+    max_products = np.max((fx - fy) * (gx - gy), axis=1)
+    failing = np.flatnonzero(max_products <= P_FUNCTION_POSITIVE_TOL)
 
     config = {
         "region": [[float(a), float(b)] for a, b in box],
@@ -483,44 +485,16 @@ def p_function_probe(
         "seed": seed,
         "positive_tol": P_FUNCTION_POSITIVE_TOL,
     }
-
-    # consistency pass: known solutions inside the feasible region
+    statistics = {
+        "checked_pairs": pairs,
+        "min_of_max_products": float(max_products.min()),
+    }
     witness = None
-    if solutions is not None and len(solutions) >= 2:
-        points = solutions.points
-        in_box = np.all((points >= box[:, 0]) & (points <= box[:, 1]), axis=1)
-        inside = points[in_box & sign_feasible(*inst.evaluate_pair(points), 1e-9)]
-        for x, y in combinations(inside, 2):
-            products = pair_products(x, y)
-            if np.max(products) <= P_FUNCTION_POSITIVE_TOL:
-                witness = {
-                    "x": [float(v) for v in x],
-                    "y": [float(v) for v in y],
-                    "max_product": float(np.max(products)),
-                    "note": "solution pair",
-                }
-                break
-
-    if witness is not None:
-        samples_used, statistics = 0, {"checked_pairs": 0, "solution_pairs": True}
-    else:
-        xs = _feasible_region_samples(inst, box, pairs, rng)
-        ys = _feasible_region_samples(inst, box, pairs, rng)
-        identical = np.all(xs == ys, axis=1)
-        if np.any(identical):
-            ys[identical] = _feasible_region_samples(inst, box, int(identical.sum()), rng)
-        max_products = np.max(pair_products(xs, ys), axis=1)
-        failing = np.flatnonzero(max_products <= P_FUNCTION_POSITIVE_TOL)
-        samples_used = 2 * pairs
-        statistics = {
-            "checked_pairs": pairs,
-            "min_of_max_products": float(max_products.min()),
+    if failing.size:
+        k = int(failing[0])
+        witness = {
+            "x": [float(v) for v in xs[k]],
+            "y": [float(v) for v in ys[k]],
+            "max_product": float(max_products[k]),
         }
-        if failing.size:
-            k = int(failing[0])
-            witness = {
-                "x": [float(v) for v in xs[k]],
-                "y": [float(v) for v in ys[k]],
-                "max_product": float(max_products[k]),
-            }
-    return _report("p-function", witness, samples_used, statistics, config)
+    return _report("p-function", witness, 2 * pairs, statistics, config)

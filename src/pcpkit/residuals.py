@@ -35,6 +35,12 @@ def check_subset_dimension(n: int, walk: str) -> None:
         )
 
 
+def check_positive(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is finite and positive; a NaN fails both comparisons."""
+    if not 0 < value < np.inf:
+        raise InputError(f"{name} must be finite and positive, got {value}")
+
+
 def unit_sphere(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
     """``count`` seeded directions on the unit sphere in R^n, one per row."""
     points = rng.standard_normal((count, n))

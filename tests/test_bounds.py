@@ -223,3 +223,32 @@ class TestGlobalBound:
             ratios.append(float(np.min(norms)) / radius)
         for earlier, later in zip(ratios, ratios[1:]):
             assert later >= earlier * 0.9
+
+
+def refuse_sampling(*args, **kwargs):
+    raise AssertionError("sampled before refusing the settings")
+
+
+class TestSettingsRefused:
+    """A non-finite or out-of-range setting is refused before any sampling."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda inst, sols: verify_global_bound(inst, sols, [float("nan")], 10, 1), "radii"),
+        (lambda inst, sols: verify_global_bound(inst, sols, [1.0, float("inf")], 10, 1), "radii"),
+        (lambda inst, sols: verify_global_bound(inst, sols, [1.0, 5.0], 10, -1.0), "alpha"),
+        (lambda inst, sols: verify_local_bound(inst, sols, [[0, 1], [0, 1]], 10, float("nan")),
+         "alpha"),
+        (lambda inst, sols: verify_local_bound(inst, sols, [[0, 1], [0, 1]], 10, 1,
+                                               claimed_c=float("nan")), "claimed_c"),
+        (lambda inst, sols: verify_global_bound(inst, sols, [1.0], 10, 1, claimed_c=-1.0),
+         "claimed_c"),
+    ], ids=["global-radii-nan", "global-radii-inf", "global-alpha-negative", "local-alpha-nan",
+            "local-claim-nan", "global-claim-negative"])
+    def test_refused(self, monkeypatch, affine_shift, call, name):
+        from pcpkit import bounds
+
+        sols = enumerate_solutions(affine_shift, CFG)
+        monkeypatch.setattr(bounds, "unit_sphere", refuse_sampling)
+        monkeypatch.setattr(bounds, "sample_box", refuse_sampling)
+        with pytest.raises(InputError, match=f"^{name} must be finite and positive"):
+            call(affine_shift, sols)

@@ -652,6 +652,29 @@ class TestErrors:
         assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, name", [
+        (("probe", "xref", "{instance}", "--xref", "0,0", "--radius", "nan"), "radius"),
+        (("probe", "xref", "{instance}", "--xref", "0,0", "--radius", "inf"), "radius"),
+        (("probe", "karamardian", "{instance}", "--c", "nan"), "c"),
+        (("probe", "coercivity", "{instance}", "--radii", "nan,2"), "--radii"),
+        (("probe", "coercivity", "{instance}", "--radii", "1,inf"), "--radii"),
+        (("probe", "r0", "{instance}", "--refine", "-5"), "refine_iters"),
+        (("bounds", "{instance}", "--radii", "nan"), "--radii"),
+        (("bounds", "{instance}", "--radii", "1,5", "--alpha", "-1"), "alpha"),
+        (("bounds", "{instance}", "--region", "0,2", "--alpha", "nan"), "alpha"),
+        (("bounds", "{instance}", "--region", "0,2", "--claim", "nan"), "claimed_c"),
+    ], ids=["xref-radius-nan", "xref-radius-inf", "karamardian-c-nan", "coercivity-radii-nan",
+            "coercivity-radii-inf", "r0-refine-negative", "bounds-radii-nan",
+            "bounds-alpha-negative", "bounds-alpha-nan", "bounds-claim-nan"])
+    def test_out_of_range_setting_refused(self, capsys, hyperbola_file, argv, name):
+        # the setting is named, not reported later as a non-finite number in the report
+        code = run_command([arg.format(instance=hyperbola_file) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        last = captured.err.splitlines()[-1]
+        assert "error:" in last and name in last and "non-finite" not in last
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "probe, options",
         [

@@ -338,9 +338,9 @@ class TestCoercivity:
         assert max(report.statistics["phi_by_radius"]) <= 2.0
 
     def test_reported_norms_are_single_point_values(self, monkeypatch):
-        # phi(R) and a witness residual are re-evaluated single-point norms,
-        # not a row of the batch evaluation; without refinement steps the
-        # sampled point itself is often the best
+        # phi(R) and a witness residual equal single-point norms, although they
+        # come from batch evaluations; without refinement steps the sampled
+        # point itself is often the best
         from pcpkit import probes, random_instance
         from pcpkit.probes import _refine_on_sphere
         from pcpkit.residuals import natural_residual_norm, unit_sphere
@@ -354,7 +354,8 @@ class TestCoercivity:
             for radius, phi in zip(radii, report.statistics["phi_by_radius"]):
                 points = unit_sphere(rng, 256, 3) * radius
                 best = points[int(np.argmin(natural_residual_norm(inst, points)))]
-                refined = _refine_on_sphere(inst, best[None], np.array([radius]), 0)[0]
+                refined, _ = _refine_on_sphere(inst, best[None], np.array([radius]), 0)
+                refined = refined[0]
                 assert phi == min(
                     natural_residual_norm(inst, best), natural_residual_norm(inst, refined)
                 )
@@ -373,17 +374,20 @@ class TestCoercivity:
         # rows of mixed radii descend together exactly as they do alone
         from pcpkit import random_instance
         from pcpkit.probes import _refine_on_sphere
-        from pcpkit.residuals import unit_sphere
+        from pcpkit.residuals import natural_residual_norm, unit_sphere
 
         for n in (2, 3, 4, 5):
             inst = random_instance(n, [2] * n, [2] * n, 7 * n)
             rng = np.random.default_rng(n)
             radii = rng.choice([0.25, 1.0, 3.0, 10.0], size=12)
             starts = unit_sphere(rng, 12, n) * rng.uniform(0.5, 2.0, size=(12, 1))
-            stacked = _refine_on_sphere(inst, starts, radii, 40)
+            stacked, stacked_norms = _refine_on_sphere(inst, starts, radii, 40)
             for k in range(12):
-                alone = _refine_on_sphere(inst, starts[k : k + 1], radii[k : k + 1], 40)
+                alone, alone_norms = _refine_on_sphere(
+                    inst, starts[k : k + 1], radii[k : k + 1], 40
+                )
                 assert np.array_equal(stacked[k], alone[0])
+                assert stacked_norms[k] == alone_norms[0] == natural_residual_norm(inst, alone[0])
 
     def test_radii_validation(self, identity_pair):
         with pytest.raises(InputError):
@@ -444,13 +448,13 @@ class TestKaramardian:
 class TestDegeneracyScan:
     def test_regular_solutions(self, affine_shift):
         sols = enumerate_solutions(affine_shift, CFG)
-        report = jacobian_degeneracy_scan(affine_shift, sols)
+        report = jacobian_degeneracy_scan(sols)
         assert report.passed
         assert report.statistics["min_abs_det_by_solution"] == [pytest.approx(1.0)]
 
     def test_hyperbola_regular(self, hyperbola_pair):
         sols = enumerate_solutions(hyperbola_pair, CFG)
-        report = jacobian_degeneracy_scan(hyperbola_pair, sols)
+        report = jacobian_degeneracy_scan(sols)
         assert report.passed  # |det| = 1 at (1, 1)
 
     def test_flags_rank_drop(self):
@@ -465,7 +469,7 @@ class TestDegeneracyScan:
         )
         sols = enumerate_solutions(inst, CFG)
         assert len(sols) == 1
-        report = jacobian_degeneracy_scan(inst, sols)
+        report = jacobian_degeneracy_scan(sols)
         assert report.verdict == "counterexample"
         assert report.witness["flagged"][0]["min_abs_det_jac"] <= 1e-8
 
@@ -515,20 +519,31 @@ class TestPFunction:
         with pytest.raises(EmptyRegionError):
             p_function_probe(inst, [[-1.0, 1.0], [-1.0, 1.0]], pairs=10)
 
-    def test_solution_pair_consistency(self):
-        # f = x, g = (x - 1)(x - 2): solutions 0, 1, 2; any solution pair
-        # must trip the probe even if random pairs would pass
-        inst = PcpInstance(
-            PolyMap((Polynomial(1, {(1,): 1.0}),)),
-            PolyMap((Polynomial(1, {(2,): 1.0, (1,): -3.0, (0,): 2.0}),)),
-        )
-        sols = enumerate_solutions(inst, CFG)
-        assert len(sols) == 3
-        report = p_function_probe(
-            inst, [[-0.5, 2.5]], pairs=100, solutions=sols
-        )
-        assert report.verdict == "counterexample"
-        assert report.witness["note"] == "solution pair"
+
+
+def refuse_sampling(*args, **kwargs):
+    raise AssertionError("sampled before refusing the settings")
+
+
+class TestSettingsRefused:
+    """A non-finite or out-of-range setting is refused before any sampling."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda inst: xref_boundedness_probe(inst, [0.0, 0.0], float("nan")), "radius"),
+        (lambda inst: xref_boundedness_probe(inst, [0.0, 0.0], float("inf")), "radius"),
+        (lambda inst: karamardian_coercivity_probe(inst, float("nan")), "c"),
+        (lambda inst: coercivity_probe(inst, [float("nan"), 2.0]), "radii"),
+        (lambda inst: coercivity_probe(inst, [1.0, float("inf")]), "radii"),
+        (lambda inst: r0_test(inst, refine_iters=-5), "refine_iters"),
+        (lambda inst: r0_shifted_pair_probe(inst, refine_iters=-5), "refine_iters"),
+    ], ids=["xref-radius-nan", "xref-radius-inf", "karamardian-c-nan", "coercivity-radii-nan",
+            "coercivity-radii-inf", "r0-refine-negative", "r0-shifted-refine-negative"])
+    def test_refused(self, monkeypatch, identity_pair, call, name):
+        from pcpkit import probes
+
+        monkeypatch.setattr(probes, "unit_sphere", refuse_sampling)
+        with pytest.raises(InputError, match=f"^{name} must be "):
+            call(identity_pair)
 
 
 class TestReportDigests:
@@ -545,7 +560,7 @@ class TestReportDigests:
             lambda: p_function_probe(inst, [[-4.0, 4.0]] * n, pairs=200, seed=4),
             lambda: xref_boundedness_probe(inst, np.full(n, 0.5), 2.0, samples=512, seed=5),
             lambda: karamardian_coercivity_probe(inst, 0.5, samples=512, seed=6),
-            lambda: jacobian_degeneracy_scan(inst, enumerate_solutions(inst, CFG)),
+            lambda: jacobian_degeneracy_scan(enumerate_solutions(inst, CFG)),
         )
         texts = []
         for run in runs:
