@@ -51,14 +51,15 @@ from pcpkit.enumeration import (
 from pcpkit.genericity import random_instance, trial_instance
 from pcpkit.residuals import MAX_SUBSET_DIMENSION
 
-from test_lemke import affine_instance
+from test_lemke import affine_instance, pd_lcp
 
 FAST = SolveConfig(starts_per_subsystem=60)
 # sha256 of every subset's roots from _solve_subsystems (shape then bytes, in mask
 # order) and of json.dumps(enumerate_solutions(inst).to_dict()) at the default
 # SolveConfig, as the subset-major kernel wrote them (numpy 2.4, x86-64);
 # trial-n-k is trial_instance(n, (2,) * n, 3, k), dense-s is a dense n = 2, d = 3
-# random_instance on seed s
+# random_instance on seed s, lcp-n is the PD LCP affine_instance(*pd_lcp(n, n)),
+# mixed-s is random_instance(3, (1, 1, 1), (1, 2, 1), s)
 SWEEP_DIGESTS = {
     "trial-1-0": ("4c1088467881a66a4d1dbd56c3a9cbb2ccae66b8824e9d1cccb80b6548f4829b",
                  "a7e75d27f6ec0c489bd747e11fa716be9dcf9c300f479ba9caaca1a49fb48cbb"),
@@ -84,6 +85,16 @@ SWEEP_DIGESTS = {
                "592d691cb3248685ee2097786985f87aa6b620d553c23fa05e4ebcbcac9ff56e"),
     "dense-2": ("d7ac8a75b3b84f1fb734219ce0fdfc4bfda09ab330a34909a2dfc4b8fd06b2c2",
                "6c459b218354aebb78e622f2f75a7023b55862e663ad25bfa3a7c6fbf6df0147"),
+    "lcp-2": ("71bbf22565456a77f5622bae4356e87e03daef204e9612d99689b602dd3ef29e",
+              "655d253fa6dc51a033c6bce03482d41fa86a3a8a4154b107fd3b387a3ad0e236"),
+    "lcp-4": ("799ddf094c8845700774f17f10f3842712792772f52dc652f324a169889eaf1d",
+              "6b5e55fb06ebdae19c7be4f74db705600cdc8d024255c99dcd09261f917d8b14"),
+    "lcp-6": ("386fccb1a3ae7861ba5162f23623f57bb1513909439f0dfb7bf060294a5f2e5c",
+              "1dc7ddcd7e9f1037668026b1194905382eda2062214e5e1894b2aa357514f43e"),
+    "mixed-1": ("559abd8da6602c012253d14fe8565ba4fff8d981e2cd15c76ef063af0d01b5aa",
+                "554d2984ffbd40b802ecf7277c6a86fda45c2ae2cb88c49c76e8b94043063ec8"),
+    "mixed-2": ("1af21a3b9624dfecdb9265d007864138dc1b77537906b952b198c665f084d6ba",
+                "b86f7643c663284be3f3b74b1366865b810fa10dd7d3e8e00abeac9e4d5f7e5e"),
 }
 
 
@@ -568,13 +579,6 @@ def sweep(inst, masks, cfg, alone):
             for mask in masks]
 
 
-def pd_lcp(n, seed):
-    """(M, q) with M = A A^T / n + 0.1 I positive definite: one LCP solution."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, n))
-    return a @ a.T / n + 0.1 * np.eye(n), rng.standard_normal(n)
-
-
 @pytest.fixture
 def kernel_rows(monkeypatch):
     """Rows of each damped-Newton call the enumerator makes, in order."""
@@ -763,6 +767,25 @@ class TestSweepDigests:
     def test_dense_cubics(self, monkeypatch, seed):
         inst = random_instance(2, (3, 3), (3, 3), seed)
         assert self.digests(inst, monkeypatch) == SWEEP_DIGESTS[f"dense-{seed}"]
+
+    # a one-start subset's rows, whole and in slices of 7 rows, where one-start
+    # subsets follow a subset split across slices
+    @pytest.mark.parametrize("cap", [None, 7], ids=["whole", "slices-of-7"])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_pd_lcps(self, monkeypatch, n, cap):
+        if cap:
+            monkeypatch.setattr(enumeration, "SWEEP_CHUNK_ROWS", cap)
+        inst = affine_instance(*pd_lcp(n, n))
+        assert self.digests(inst, monkeypatch) == SWEEP_DIGESTS[f"lcp-{n}"]
+
+    @pytest.mark.parametrize("cap", [None, 7], ids=["whole", "slices-of-7"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_mixed_degrees(self, monkeypatch, seed, cap):
+        # the subsets with bit 1 set are affine, so one-start and cloud subsets interleave
+        if cap:
+            monkeypatch.setattr(enumeration, "SWEEP_CHUNK_ROWS", cap)
+        inst = random_instance(3, (1, 1, 1), (1, 2, 1), seed)
+        assert self.digests(inst, monkeypatch) == SWEEP_DIGESTS[f"mixed-{seed}"]
 
 
 class TestStartCloud:

@@ -25,13 +25,16 @@ import pcpkit.homotopy as homotopy_module
 from pcpkit.homotopy import _blend, _track
 from pcpkit.residuals import active_branch, natural_jacobian
 
+from test_lemke import affine_instance, pd_lcp
+
 CFG = SolveConfig(starts_per_subsystem=60)
 CORRECTOR_TOL = 1e-8
 FIXTURES = ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair",
             "swapped_linear", "scalar_shift"]
 # sha256 of json.dumps(trace.to_dict()) for the natural homotopy from x_ref = 0.5 * 1
 # and the leading homotopy, as the one-path tracker wrote them (numpy 2.4, x86-64);
-# c10-k is trial_instance(2, (2, 2), 0, k)
+# c10-k is trial_instance(2, (2, 2), 0, k), lcp6-s the n = 6 PD LCP
+# affine_instance(*pd_lcp(6, s))
 TRACE_DIGESTS = {
     "c10-0": ("3339facc1474112d6baeca3d90ea07b0636085fa7d2fde9a5ccadc5b3cbea508",
               "8ae6f481335925bc203ab570835ae77a1ea8f413463c3ff16c90a834563b02c7"),
@@ -65,6 +68,10 @@ TRACE_DIGESTS = {
                        "145792c1c830fef1f8346a15b81f7f9499f7d683176a6f5f67d7206e8f124ee6"),
     "scalar_shift": ("7f89261c6d7bb225a7c54864beebc24a44004fe7b5a120344608c42dcc5b118e",
                      "c68464bc7cd56cb4574ed45e557faefb4cd0958bbedca53fbd2bcaddacbf0a9c"),
+    "lcp6-6": ("f0f6cc04d62dabdff126996aaab433387a71a1a2629fec9a685b307cf2670c16",
+               "7d3c7630b21e6e2401004267a7f5ac0691d24364c0e36d946d51bf85e7774d56"),
+    "lcp6-7": ("eb17bdea96d2a3b1f1b26ca240f4a6e50da13adecfa706ab2f47bb8732f2b4a0",
+               "5aac038ce06c010d0d51368f57f9c37b50050e6f5b129e9ca9470b500d9bc1cc"),
 }
 
 
@@ -211,6 +218,11 @@ class TestTraceDigests:
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_fixtures(self, request, fixture):
         assert self.digests(request.getfixturevalue(fixture)) == TRACE_DIGESTS[fixture]
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_pd_lcps(self, seed):
+        # n = 6, the shape of the benchmark's affine oracles
+        assert self.digests(affine_instance(*pd_lcp(6, seed))) == TRACE_DIGESTS[f"lcp6-{seed}"]
 
 
 class TestRows:

@@ -34,6 +34,13 @@ def affine_instance(M, q):
     return PcpInstance(PolyMap.identity(n), PolyMap(tuple(components)))
 
 
+def pd_lcp(n, seed):
+    """(M, q) with M = A A^T / n + 0.1 I positive definite: one LCP solution."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    return a @ a.T / n + 0.1 * np.eye(n), rng.standard_normal(n)
+
+
 class TestLemke:
     def test_identity_matrix(self):
         # oracle: enumeration of the equivalent complementarity instance
