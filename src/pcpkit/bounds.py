@@ -204,8 +204,8 @@ def _near_solution_fit(dists: np.ndarray, residuals: np.ndarray) -> ExponentFit 
     return empirical_exponent_fit(np.column_stack([dists[mask], residuals[mask]]))
 
 
-def _check_settings(samples: int, alpha: float, claimed_c: float | None) -> None:
-    """Refuse a verification's settings before it samples."""
+def check_bound_settings(samples: int, alpha: float, claimed_c: float | None) -> None:
+    """Refuse a verification's settings before it samples (and before any sweep)."""
     if samples < 1:
         raise InputError("samples must be >= 1")
     check_positive("alpha", alpha)
@@ -257,7 +257,7 @@ def verify_local_bound(
     c_best conservative but can corrupt the fitted exponent (carried via
     the completeness flag).
     """
-    _check_settings(samples, alpha, claimed_c)
+    check_bound_settings(samples, alpha, claimed_c)
     box = as_region(region, inst.n)
     rng = np.random.default_rng(seed)
     points = sample_box(rng, box, samples)
@@ -281,7 +281,7 @@ def verify_global_bound(
     ``samples`` points are drawn on every listed radius; ``extra_points``
     lets callers inject adversarial probe sequences.
     """
-    _check_settings(samples, alpha, claimed_c)
+    check_bound_settings(samples, alpha, claimed_c)
     radii = [float(r) for r in radii]
     if not radii:
         raise InputError("need at least one radius")

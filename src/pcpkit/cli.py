@@ -183,6 +183,7 @@ def _cmd_bounds(args) -> int:
     document = _load_instance(args.instance)
     inst = document.instance
     cfg = _config(args)
+    bounds_mod.check_bound_settings(args.samples, args.alpha, args.claim)  # before the sweep
     sols = enumerate_solutions(inst, cfg)
     if args.radii is not None:
         report = bounds_mod.verify_global_bound(

@@ -8,8 +8,9 @@ same :func:`damped_newton` kernel runs the homotopy corrector), filters
 the roots by sign feasibility, deduplicates, and certifies the
 survivors.  An affine square system (Bezout number at most 1) needs no
 cloud: Newton from the origin reaches its one root in one step, wherever
-it lies.  Other roots outside the start box can be missed; reports carry
-the box so the completeness claim stays honest.
+it lies, and that one converged row is the subset's root, with nothing
+to merge or sort.  Other roots outside the start box can be missed;
+reports carry the box so the completeness claim stays honest.
 """
 
 from __future__ import annotations
@@ -424,8 +425,10 @@ def _solve_subsystems(
     Bezout number <= 1: one full step reaches its one root).  Damped Newton
     runs all subsets' starts end to end in slices of at most
     SWEEP_CHUNK_ROWS rows, each built as it runs; a row's result does not
-    depend on its slice.  A subset's converged rows are deduped (smallest
-    subsystem residual first) and sorted once its last row has run.
+    depend on its slice.  A cloud subset's converged rows are deduped
+    (smallest subsystem residual first) and sorted once its last row has
+    run; a one-start subset is never split, and its root is its converged
+    row, a view of the kernel's result (none if the row did not converge).
     """
     if DEDUPE_RADIUS <= cfg.newton_tol:
         raise InputError("dedupe_radius must exceed newton_tol")
@@ -467,6 +470,9 @@ def _solve_subsystems(
                                starts, cfg.newton_tol * 1e-2, MAX_NEWTON_ITERS)
         converged = result.alive & (result.norms <= cfg.newton_tol)
         for k, low, high in zip(subsets, lows - first, highs - first):
+            if sizes[k] == 1:  # never split; a dedupe and sort of <= 1 row change nothing
+                roots.append(result.points[low:high if converged[low] else low])
+                continue
             keep = converged[low:high]
             pending.append((result.points[low:high][keep], result.norms[low:high][keep]))
             if first + high == ends[k]:

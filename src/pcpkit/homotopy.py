@@ -9,8 +9,10 @@ x_ref with p = q = x - x_ref; the leading-term homotopy starts at 0 with
 the leading pair (f_inf, g_inf), whose min has only the root 0 when the
 leading pair has only the trivial solution.  Paths are the rows of one
 tracker: a round makes one active-branch semismooth Newton call (ties
-pick f) over the live rows, each at its own t.  Tracking failure is
-recorded as evidence, never as a certificate of nonexistence.
+pick f) over the live rows, each at its own t.  A start pair returns
+its values and Jacobians packed as ``PcpInstance.pair_table`` packs the
+instance's, so a blend is one weighted sum of two tables.  Tracking
+failure is recorded as evidence, never as a certificate of nonexistence.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .enumeration import MAX_NEWTON_ITERS, NewtonStatus, SolveConfig, damped_newton
 from .polynomials import as_point
-from .residuals import PcpInstance, active_branch
+from .residuals import PcpInstance, active_branch, pack_pair, split_pair
 
 CORRECTOR_TOL = 1e-8
 DIVERGENCE_NORM = 1e6
@@ -70,24 +72,26 @@ class HomotopyTrace:
                 "checkpoints": [c.to_dict() for c in self.checkpoints]}
 
 
-# (p, q) at x, plus (Jp, Jq) when asked, as PcpInstance.evaluate_pair returns them
-StartPair = Callable[[np.ndarray, bool], tuple[np.ndarray, ...]]
+# (p, q) at x, plus (Jp, Jq) when asked, packed as PcpInstance.pair_table packs (f, g)
+StartPair = Callable[[np.ndarray, bool], np.ndarray]
 
 
-def _blend(start: StartPair, inst: PcpInstance, x: np.ndarray, t, jacobians: bool) -> list:
-    """(1-t)(p, q) + t(f, g) at the rows of x, plus Jacobians; t is a float or a column."""
-    pairs = zip(start(x, jacobians), inst.evaluate_pair(x, jacobians))
-    tj = t if isinstance(t, float) else t[:, :, None]  # a column weighs whole Jacobians
-    return [(1.0 - s) * a + s * b for (a, b), s in zip(pairs, (t, t, tj, tj))]
+def _blend(start: StartPair, inst: PcpInstance, x: np.ndarray, t, jacobians: bool) -> tuple:
+    """(1-t)(p, q) + t(f, g) at the rows of x, plus Jacobians; t is a float or a column.
+
+    One blend of the two packed tables weighs values and Jacobians alike.
+    """
+    table = (1.0 - t) * start(x, jacobians) + t * inst.pair_table(x, jacobians)
+    return split_pair(table, inst.n)
 
 
 def _stacked(pairs: list[StartPair], kind: np.ndarray) -> StartPair:
     """The start pair of points whose own pair is ``pairs[kind[i]]``."""
-    def start(x: np.ndarray, jacobians: bool) -> list[np.ndarray]:
-        out = [np.empty(x.shape + x.shape[1:] * (j > 1)) for j in range(2 + 2 * jacobians)]
+    def start(x: np.ndarray, jacobians: bool) -> np.ndarray:
+        n = x.shape[1]
+        out = np.empty((len(x), 2 * n + 2 * n * n * jacobians))  # split_pair's layout
         for k in set(kind.tolist()):  # np.unique would import numpy.ma
-            for o, v in zip(out, pairs[k](x[kind == k], jacobians)):
-                o[kind == k] = v
+            out[kind == k] = pairs[k](x[kind == k], jacobians)
         return out
     return start
 
@@ -99,8 +103,9 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
     kind = np.array([pairs.index(s) for s in starts])
     # H(., 0) is min{p, q}; the instance's values are left out, as 0 * inf is nan.
     # math.sqrt(v.dot(v)) is np.linalg.norm's own formula for a vector, minus its dispatch
+    p, q = split_pair(_stacked(pairs, kind)(x, False), inst.n)
     checkpoints = [[Checkpoint(0.0, xr.copy(), math.sqrt(hr.dot(hr)))]
-                   for xr, hr in zip(x, np.minimum(*_stacked(pairs, kind)(x, False)))]
+                   for xr, hr in zip(x, np.minimum(p, q))]
     # a row's last checkpoint holds its x and t; ``done`` maps a finished row to its end
     max_norm, step, done = [math.sqrt(xr.dot(xr)) for xr in x], [STEP_INITIAL] * len(x), {}
 
@@ -165,9 +170,9 @@ def track_natural_homotopy(
     reference = as_point(x_ref, inst.n, "x_ref")
     eye = np.eye(inst.n)
 
-    def start(x: np.ndarray, jacobians: bool) -> tuple[np.ndarray, ...]:
+    def start(x: np.ndarray, jacobians: bool) -> np.ndarray:
         shift = x - reference
-        return (shift, shift, eye, eye) if jacobians else (shift, shift)
+        return pack_pair(shift, shift, eye, eye) if jacobians else pack_pair(shift, shift)
 
     return _track([start], inst, [reference], cfg)[0]
 
@@ -182,4 +187,4 @@ def track_leading_homotopy(
     bounded and the endpoint solves the full problem.  Lower-order
     perturbations of the instance leave the t = 0 system unchanged.
     """
-    return _track([inst.leading_pair.evaluate_pair], inst, [np.zeros(inst.n)], cfg)[0]
+    return _track([inst.leading_pair.pair_table], inst, [np.zeros(inst.n)], cfg)[0]

@@ -239,18 +239,20 @@ class CompiledTerms:
         self.values = block([c.terms for c in components])
         self.jacobian = block([partial(c.terms, i) for c in components for i in range(arity)])
         self.exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), arity).T
+        # the power ladder's length (x^0 and x^1 at least) and its variable column
+        self.powers = int(self.exponents.max(initial=1)) + 1
+        self.variables = np.arange(arity)[:, None]
 
     def monomials(self, pts: np.ndarray) -> np.ndarray:
         """The (terms + 1, m) monomial table, by the module's rule; its last row is -0.0."""
         columns = pts.T
-        ladder = np.empty((int(self.exponents.max(initial=1)) + 1,) + columns.shape)
+        ladder = np.empty((self.powers,) + columns.shape)
         ladder[0] = 1.0
         ladder[1] = columns
-        for e in range(2, len(ladder)):
+        for e in range(2, self.powers):
             np.multiply(ladder[e - 1], columns, out=ladder[e])
         table = np.empty((self.exponents.shape[1] + 1, pts.shape[0]))
-        variables = np.arange(self.arity)[:, None]
-        np.multiply.reduce(ladder[self.exponents, variables], axis=0, out=table[:-1])
+        np.multiply.reduce(ladder[self.exponents, self.variables], axis=0, out=table[:-1])
         table[-1] = -0.0
         return table
 

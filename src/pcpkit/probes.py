@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import empirical_exponent_fit
 from .enumeration import STEP_SCALES, SolutionSet, first_lowering
 from .exceptions import DegenerateInputError, EmptyRegionError, InputError
 from .polynomials import as_point
@@ -284,11 +285,9 @@ def coercivity_probe(
             "residual_norm": float(phi[k]),
         }
 
-    log_r = np.log(np.asarray(radii))
-    safe_phi = np.maximum(phi, 1e-300)
-    slope, intercept = np.polyfit(log_r, np.log(safe_phi), deg=1)
-    fitted_c = float(np.exp(intercept))
-    fitted_alpha = float(slope)
+    fit = empirical_exponent_fit(np.column_stack([radii, np.maximum(phi, 1e-300)]))
+    fitted_c = float(np.exp(fit.intercept))
+    fitted_alpha = fit.slope
 
     config = {
         "radii": radii,

@@ -115,20 +115,21 @@ class PcpInstance:
     def _pair_terms(self) -> CompiledTerms:
         return CompiledTerms(self.f.components + self.g.components)
 
+    def pair_table(self, x, jacobians: bool = False) -> np.ndarray:
+        """f(x) and g(x), plus Jf(x) and Jg(x) with ``jacobians``, packed; batch aware.
+
+        One row of :func:`split_pair`'s layout per point, from one monomial table.
+        """
+        terms = self._pair_terms
+        return terms.evaluate(x, *((terms.values, terms.jacobian) if jacobians else (terms.values,)))
+
     def evaluate_pair(self, x, jacobians: bool = False) -> tuple[np.ndarray, ...]:
         """(f(x), g(x)), plus (Jf(x), Jg(x)) with ``jacobians``; batch aware.
 
-        All from one monomial table, and equal bit for bit to
-        ``f.evaluate``, ``g.evaluate``, ``f.jacobian`` and ``g.jacobian``.
+        Views of :meth:`pair_table`, equal bit for bit to ``f.evaluate``,
+        ``g.evaluate``, ``f.jacobian`` and ``g.jacobian``.
         """
-        n = self.n
-        terms = self._pair_terms
-        out = terms.evaluate(x, *((terms.values, terms.jacobian) if jacobians else (terms.values,)))
-        parts = (out[..., :n], out[..., n : 2 * n])
-        if jacobians:
-            jac = out[..., 2 * n :].reshape(out.shape[:-1] + (2, n, n))
-            parts += (jac[..., 0, :, :], jac[..., 1, :, :])
-        return parts
+        return split_pair(self.pair_table(x, jacobians), self.n)
 
     @cached_property
     def leading_pair(self) -> "PcpInstance":
@@ -141,6 +142,30 @@ class PcpInstance:
         return PcpInstance(
             self.f.leading_terms_componentwise(), self.g.leading_terms_componentwise()
         )
+
+
+def split_pair(table: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views (f, g), plus (Jf, Jg) if it holds them, of a packed pair table.
+
+    The table's last axis holds f_1..f_n, g_1..g_n and then, with
+    Jacobians, the rows of Jf and of Jg: 2n or 2n + 2n^2 entries, the
+    layout of ``CompiledTerms.evaluate`` on the pair's components.
+    """
+    parts = (table[..., :n], table[..., n : 2 * n])
+    if table.shape[-1] > 2 * n:
+        jac = table[..., 2 * n :].reshape(table.shape[:-1] + (2, n, n))
+        parts += (jac[..., 0, :, :], jac[..., 1, :, :])
+    return parts
+
+
+def pack_pair(*parts: np.ndarray) -> np.ndarray:
+    """The packed pair table of (f, g) or (f, g, Jf, Jg); Jacobians may broadcast."""
+    fx = parts[0]
+    n = fx.shape[-1]
+    table = np.empty(fx.shape[:-1] + (2 * n + 2 * n * n * (len(parts) > 2),))
+    for view, part in zip(split_pair(table, n), parts):
+        view[...] = part
+    return table
 
 
 def natural_map(inst: PcpInstance, x) -> np.ndarray:

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from pcpkit import probes
+from pcpkit import cli, probes
 from pcpkit.cli import build_parser, run_command
 from pcpkit.documents import serialize_instance
 from pcpkit.genericity import random_instance
@@ -673,6 +673,24 @@ class TestErrors:
         assert code == 2
         last = captured.err.splitlines()[-1]
         assert "error:" in last and name in last and "non-finite" not in last
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--alpha", "-1", "alpha must be finite and positive, got -1.0"),
+        ("--claim", "-1", "claimed_c must be finite and positive, got -1.0"),
+        ("--samples", "0", "samples must be >= 1"),
+    ])
+    def test_bound_settings_refused_before_the_sweep(
+        self, monkeypatch, capsys, hyperbola_file, option, value, message
+    ):
+        def no_sweep(*args):
+            raise AssertionError("the sweep ran before the settings were checked")
+
+        monkeypatch.setattr(cli, "enumerate_solutions", no_sweep)
+        code = run_command(["bounds", hyperbola_file, "--radii", "1,5", option, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from pcpkit import (
 )
 import pcpkit.homotopy as homotopy_module
 from pcpkit.homotopy import _blend, _track
-from pcpkit.residuals import active_branch, natural_jacobian
+from pcpkit.residuals import active_branch, natural_jacobian, pack_pair
 
 from test_lemke import affine_instance, pd_lcp
 
@@ -129,7 +129,7 @@ def reference_start(reference, n):
 
     def start(x, jacobians):
         shift = x - reference
-        return (shift, shift, eye, eye) if jacobians else (shift, shift)
+        return pack_pair(shift, shift, eye, eye) if jacobians else pack_pair(shift, shift)
 
     return start
 
@@ -241,7 +241,7 @@ class TestRows:
     def test_both_paths_share_rounds(self, request, fixture, x_ref, outcomes, order):
         inst = request.getfixturevalue(fixture)
         reference = np.array(x_ref)
-        starts = (reference_start(reference, inst.n), inst.leading_pair.evaluate_pair)
+        starts = (reference_start(reference, inst.n), inst.leading_pair.pair_table)
         points = (reference, np.zeros(inst.n))
         singles = (track_natural_homotopy(inst, x_ref, CFG), track_leading_homotopy(inst, CFG))
         rows = _track([starts[i] for i in order], inst, [points[i] for i in order], CFG)
