@@ -285,6 +285,7 @@ def coercivity_probe(
             "residual_norm": float(phi[k]),
         }
 
+    # radii are positive and increasing and phi is floored: the fit refuses nothing
     fit = empirical_exponent_fit(np.column_stack([radii, np.maximum(phi, 1e-300)]))
     fitted_c = float(np.exp(fit.intercept))
     fitted_alpha = fit.slope

@@ -679,7 +679,7 @@ class TestErrors:
         ("--alpha", "-1", "alpha must be finite and positive, got -1.0"),
         ("--claim", "-1", "claimed_c must be finite and positive, got -1.0"),
         ("--samples", "0", "samples must be >= 1"),
-    ])
+    ], ids=["alpha", "claim", "samples"])
     def test_bound_settings_refused_before_the_sweep(
         self, monkeypatch, capsys, hyperbola_file, option, value, message
     ):
