@@ -37,12 +37,16 @@ CORRECTOR_ITERS = 25
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """A point of the path at t, its residual and the corrector steps that reached it."""
+
     t: float
     x: np.ndarray
     residual: float
+    steps: int
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "x": [float(v) for v in self.x], "residual": self.residual}
+        return {"t": self.t, "x": [float(v) for v in self.x], "residual": self.residual,
+                "steps": self.steps}
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,8 @@ class HomotopyTrace:
     ``outcome`` is ``"converged"`` (t reached 1 and the natural residual
     came under ``newton_tol``), ``"diverged"`` (the path left the ball of
     radius 1e6) or ``"stalled"`` (step size hit the floor first).
+    ``rejected_rounds`` counts the corrector rounds whose point was not
+    accepted, the failed endpoint polish included.
     """
 
     checkpoints: tuple[Checkpoint, ...]
@@ -59,7 +65,8 @@ class HomotopyTrace:
     point: np.ndarray | None
     final_t: float
     max_point_norm: float
-    message: str = ""
+    message: str
+    rejected_rounds: int
 
     @property
     def converged(self) -> bool:
@@ -69,6 +76,7 @@ class HomotopyTrace:
         point = None if self.point is None else [float(v) for v in self.point]
         return {"outcome": self.outcome, "point": point, "final_t": self.final_t,
                 "max_point_norm": self.max_point_norm, "message": self.message,
+                "rejected_rounds": self.rejected_rounds,
                 "checkpoints": [c.to_dict() for c in self.checkpoints]}
 
 
@@ -104,10 +112,11 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
     # H(., 0) is min{p, q}; the instance's values are left out, as 0 * inf is nan.
     # math.sqrt(v.dot(v)) is np.linalg.norm's own formula for a vector, minus its dispatch
     p, q = split_pair(_stacked(pairs, kind)(x, False), inst.n)
-    checkpoints = [[Checkpoint(0.0, xr.copy(), math.sqrt(hr.dot(hr)))]
+    checkpoints = [[Checkpoint(0.0, xr.copy(), math.sqrt(hr.dot(hr)), 0)]
                    for xr, hr in zip(x, np.minimum(p, q))]
     # a row's last checkpoint holds its x and t; ``done`` maps a finished row to its end
     max_norm, step, done = [math.sqrt(xr.dot(xr)) for xr in x], [STEP_INITIAL] * len(x), {}
+    rejected = [0] * len(x)
 
     def advance(rows: list[int], polish: bool) -> None:
         # one corrector call over the rows, each at its own next t, then each row's step rule
@@ -130,6 +139,7 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
                 done[r] = ("diverged", None, f"endpoint polish left the {DIVERGENCE_NORM:.0e} ball"
                            if polish else f"path norm exceeded {DIVERGENCE_NORM:.0e}")
             elif code != NewtonStatus.CONVERGED:
+                rejected[r] += 1
                 step[r] *= 0.5
                 if polish or step[r] < STEP_FLOOR:
                     done[r] = ("stalled", None, "endpoint polish failed" if polish
@@ -139,7 +149,7 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
                 if polish:  # the polish refines the t = 1 checkpoint in place
                     checkpoints[r].pop()
                     done[r] = ("converged", point.copy(), "")
-                checkpoints[r].append(Checkpoint(t_row, point.copy(), residual))
+                checkpoints[r].append(Checkpoint(t_row, point.copy(), residual, iterations))
                 step[r] *= 2.0 if iterations <= 3 else 1.0
 
     for _attempt in range(MAX_STEP_ATTEMPTS):
@@ -153,7 +163,7 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
     # so a converged polish has natural residual norm at most newton_tol
     if rows := [r for r in range(len(x)) if r not in done]:
         advance(rows, polish=True)
-    return [HomotopyTrace(tuple(c), *done[r][:2], c[-1].t, max_norm[r], done[r][2])
+    return [HomotopyTrace(tuple(c), *done[r][:2], c[-1].t, max_norm[r], done[r][2], rejected[r])
             for r, c in enumerate(checkpoints)]
 
 

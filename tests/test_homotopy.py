@@ -22,6 +22,7 @@ from pcpkit import (
     xref_boundedness_probe,
 )
 import pcpkit.homotopy as homotopy_module
+from pcpkit.enumeration import MAX_NEWTON_ITERS
 from pcpkit.homotopy import _blend, _track
 from pcpkit.residuals import active_branch, natural_jacobian, pack_pair
 
@@ -32,46 +33,47 @@ CORRECTOR_TOL = 1e-8
 FIXTURES = ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair",
             "swapped_linear", "scalar_shift"]
 # sha256 of json.dumps(trace.to_dict()) for the natural homotopy from x_ref = 0.5 * 1
-# and the leading homotopy, as the one-path tracker wrote them (numpy 2.4, x86-64);
+# and the leading homotopy, with each checkpoint's corrector steps and each trace's
+# rejected rounds (numpy 2.4, x86-64);
 # c10-k is trial_instance(2, (2, 2), 0, k), lcp6-s the n = 6 PD LCP
 # affine_instance(*pd_lcp(6, s))
 TRACE_DIGESTS = {
-    "c10-0": ("3339facc1474112d6baeca3d90ea07b0636085fa7d2fde9a5ccadc5b3cbea508",
-              "8ae6f481335925bc203ab570835ae77a1ea8f413463c3ff16c90a834563b02c7"),
-    "c10-1": ("c00346a3afda1796df662b5985986320d68055c1a1bf83c36eb185084017a095",
-              "5345f991c77092c7c4d7ac559df16f7ae7aee15a95468d131a8f1a2efd62a68b"),
-    "c10-2": ("ed882cec2147f7ce2f8cd062797527cf1a0ccf6e81404aba9e3e0e4f4c4df40c",
-              "fd3325ba7c7b56f334a99e85e4cb27949ab84d2e2fc2252bc59568d2a990f5d1"),
-    "c10-3": ("285c0bb2c275159e09236868f16706a1a8f8646a7baaec2d65e0ce218833cda8",
-              "ac61b4acf88081a26d714267529c68fdbfca95c48d428b89e770040c5382bb86"),
-    "c10-4": ("53b06e520fb06043369cbcfa58c8a631c10131331c262b80210ba4e962346e90",
-              "81570a011f08e29ef76af637cf7e14f0814395ff2550dddd83783594e4c9f06c"),
-    "c10-5": ("e4961f92464622c4af8d6c5066990049ad8cd907ea4dbe7294c9e8a3c508ceac",
-              "99972d329d4046c3da5d81837689fec4822532c0d6121833cfda076b03f68151"),
-    "c10-6": ("9fbe02cf3f2d5a456d27bf3ed4d3de68232f4b0876ae2432ea0c349de6e28868",
-              "1d12b323d148cd2a6be827795167133aa194b946a44a2cb299b2ddd782cdbed3"),
-    "c10-7": ("9885b7ed40591120d8ca24dbb89bb4eb141f4f981bd878c5cadb8067803a5a36",
-              "7370fce924781ebcdd1e7eb4df17e9e9b1f571d2e333cfc35a5b9fd2c12832a2"),
-    "c10-8": ("9f3c8d6f1670a5c1cba6aaead761a073860e4958e092dd515cf4c98046b4a796",
-              "5d078b4f902460c8d14504722dcea518af9d5f716e970d275541e1f383010fe8"),
-    "c10-9": ("1e797979b2de11b12cfe426c097a40a96eaf1e31ed97942e6497836407b4140b",
-              "a84c4b5a430e33acef29e4d429b0d109583c61e276b0a0136555da8720d8cfb4"),
-    "hyperbola_pair": ("99aedef8c19a7fd3997372319ba16177ede736e3511abb6bf2212626fbd6ef8e",
-                       "2b1c444fb88c8c49cd5e7d0e348da2ada8c1e44e7fac957e7c81584855905675"),
-    "unsolvable_pair": ("e0369e54a5ce830bdafff8311f35bd13a986a48e1bc23063e28ba8bbe4e626ac",
-                        "d4afe7cf4623784f969bdea7990147f0ceacac4d0c71e5815b6fcb15ed93bebf"),
-    "affine_shift": ("2947e6f7b249b55733ad20d46a7dda2ec026b7977831148ab3924d62b74efed5",
-                     "145792c1c830fef1f8346a15b81f7f9499f7d683176a6f5f67d7206e8f124ee6"),
-    "identity_pair": ("1b056ac9863bc38aa4c0e80ab86da08ca4963af39783e0c0ce7e66dd99e8918b",
-                      "b5d73d405c86bb76896f0fc669165f7d44033d04e0ec941d6b50ca5f12638e09"),
-    "swapped_linear": ("2947e6f7b249b55733ad20d46a7dda2ec026b7977831148ab3924d62b74efed5",
-                       "145792c1c830fef1f8346a15b81f7f9499f7d683176a6f5f67d7206e8f124ee6"),
-    "scalar_shift": ("7f89261c6d7bb225a7c54864beebc24a44004fe7b5a120344608c42dcc5b118e",
-                     "c68464bc7cd56cb4574ed45e557faefb4cd0958bbedca53fbd2bcaddacbf0a9c"),
-    "lcp6-6": ("f0f6cc04d62dabdff126996aaab433387a71a1a2629fec9a685b307cf2670c16",
-               "7d3c7630b21e6e2401004267a7f5ac0691d24364c0e36d946d51bf85e7774d56"),
-    "lcp6-7": ("eb17bdea96d2a3b1f1b26ca240f4a6e50da13adecfa706ab2f47bb8732f2b4a0",
-               "5aac038ce06c010d0d51368f57f9c37b50050e6f5b129e9ca9470b500d9bc1cc"),
+    "c10-0": ("45e930a644ff63dbba07a69bb32fd5c084618f34e8e977f7ef924854afc90a47",
+              "3aa8d1d196d2091a6a631a5d78709700a0d5b0ff5217636296ed1a07adae940a"),
+    "c10-1": ("27f5aca38b3b2534d5918416a02a817f27c86499d0ce66aa8b50a2f3683e8800",
+              "fd404918b9d604f7bf8dc19cd4178db4948e2af5a6eca0bf730bc89bfcd68b31"),
+    "c10-2": ("bc37e4ad6188cdb4777be8709a0369f7d7cfd64ecc6565010331387a923649ba",
+              "6404b58fff6f68c54b9983a530a01dc4b038249ad46c2081d434fee9e49c25e4"),
+    "c10-3": ("b274136ad1cb5dcbc4ff2ecb26ed07aa083f70da1e856dafab6f80e35bec2731",
+              "93ab57559c84f1434638b7d25380cc8a40a736bc5757becca35802f6c1791d58"),
+    "c10-4": ("75e7f65bc4cfeb6378cd265f630dba3911830b2cdef4b83b32c61e849134c8b2",
+              "f7171f45f4367c3147f8e0046db9dfebe9c2893877d111b7e4b8f66d464c55c2"),
+    "c10-5": ("274e4dffb5a49db25e3ad184b19e9ca51ed1ec3a8b81baa2db7cb910809e9bb8",
+              "587b16c1b9b0d045f0cad56d1a41b23013062ce82754471ea97f0953bd7f997c"),
+    "c10-6": ("34193b080504d4f0bfc194c42b6a349b7469d9475541ed677c82abf10548d1f2",
+              "3b650b23dcbca5fa54f1e856aa927ef50e7c1b9de4a0d00f4c5a48c951698137"),
+    "c10-7": ("f1c85629c974b5abb6df714e6c633f49e452351520d3934160ac35620ad0f032",
+              "31af2446b100fcf2be4032485b83d0b6d5a680ace37488f262aa03e30460b553"),
+    "c10-8": ("43eb6d8ad74663abf105a14bb4fbabba7742c06eab63cc952bfe55edd292ecd2",
+              "4c3b17935ae34afc315ea3526d1e24c41463d3914bccc1fa30f4cfb0735bf3c9"),
+    "c10-9": ("d095526b316d4dbb0f6ffd07463f38422d0b549b3823bf7c56a0ed419571e2e2",
+              "94a407542f9fd7b035a28cd0a27656acb8c54953bc1d74bd4d6f98bd49a5219c"),
+    "hyperbola_pair": ("e74ebf0e8bbaaaf0a48f6b3bce0e94bf3d55efa9e7c6e2b08e01a01fc5d3a8f9",
+                       "76fee2052713607aa3cf140783390a3482ce06fb9ccf557d7334939e508b71d7"),
+    "unsolvable_pair": ("50862632bab584de82e55e4c651a926be086fd26e2acd5f21fa036a5274eb91a",
+                        "1313572e0241871dd9b9ec6a1939544e1c37238720d4e6339bf5bcf62109ede1"),
+    "affine_shift": ("1adb97123a9529944fdbff92a05125743c7d4b2559eb7741aed3cf05bf100ccf",
+                     "4d6d5389f3d35de773fbd9aefa74046d1b22a835b9e49413f9aa6e7e1379d1d6"),
+    "identity_pair": ("b4dd66361989e0c35ffc3ad0744e9287368790dcd800bd276f8ef7930d992826",
+                      "ea03539b2d8013c7b74f0b33f5fa6a9cc497931fc860c56b6230f3c0b02e61cf"),
+    "swapped_linear": ("1adb97123a9529944fdbff92a05125743c7d4b2559eb7741aed3cf05bf100ccf",
+                       "4d6d5389f3d35de773fbd9aefa74046d1b22a835b9e49413f9aa6e7e1379d1d6"),
+    "scalar_shift": ("3f855f9892b557ddc5e7195fdfe6cc8daf09eb8fd40fc4981d49df93ecf46042",
+                     "4f49de7ebbc6ca245b45ed621547a6f84d0f1016acc48be65d7dcfc0faf59a19"),
+    "lcp6-6": ("1ebfc99f817e4f21ed57e57428a362bd7c7373cff5b973b01c729bdc5346dd8a",
+               "2a03dca663dd722e50880d2ef70d4feb3df4bf6bf7785608aef1aff210ebd9dd"),
+    "lcp6-7": ("4a9e03d19477b3736affecffdd9a99f74023260ea7d18bbb011af2286a21262e",
+               "89ab04191f877b59e317fee5e2bb32a7af48a5a3ef2b31a78f73ba51ac2894bb"),
 }
 
 
@@ -306,6 +308,30 @@ class TestExits:
         monkeypatch.setattr(homotopy_module, "MAX_STEP_ATTEMPTS", budget)
         trace = track_natural_homotopy(affine_shift, (0.5, 0.5), CFG)
         assert (trace.outcome, trace.message, trace.final_t) == (outcome, message, final_t)
+
+
+class TestCounters:
+    """Each checkpoint's corrector steps and each trace's rejected rounds."""
+
+    @pytest.mark.parametrize("budget", [10, 20, 40])
+    def test_every_round_is_accepted_or_rejected(self, monkeypatch, unsolvable_pair, budget):
+        monkeypatch.setattr(homotopy_module, "MAX_STEP_ATTEMPTS", budget)
+        trace = track_natural_homotopy(unsolvable_pair, (0.5, 0.5), CFG)
+        assert trace.message == "step attempt budget exhausted"
+        assert trace.rejected_rounds > 0
+        assert len(trace.checkpoints) - 1 + trace.rejected_rounds == budget
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_steps_within_corrector_budgets(self, request, fixture):
+        inst = request.getfixturevalue(fixture)
+        for trace in (track_natural_homotopy(inst, np.full(inst.n, 0.5), CFG),
+                      track_leading_homotopy(inst, CFG)):
+            payload = trace.to_dict()
+            assert payload["rejected_rounds"] == trace.rejected_rounds >= 0
+            steps = [c["steps"] for c in payload["checkpoints"]]
+            assert steps[0] == 0
+            assert all(0 <= s <= homotopy_module.CORRECTOR_ITERS for s in steps[1:-1])
+            assert 0 <= steps[-1] <= MAX_NEWTON_ITERS
 
 
 class TestEndpointResidual:
