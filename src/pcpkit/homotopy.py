@@ -9,10 +9,18 @@ x_ref with p = q = x - x_ref; the leading-term homotopy starts at 0 with
 the leading pair (f_inf, g_inf), whose min has only the root 0 when the
 leading pair has only the trivial solution.  Paths are the rows of one
 tracker: a round makes one active-branch semismooth Newton call (ties
-pick f) over the live rows, each at its own t.  A start pair returns
-its values and Jacobians packed as ``PcpInstance.pair_table`` packs the
-instance's, so a blend is one weighted sum of two tables.  Tracking
-failure is recorded as evidence, never as a certificate of nonexistence.
+pick f) over the live rows, each at its own t.  Each row's corrector
+starts at the secant through its last two checkpoints,
+x_k + (t - t_k) / (t_k - t_{k-1}) (x_k - x_{k-1}); a row with one
+checkpoint, and the t = 1 polish, start at the last point.  On an affine
+instance the leading homotopy is positively homogeneous in (x, t), so
+its path is a ray and the secant lands on it exactly.  A prediction
+outside the DIVERGENCE_NORM ball starts at the last checkpoint instead:
+only the corrector's own points decide that a path diverged.  A start
+pair returns its values and Jacobians packed as ``PcpInstance.pair_table``
+packs the instance's, so a blend is one weighted sum of two tables.
+Tracking failure is recorded as evidence, never as a certificate of
+nonexistence.
 """
 
 from __future__ import annotations
@@ -104,6 +112,20 @@ def _stacked(pairs: list[StartPair], kind: np.ndarray) -> StartPair:
     return start
 
 
+def _secant_start(path: list[Checkpoint], t: float) -> np.ndarray:
+    """The corrector's start at t: the secant through the path's last two checkpoints.
+
+    A path with one checkpoint starts at it, and so does a prediction
+    outside the DIVERGENCE_NORM ball: only the corrector's own points
+    decide that a path diverged.
+    """
+    if len(path) < 2:
+        return path[-1].x
+    prev, last = path[-2], path[-1]
+    guess = last.x + (t - last.t) / (last.t - prev.t) * (last.x - prev.x)
+    return guess if math.sqrt(guess.dot(guess)) <= DIVERGENCE_NORM else last.x
+
+
 def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig | None) -> list:
     """Track one path per row: row r starts at t = 0 from x0[r], a root of ``starts[r]``."""
     x, newton_tol = np.array(x0, dtype=float), (cfg or SolveConfig()).newton_tol
@@ -130,7 +152,9 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
                           np.array(t_rows)[at, None], jacobians)
         result = damped_newton(lambda pts, at: np.minimum(*blend(pts, at, False)),
                                lambda pts, at: active_branch(*blend(pts, at, True))[1],
-                               np.array([checkpoints[r][-1].x for r in rows]), tol, iters,
+                               np.array([checkpoints[r][-1].x if polish else
+                                         _secant_start(checkpoints[r], t)
+                                         for r, t in zip(rows, t_rows)]), tol, iters,
                                escape_norm=DIVERGENCE_NORM)
         for r, t_row, point, residual, code, iterations in zip(
                 rows, t_rows, result.points, *(a.tolist() for a in result[1:])):

@@ -38,42 +38,42 @@ FIXTURES = ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair"
 # c10-k is trial_instance(2, (2, 2), 0, k), lcp6-s the n = 6 PD LCP
 # affine_instance(*pd_lcp(6, s))
 TRACE_DIGESTS = {
-    "c10-0": ("45e930a644ff63dbba07a69bb32fd5c084618f34e8e977f7ef924854afc90a47",
-              "3aa8d1d196d2091a6a631a5d78709700a0d5b0ff5217636296ed1a07adae940a"),
-    "c10-1": ("27f5aca38b3b2534d5918416a02a817f27c86499d0ce66aa8b50a2f3683e8800",
-              "fd404918b9d604f7bf8dc19cd4178db4948e2af5a6eca0bf730bc89bfcd68b31"),
-    "c10-2": ("bc37e4ad6188cdb4777be8709a0369f7d7cfd64ecc6565010331387a923649ba",
-              "6404b58fff6f68c54b9983a530a01dc4b038249ad46c2081d434fee9e49c25e4"),
-    "c10-3": ("b274136ad1cb5dcbc4ff2ecb26ed07aa083f70da1e856dafab6f80e35bec2731",
-              "93ab57559c84f1434638b7d25380cc8a40a736bc5757becca35802f6c1791d58"),
-    "c10-4": ("75e7f65bc4cfeb6378cd265f630dba3911830b2cdef4b83b32c61e849134c8b2",
+    "c10-0": ("67f4b553b631bc7b5d8ebd70ea138b9867a25b3e828f0434d50c7f69f9861998",
+              "f9e31535c1136ac47c3e6cd679ca4961e904d5a83ef0d458f85ac0a7ed696719"),
+    "c10-1": ("12d9e94008af695718532d39526bd81b19e8b11ed00cf51fe1ad40531c05ed69",
+              "53905fad129a593a7ae065eca594810d4d800ae27ca59b56f3ae2d1d70631952"),
+    "c10-2": ("afc015663da5dbb61591f75c39d1df4df53c49149573e44771d97c26a84683b5",
+              "05bd6af4e7bdb5a6e743c505a7ea1662dd3cd1a9d8ce5ae699c3188934388438"),
+    "c10-3": ("d190168b69a99a5dcae1b0b63e925d7546ce244dda299898b42c76e90e3526cb",
+              "f21a75f4c8afad060b52b068290da65f664e30768daaae23e2d4b237f5cac5b3"),
+    "c10-4": ("3c0afc1b6e85f74fc5df038b51b862ce81f95839a78f3c049b10059ac6c3dcc2",
               "f7171f45f4367c3147f8e0046db9dfebe9c2893877d111b7e4b8f66d464c55c2"),
-    "c10-5": ("274e4dffb5a49db25e3ad184b19e9ca51ed1ec3a8b81baa2db7cb910809e9bb8",
-              "587b16c1b9b0d045f0cad56d1a41b23013062ce82754471ea97f0953bd7f997c"),
-    "c10-6": ("34193b080504d4f0bfc194c42b6a349b7469d9475541ed677c82abf10548d1f2",
-              "3b650b23dcbca5fa54f1e856aa927ef50e7c1b9de4a0d00f4c5a48c951698137"),
-    "c10-7": ("f1c85629c974b5abb6df714e6c633f49e452351520d3934160ac35620ad0f032",
+    "c10-5": ("a08797099cf6294c8d8f6e1d4d570785fd388468c8b7e2197297d82bbd1dcf96",
+              "3be4013b3539dd4192e67981d37fa6a8d553095e07b30ce035569b61cb82c6ac"),
+    "c10-6": ("78da52d14868208738fded1aee3456f7f93c72a30581a5b906b01b4fd5b977ea",
+              "9aa7e9e43c54683ff887436f0f6b0fd3a4df75ab5394ba87ea09999ffcb2757e"),
+    "c10-7": ("3a0eb0391f956f686923ec8ac6e0423c73e8fb05b0b7905bcead7f699c5ea4fe",
               "31af2446b100fcf2be4032485b83d0b6d5a680ace37488f262aa03e30460b553"),
-    "c10-8": ("43eb6d8ad74663abf105a14bb4fbabba7742c06eab63cc952bfe55edd292ecd2",
-              "4c3b17935ae34afc315ea3526d1e24c41463d3914bccc1fa30f4cfb0735bf3c9"),
-    "c10-9": ("d095526b316d4dbb0f6ffd07463f38422d0b549b3823bf7c56a0ed419571e2e2",
-              "94a407542f9fd7b035a28cd0a27656acb8c54953bc1d74bd4d6f98bd49a5219c"),
-    "hyperbola_pair": ("e74ebf0e8bbaaaf0a48f6b3bce0e94bf3d55efa9e7c6e2b08e01a01fc5d3a8f9",
+    "c10-8": ("6aa8ed1a7c32629857684a623198494616d1d5060a9421fe22e8cff9323f2419",
+              "d913dc4ba85e92ba01adc0d77003dc98f9d8e2248f80ea1cf5d0cfc90903f425"),
+    "c10-9": ("705548056dbc086e90d0a7c4f6acd769e55b9fb83bd6cfd5b131da919f290f6b",
+              "cc6932b80ed8ae00e63d31ea1d164d5fc18e5b76c7ba8a6ec57212cff8db4554"),
+    "hyperbola_pair": ("cfda985dc2bc33f79a441e5657b19ceb4a639218dba366e32ca4d34ca7f751d9",
                        "76fee2052713607aa3cf140783390a3482ce06fb9ccf557d7334939e508b71d7"),
-    "unsolvable_pair": ("50862632bab584de82e55e4c651a926be086fd26e2acd5f21fa036a5274eb91a",
+    "unsolvable_pair": ("2e5971e85b129f91f6bc7016917cdc4002a2e0644140ef29627dae0ba5034253",
                         "1313572e0241871dd9b9ec6a1939544e1c37238720d4e6339bf5bcf62109ede1"),
-    "affine_shift": ("1adb97123a9529944fdbff92a05125743c7d4b2559eb7741aed3cf05bf100ccf",
-                     "4d6d5389f3d35de773fbd9aefa74046d1b22a835b9e49413f9aa6e7e1379d1d6"),
-    "identity_pair": ("b4dd66361989e0c35ffc3ad0744e9287368790dcd800bd276f8ef7930d992826",
+    "affine_shift": ("cdcce2f1baced85449969785d23c16ba6bd3098836602ec0b4884fb73b29fc7f",
+                     "39037ed46fd3b680bc2922db5af913dc3785cb4df2e8f10369f55c5b650e484a"),
+    "identity_pair": ("8683f0ddec963b95a7a0724ba7fbb55091571cbe0931c1dd2187b188bf9334f3",
                       "ea03539b2d8013c7b74f0b33f5fa6a9cc497931fc860c56b6230f3c0b02e61cf"),
-    "swapped_linear": ("1adb97123a9529944fdbff92a05125743c7d4b2559eb7741aed3cf05bf100ccf",
-                       "4d6d5389f3d35de773fbd9aefa74046d1b22a835b9e49413f9aa6e7e1379d1d6"),
-    "scalar_shift": ("3f855f9892b557ddc5e7195fdfe6cc8daf09eb8fd40fc4981d49df93ecf46042",
-                     "4f49de7ebbc6ca245b45ed621547a6f84d0f1016acc48be65d7dcfc0faf59a19"),
-    "lcp6-6": ("1ebfc99f817e4f21ed57e57428a362bd7c7373cff5b973b01c729bdc5346dd8a",
-               "2a03dca663dd722e50880d2ef70d4feb3df4bf6bf7785608aef1aff210ebd9dd"),
-    "lcp6-7": ("4a9e03d19477b3736affecffdd9a99f74023260ea7d18bbb011af2286a21262e",
-               "89ab04191f877b59e317fee5e2bb32a7af48a5a3ef2b31a78f73ba51ac2894bb"),
+    "swapped_linear": ("cdcce2f1baced85449969785d23c16ba6bd3098836602ec0b4884fb73b29fc7f",
+                       "39037ed46fd3b680bc2922db5af913dc3785cb4df2e8f10369f55c5b650e484a"),
+    "scalar_shift": ("a92a4efe6a717d6bf5aa689de85ce0d26138d7fa56895a8b95e88bd534c9766d",
+                     "dd4d0bfa7f429af66c1ba9368d98fbed74100f4da5230768f36bd4f563c0d2fe"),
+    "lcp6-6": ("c0429a1327c52d9364f2033519127911bad153e03a9f24b6f3bd7ea8b8cf64cd",
+               "9131953f22b766f8009e021015924ce2cfa4285477379bb17771339c1f9fa999"),
+    "lcp6-7": ("6f6de4f9ade745eac239010360e91696ffd58083f52a8afd57eb93f6399ac254",
+               "2c9b42ab5a74a7da75f87711334efd4146408e3ccd484a22c936e95773ff909f"),
 }
 
 
@@ -267,7 +267,7 @@ class TestExits:
         [
             ("hyperbola_pair", (0.5, 0.5), "converged", "", 1.0),
             ("unsolvable_pair", (0.5, 0.5), "stalled", "step size hit the floor",
-             0.9999856382608413),
+             0.99998779296875),
             ("swapped_linear", (2.0, -1.0), "diverged", "path norm exceeded 1e+06",
              0.9999992370605468),
         ],
@@ -359,6 +359,39 @@ class TestEndpointResidual:
             for k in range(30)
         )
         assert converged >= 10
+
+
+class TestSecantStart:
+    """Each corrector round starts at the secant through the row's last two checkpoints."""
+
+    def test_one_checkpoint_starts_at_it(self):
+        path = [homotopy_module.Checkpoint(0.0, np.array([1.0, 2.0]), 0.0, 0)]
+        assert homotopy_module._secant_start(path, 0.05) is path[-1].x
+
+    def test_secant_extrapolates_last_two(self):
+        path = [homotopy_module.Checkpoint(0.25, np.array([1.0, -1.0]), 0.0, 0),
+                homotopy_module.Checkpoint(0.5, np.array([2.0, 1.0]), 0.0, 0)]
+        # (t - t_k) / (t_k - t_{k-1}) = 2 at t = 1
+        assert np.array_equal(homotopy_module._secant_start(path, 1.0), [4.0, 5.0])
+
+    def test_prediction_outside_the_ball_starts_at_last_checkpoint(self):
+        # the corrector, not the prediction, decides that a path left the ball
+        path = [homotopy_module.Checkpoint(0.5, np.array([0.0]), 0.0, 0),
+                homotopy_module.Checkpoint(0.75, np.array([9e5]), 0.0, 0)]
+        assert homotopy_module._secant_start(path, 1.0) is path[-1].x
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 6, 7])
+    def test_exact_on_the_affine_leading_ray(self, seed):
+        # min{Ax + t a, Mx + t q} is positively homogeneous in (x, t): the
+        # leading path is the ray t z, which the secant lands on exactly
+        trace = track_leading_homotopy(affine_instance(*pd_lcp(6, seed)), CFG)
+        assert trace.converged
+        assert trace.rejected_rounds == 0
+        assert len(trace.checkpoints) > 3
+        assert all(c.steps == 0 for c in trace.checkpoints[2:])
+        for c in trace.checkpoints[1:]:
+            on_ray = c.t * trace.point
+            assert np.linalg.norm(c.x - on_ray) <= 1e-12 * np.linalg.norm(on_ray)
 
 
 class TestLeadingHomotopy:
