@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .enumeration import MAX_NEWTON_ITERS, NewtonStatus, SolveConfig, damped_newton
+from .exceptions import InputError
 from .polynomials import as_point
 from .residuals import PcpInstance, active_branch, pack_pair, split_pair
 
@@ -196,12 +197,15 @@ def track_natural_homotopy(
 ) -> HomotopyTrace:
     """Track (1 - t)(x - x_ref) + t m(x) from its exact root at t = 0.
 
-    The start pair is p = q = x - x_ref.  Convergence of the path is
+    The start pair is p = q = x - x_ref, and a non-finite x_ref is
+    refused with :class:`InputError`.  Convergence of the path is
     evidence for solvability under the reference-point boundedness
     hypothesis; divergence is evidence against the hypothesis, not a
     proof of nonexistence.
     """
     reference = as_point(x_ref, inst.n, "x_ref")
+    if not np.isfinite(reference).all():
+        raise InputError(f"x_ref must hold finite numbers, got {reference.tolist()}")
     eye = np.eye(inst.n)
 
     def start(x: np.ndarray, jacobians: bool) -> np.ndarray:

@@ -109,6 +109,11 @@ class TestNaturalHomotopy:
         with pytest.raises(InputError, match=r"x_ref has shape \(3,\), expected \(2,\)"):
             track_natural_homotopy(affine_shift, [1.0, 2.0, 3.0], CFG)
 
+    @pytest.mark.parametrize("x_ref", [[np.nan, 0.0], [np.inf, 0.0], [0.5, -np.inf]])
+    def test_non_finite_x_ref_refused(self, affine_shift, x_ref):
+        with pytest.raises(InputError, match=r"x_ref must hold finite numbers, got \["):
+            track_natural_homotopy(affine_shift, x_ref, CFG)
+
     def test_subnormal_reference_tracked(self, affine_shift):
         # x_ref enters only through the start pair x - x_ref, never as a
         # polynomial coefficient, so a subnormal coordinate is not refused
