@@ -707,17 +707,16 @@ class TestErrors:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize(
+    # coefficients near 1e300, where residual norms overflow to inf, and a degree-12 component
+    extreme = pytest.mark.parametrize(
         "f0, g1",
         [
-            # coefficients near 1e300: residual norms overflow to inf
             (
                 [{"coefficient": "1e300", "exponents": [2, 0]},
                  {"coefficient": "-1.0", "exponents": [0, 0]}],
                 [{"coefficient": "1e300", "exponents": [1, 1]},
                  {"coefficient": "1.0", "exponents": [0, 0]}],
             ),
-            # a degree-12 component
             (
                 [{"coefficient": "1.0", "exponents": [12, 0]},
                  {"coefficient": "-1.0", "exponents": [0, 0]}],
@@ -727,7 +726,10 @@ class TestErrors:
         ],
         ids=["coefficients-1e300", "degree-12"],
     )
-    def test_solve_extreme_instance_is_quiet(self, capsys, tmp_path, f0, g1):
+
+    @staticmethod
+    def run_quietly(capsys, tmp_path, f0, g1, *command):
+        """Run a command on the extreme instance: exit 0, no warning, empty stderr."""
         doc = {
             "schema_version": 1,
             "n": 2,
@@ -738,9 +740,19 @@ class TestErrors:
         path.write_text(json.dumps(doc))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_command(["solve", str(path)])
+            code = run_command([command[0], str(path), *command[1:]])
         captured = capsys.readouterr()
         assert code == 0
         assert [str(w.message) for w in caught] == []
         assert captured.err == ""
-        assert json.loads(captured.out)["command"] == "solve"
+        assert json.loads(captured.out)["command"] == command[0]
+
+    @extreme
+    def test_solve_extreme_instance_is_quiet(self, capsys, tmp_path, f0, g1):
+        self.run_quietly(capsys, tmp_path, f0, g1, "solve")
+
+    @extreme
+    @pytest.mark.parametrize("start", [("--leading",), ("--xref", "0.5,0.5")],
+                             ids=["leading", "xref"])
+    def test_homotopy_extreme_instance_is_quiet(self, capsys, tmp_path, f0, g1, start):
+        self.run_quietly(capsys, tmp_path, f0, g1, "homotopy", *start)
