@@ -116,11 +116,12 @@ def _stacked(pairs: list[StartPair], kind: np.ndarray) -> StartPair:
 def _secant_start(path: list[Checkpoint], t: float) -> np.ndarray:
     """The corrector's start at t: the secant through the path's last two checkpoints.
 
-    A path with one checkpoint starts at it, and so does a prediction
-    outside the DIVERGENCE_NORM ball: only the corrector's own points
-    decide that a path diverged.
+    A path with one checkpoint, or a round at its last checkpoint's t
+    (the t = 1 polish), starts at the last point, and so does a
+    prediction outside the DIVERGENCE_NORM ball: only the corrector's own
+    points decide that a path diverged.
     """
-    if len(path) < 2:
+    if len(path) < 2 or t == path[-1].t:
         return path[-1].x
     prev, last = path[-2], path[-1]
     guess = last.x + (t - last.t) / (last.t - prev.t) * (last.x - prev.x)
@@ -153,8 +154,7 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
                           np.array(t_rows)[at, None], jacobians)
         result = damped_newton(lambda pts, at: np.minimum(*blend(pts, at, False)),
                                lambda pts, at: active_branch(*blend(pts, at, True))[1],
-                               np.array([checkpoints[r][-1].x if polish else
-                                         _secant_start(checkpoints[r], t)
+                               np.array([_secant_start(checkpoints[r], t)
                                          for r, t in zip(rows, t_rows)]), tol, iters,
                                escape_norm=DIVERGENCE_NORM)
         for r, t_row, point, residual, code, iterations in zip(

@@ -379,6 +379,12 @@ class TestSecantStart:
         # (t - t_k) / (t_k - t_{k-1}) = 2 at t = 1
         assert np.array_equal(homotopy_module._secant_start(path, 1.0), [4.0, 5.0])
 
+    def test_round_at_the_last_t_starts_at_last_checkpoint(self):
+        # the t = 1 polish refines the t = 1 checkpoint from its own point
+        path = [homotopy_module.Checkpoint(0.75, np.array([1.0, -1.0]), 0.0, 0),
+                homotopy_module.Checkpoint(1.0, np.array([-0.0, 1.0]), 0.0, 0)]
+        assert homotopy_module._secant_start(path, 1.0) is path[-1].x
+
     def test_prediction_outside_the_ball_starts_at_last_checkpoint(self):
         # the corrector, not the prediction, decides that a path left the ball
         path = [homotopy_module.Checkpoint(0.5, np.array([0.0]), 0.0, 0),
