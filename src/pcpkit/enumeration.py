@@ -1,16 +1,15 @@
 """Solution-set enumeration by index-set decomposition.
 
-Every solution of the complementarity problem satisfies, for some index
-set I, the square polynomial system {f_i = 0 on I, g_j = 0 off I}.  The
-enumerator therefore sweeps all 2^n subsets, solves each square system
-by multi-start damped Newton from a low-discrepancy start cloud (the
-same :func:`damped_newton` kernel runs the homotopy corrector), filters
-the roots by sign feasibility, deduplicates, and certifies the
-survivors.  An affine square system (Bezout number at most 1) needs no
-cloud: Newton from the origin reaches its one root in one step, wherever
-it lies, and that one converged row is the subset's root, with nothing
-to merge or sort.  Other roots outside the start box can be missed;
-reports carry the box so the completeness claim stays honest.
+Every solution of the complementarity problem solves, for some index set
+I, the square system S_I = {f_i = 0 on I, g_j = 0 off I}.  The sweep
+solves all 2^n of them by multi-start damped Newton from a start cloud
+(:func:`damped_newton` also runs the homotopy corrector), then filters
+the roots by sign, deduplicates and certifies them.  The Bezout number
+B_I, the product of S_I's degrees, is the one rule per subset: B_I <= 1
+starts from the origin alone, which reaches an affine root in one step
+wherever it lies, and more than B_I roots, or a zero component, deny
+the completeness claim with a warning.  Roots outside the start box can
+be missed; reports carry the box so the claim stays honest.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ STALL_FACTOR = 0.5
 # the step scales of every descent ladder, in the order they are tried:
 # 1, 1/2, ..., 2^-30
 STEP_SCALES = 0.5 ** np.arange(31)
-NON_ISOLATED_CLUSTER_SIZE = 100
 MAX_NEWTON_ITERS = 100
 # roots of the sweep closer than this are merged; it must exceed newton_tol
 DEDUPE_RADIUS = 1e-6
@@ -328,33 +326,33 @@ def damped_newton(
     return NewtonResult(pts, norms, status, steps)
 
 
-def _dedupe_points(
-    points: np.ndarray, priorities: np.ndarray, radius: float
-) -> tuple[np.ndarray, int]:
+def _dedupe_points(points: np.ndarray, priorities: np.ndarray, radius: float) -> np.ndarray:
     """Merge points within ``radius``; keep the smallest priority per cluster.
 
     Ties in priority fall back to lexicographic order of coordinates.
     In that order, the first pending point becomes a representative and
     takes every pending point within ``radius`` into its cluster; a
     pending point is never that close to an earlier representative.
-    Returns the representatives and the largest merged cluster size.
+    Returns the representatives.
     """
-    if len(points) <= 1:
-        return points, len(points)
     pending = points[np.lexsort(np.vstack([points.T[::-1], priorities]))]
     kept = []
-    largest = 0
     while len(pending):
         near = np.linalg.norm(pending - pending[0], axis=1) <= radius
         kept.append(pending[0])
-        largest = max(largest, int(near.sum()))
         pending = pending[~near]
-    return np.reshape(kept, (-1, points.shape[1])), largest
+    return np.reshape(kept, (-1, points.shape[1]))
 
 
 def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
     """(len(masks), n) booleans: bit i of each mask, i.e. i is in the index set."""
     return ((np.asarray(masks)[:, None] >> np.arange(n)) & 1).astype(bool)
+
+
+def _bezout_numbers(inst: PcpInstance, masks: Sequence[int]) -> np.ndarray:
+    """Each index set's Bezout number B_I: deg f_i on I times deg g_i off I, as floats."""
+    degrees = inst.f.component_degrees, inst.g.component_degrees
+    return np.where(_mask_bits(masks, inst.n), *degrees).prod(axis=1, dtype=float)
 
 
 def _first_primes(count: int) -> list[int]:
@@ -421,8 +419,8 @@ def _solve_subsystems(
     """Roots of each index set's square system, in the order of ``masks``.
 
     A subset starts from its start cloud then the origin, or from the
-    origin alone if its square system is affine (degree <= 1 throughout,
-    Bezout number <= 1: one full step reaches its one root).  Damped Newton
+    origin alone if its Bezout number is at most 1 (affine: one full step
+    reaches its one root; a constant component: a singular Jacobian).  Damped Newton
     runs all subsets' starts end to end in slices of at most
     SWEEP_CHUNK_ROWS rows, each built as it runs; a row's result does not
     depend on its slice.  A cloud subset's converged rows are deduped
@@ -434,8 +432,7 @@ def _solve_subsystems(
         raise InputError("dedupe_radius must exceed newton_tol")
     n = inst.n
     on_f_sets = _mask_bits(masks, n)
-    degrees = np.where(on_f_sets, inst.f.component_degrees, inst.g.component_degrees)
-    sizes = np.where(np.all(degrees <= 1, axis=1), 0, cfg.starts_per_subsystem) + 1
+    sizes = np.where(_bezout_numbers(inst, masks) <= 1, 0, cfg.starts_per_subsystem) + 1
     ends = np.cumsum(sizes)
     begins = ends - sizes
 
@@ -477,7 +474,7 @@ def _solve_subsystems(
             pending.append((result.points[low:high][keep], result.norms[low:high][keep]))
             if first + high == ends[k]:
                 points, norms = pending[0] if len(pending) == 1 else map(np.concatenate, zip(*pending))
-                unique, _ = _dedupe_points(points, norms, DEDUPE_RADIUS)
+                unique = _dedupe_points(points, norms, DEDUPE_RADIUS)
                 roots.append(unique[np.lexsort(unique.T[::-1])])
                 pending = []
     return roots
@@ -495,8 +492,7 @@ def solve_subsystem(
     array means no root was found (which is not a certificate of
     emptiness).
     """
-    idx = check_indices(index_set, inst.n)
-    mask = sum(1 << i for i in idx)
+    mask = sum(1 << i for i in check_indices(index_set, inst.n))
     return _solve_subsystems(inst, [mask], cfg or SolveConfig())[0]
 
 
@@ -506,17 +502,21 @@ def enumerate_solutions(inst: PcpInstance, cfg: SolveConfig | None = None) -> So
     n = inst.n
     check_subset_dimension(n, "enumeration")
 
-    points = np.vstack(_solve_subsystems(inst, range(1 << n), cfg))
+    roots = _solve_subsystems(inst, range(1 << n), cfg)
+    counts, bezout = np.array([len(r) for r in roots]), _bezout_numbers(inst, range(1 << n))
+    # a zero component leaves n - 1 equations in each subset that holds it
+    warnings = [f"non-isolated solutions suspected: component {i} of {name} is identically zero"
+                for name, pmap in (("f", inst.f), ("g", inst.g))
+                for i, component in enumerate(pmap.components) if component.is_zero]
+    for k in np.flatnonzero(counts > bezout):  # a subset's isolated roots number at most B_I
+        subset = ", ".join(str(i) for i in range(n) if k >> i & 1)
+        warnings.append(f"non-isolated solutions suspected: subset {{{subset}}} holds "
+                        f"{counts[k]} roots, above its Bezout number {bezout[k]:.0f}")
+    points = np.vstack(roots)
     fx, gx = inst.evaluate_pair(points)
     feasible = sign_feasible(fx, gx, FEASIBILITY_TOL)
     residuals = residual_norms(np.minimum(fx, gx)[feasible])
-    points, largest_cluster = _dedupe_points(points[feasible], residuals, DEDUPE_RADIUS)
-    warnings: list[str] = []
-    if largest_cluster > NON_ISOLATED_CLUSTER_SIZE:
-        warnings.append(
-            "non-isolated solutions suspected: a dedupe cluster merged "
-            f"{largest_cluster} points"
-        )
+    points = _dedupe_points(points[feasible], residuals, DEDUPE_RADIUS)
     certificates: list[SolutionCertificate] = []
     for point in points:
         try:
@@ -525,13 +525,8 @@ def enumerate_solutions(inst: PcpInstance, cfg: SolveConfig | None = None) -> So
             continue
     certificates.sort(key=lambda c: tuple(c.point))
 
-    return SolutionSet(
-        certificates=tuple(certificates),
-        n=n,
-        config=cfg,
-        completeness_claim=not warnings,
-        warnings=tuple(warnings),
-    )
+    return SolutionSet(tuple(certificates), n, cfg, completeness_claim=not warnings,
+                       warnings=tuple(warnings))
 
 
 def _min_abs_determinant(jac_f: np.ndarray, jac_g: np.ndarray) -> float:

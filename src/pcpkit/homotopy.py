@@ -32,8 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .enumeration import MAX_NEWTON_ITERS, NewtonStatus, SolveConfig, damped_newton
-from .exceptions import InputError
-from .polynomials import as_point
+from .polynomials import finite_point
 from .residuals import PcpInstance, active_branch, pack_pair, split_pair
 
 CORRECTOR_TOL = 1e-8
@@ -203,9 +202,7 @@ def track_natural_homotopy(
     hypothesis; divergence is evidence against the hypothesis, not a
     proof of nonexistence.
     """
-    reference = as_point(x_ref, inst.n, "x_ref")
-    if not np.isfinite(reference).all():
-        raise InputError(f"x_ref must hold finite numbers, got {reference.tolist()}")
+    reference = finite_point(x_ref, inst.n, "x_ref")
     eye = np.eye(inst.n)
 
     def start(x: np.ndarray, jacobians: bool) -> np.ndarray:

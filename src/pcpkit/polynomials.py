@@ -55,6 +55,14 @@ def as_point(x, n: int, name: str) -> np.ndarray:
     return point
 
 
+def finite_point(x, n: int, name: str) -> np.ndarray:
+    """:func:`as_point`, also refusing a NaN or infinite coordinate."""
+    point = as_point(x, n, name)
+    if not np.isfinite(point).all():
+        raise InputError(f"{name} must hold finite numbers, got {point.tolist()}")
+    return point
+
+
 def _as_points(x, arity: int) -> tuple[np.ndarray, bool]:
     """Coerce ``x`` to a (m, arity) float array; report whether it was 1-D."""
     pts = np.asarray(x, dtype=float)
@@ -328,7 +336,7 @@ class PolyMap:
         """Map degree: max over component degrees (0 for the zero map)."""
         return max(c.degree for c in self.components)
 
-    @property
+    @cached_property
     def component_degrees(self) -> tuple[int, ...]:
         return tuple(c.degree for c in self.components)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import empirical_exponent_fit
 from .enumeration import STEP_SCALES, SolutionSet, first_lowering
 from .exceptions import DegenerateInputError, EmptyRegionError, InputError
-from .polynomials import as_point
+from .polynomials import finite_point
 from .residuals import (
     PcpInstance,
     active_branch,
@@ -315,13 +315,13 @@ def xref_boundedness_probe(
 ) -> ProbeReport:
     """Check <x - x_ref, m(x)> > 0 on a sampled sphere of the given radius.
 
-    With ``use_leading`` the leading-pair min map replaces m.  Any sample
-    with a nonpositive pairing is a counterexample witness.
+    With ``use_leading`` the leading-pair min map replaces m.  A non-finite
+    x_ref is refused; any sample with a nonpositive pairing is a witness.
     """
     check_positive("radius", radius)
     if samples < 1:
         raise InputError("samples must be >= 1")
-    reference = as_point(x_ref, inst.n, "x_ref")
+    reference = finite_point(x_ref, inst.n, "x_ref")
     pair = inst.leading_pair if use_leading else inst
     rng = np.random.default_rng(seed)
 

@@ -562,7 +562,7 @@ def reference_sweep(inst, masks, cfg):
         )
         found = result.points[result.alive & (result.norms <= cfg.newton_tol)]
         residuals = np.linalg.norm(system.evaluate(found), axis=1)
-        unique, _ = _dedupe_points(found, residuals, DEDUPE_RADIUS)
+        unique = _dedupe_points(found, residuals, DEDUPE_RADIUS)
         roots.append(unique[np.lexsort(unique.T[::-1])])
     return roots
 
@@ -966,13 +966,6 @@ class TestEnumerate:
         with pytest.raises(ComplexityGuardError):
             enumerate_solutions(inst, FAST)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 2: each subset is deduplicated first, so a global "
-        "cluster holds at most 20 points at n = 2, never the 100 that the "
-        "non-isolated warning needs",
-    )
     def test_solution_circle_denies_completeness(self):
         # f = (q, x1 q) with q = x1^2 + x2^2 - 1 and g = x + 10 > 0 near the
         # circle: every point of the unit circle is a solution
@@ -987,6 +980,45 @@ class TestEnumerate:
         sols = enumerate_solutions(PcpInstance(f, g))
         assert np.allclose(np.linalg.norm(sols.points, axis=1), 1.0)
         assert not sols.completeness_claim
+        # the all-f subset's square system (f1, f2) has Bezout number 2 * 3 = 6
+        assert sols.warnings == (
+            "non-isolated solutions suspected: subset {0, 1} holds 16 roots, "
+            "above its Bezout number 6",
+        )
+
+    def test_zero_component_denies_completeness(self):
+        # f1 = 0: the ray {x2 = -10, x1 >= -10} solves the instance, yet every
+        # subset holding f1 has a zero Jacobian row, so Newton finds no root there
+        f = PolyMap((Polynomial(2, {}), Polynomial(2, {(0, 1): 1.0, (0, 0): 20.0})))
+        g = PolyMap((
+            Polynomial(2, {(1, 0): 1.0, (0, 0): 10.0}),
+            Polynomial(2, {(0, 1): 1.0, (0, 0): 10.0}),
+        ))
+        inst = PcpInstance(f, g)
+        assert np.array_equal(natural_map(inst, [5.0, -10.0]), [0.0, 0.0])
+        sols = enumerate_solutions(inst)
+        assert np.array_equal(sols.points, [[-10.0, -10.0]])
+        assert not sols.completeness_claim
+        assert sols.warnings == (
+            "non-isolated solutions suspected: component 0 of f is identically zero",
+        )
+
+    def test_nonzero_constant_component_keeps_completeness(self):
+        # a nonzero constant component has no root, so it hides no continuum
+        f = PolyMap((Polynomial(2, {(0, 0): 1.0}), Polynomial(2, {(0, 1): 1.0})))
+        sols = enumerate_solutions(PcpInstance(f, PolyMap.identity(2)))
+        assert np.array_equal(sols.points, [[0.0, 0.0]])
+        assert sols.completeness_claim and sols.warnings == ()
+
+    @pytest.mark.parametrize(
+        "fixture",
+        ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair",
+         "swapped_linear", "scalar_shift"],
+    )
+    def test_fixtures_claim_completeness(self, request, fixture):
+        # every subset of these isolated-root instances stays within its Bezout number
+        sols = enumerate_solutions(request.getfixturevalue(fixture))
+        assert sols.completeness_claim and sols.warnings == ()
 
 
 class TestCertify:
@@ -1148,26 +1180,24 @@ class TestSolveConfig:
 class TestDedupe:
     def test_at_most_one_point_is_kept_as_is(self):
         for points in (np.zeros((0, 3)), np.array([[1.0, -2.0, 3.0]])):
-            kept, largest = _dedupe_points(points, np.zeros(len(points)), radius=1e-6)
+            kept = _dedupe_points(points, np.zeros(len(points)), radius=1e-6)
             assert np.array_equal(kept, points) and kept.shape == points.shape
-            assert largest == len(points)
 
     def test_keeps_smallest_residual(self):
         from pcpkit.enumeration import _dedupe_points
 
         points = np.array([[1.0, 1.0], [1.0 + 1e-8, 1.0], [5.0, 5.0]])
         residuals = np.array([1e-12, 1e-15, 1e-13])
-        kept, largest = _dedupe_points(points, residuals, radius=1e-6)
+        kept = _dedupe_points(points, residuals, radius=1e-6)
         assert len(kept) == 2
         assert any(np.array_equal(row, points[1]) for row in kept)
-        assert largest == 2
 
     def test_lexicographic_tie_break(self):
         from pcpkit.enumeration import _dedupe_points
 
         points = np.array([[2.0, 0.0], [1.0, 3.0], [1.0, 2.0]])
         residuals = np.zeros(3)
-        kept, _ = _dedupe_points(points, residuals, radius=1.5)
+        kept = _dedupe_points(points, residuals, radius=1.5)
         # ties in residual resolve by coordinate order: (1, 2) survives
         # its cluster with (1, 3); (2, 0) is separated from both
         assert np.array_equal(kept[0], [1.0, 2.0])
@@ -1178,15 +1208,13 @@ class TestDedupe:
         # 0.9 joins the cluster of 0; 1.8 is within the radius of 0.9 only,
         # so it starts its own cluster rather than chaining onto the first
         points = np.array([[0.0], [0.9], [1.8]])
-        kept, largest = _dedupe_points(points, np.zeros(3), radius=1.0)
+        kept = _dedupe_points(points, np.zeros(3), radius=1.0)
         assert np.array_equal(kept, [[0.0], [1.8]])
-        assert largest == 2
 
     def test_large_cluster_counted(self):
         from pcpkit.enumeration import _dedupe_points
 
         rng = np.random.default_rng(0)
         cloud = rng.normal(scale=1e-9, size=(150, 2))
-        kept, largest = _dedupe_points(cloud, np.zeros(150), radius=1e-6)
+        kept = _dedupe_points(cloud, np.zeros(150), radius=1e-6)
         assert len(kept) == 1
-        assert largest == 150

@@ -423,6 +423,12 @@ class TestXrefBoundedness:
         )
         assert report.passed  # leading min map is x itself
 
+    @pytest.mark.parametrize("x_ref", [[np.nan, 0.0], [np.inf, 0.0]])
+    def test_non_finite_x_ref_refused(self, affine_shift, x_ref):
+        # refused as track_natural_homotopy refuses it, not paired as NaN or -inf
+        with pytest.raises(InputError, match=r"x_ref must hold finite numbers, got \["):
+            xref_boundedness_probe(affine_shift, x_ref, 5.0, samples=64)
+
 
 class TestKaramardian:
     def test_identity_equality_case(self, identity_pair):
