@@ -7,18 +7,22 @@ One homotopy is tracked, from a start pair (p, q) to the instance (f, g):
 so H(., 1) is the natural residual m.  The reference homotopy starts at
 x_ref with p = q = x - x_ref; the leading-term homotopy starts at 0 with
 the leading pair (f_inf, g_inf), whose min has only the root 0 when the
-leading pair has only the trivial solution.  Paths are the rows of one
-tracker: a round makes one active-branch semismooth Newton call (ties
-pick f) over the live rows, each at its own t.  Each row's corrector
-starts at the secant through its last two checkpoints,
+leading pair has only the trivial solution, read off the instance's
+own compiled table (``PcpInstance.leading_pair_table``).  Paths are the
+rows of one tracker: a round makes one active-branch semismooth Newton
+call (ties pick f) over the live rows, each at its own t.  Each row's
+corrector starts at the secant through its last two checkpoints,
 x_k + (t - t_k) / (t_k - t_{k-1}) (x_k - x_{k-1}); a row with one
 checkpoint, and the t = 1 polish, start at the last point.  On an affine
 instance the leading homotopy is positively homogeneous in (x, t), so
 its path is a ray and the secant lands on it exactly.  A prediction
 outside the DIVERGENCE_NORM ball starts at the last checkpoint instead:
-only the corrector's own points decide that a path diverged.  A start
-pair returns its values and Jacobians packed as ``PcpInstance.pair_table``
-packs the instance's, so a blend is one weighted sum of two tables.
+only the corrector's own points decide that a path diverged.  The rows
+that reach t = 1 are polished in one call at ``newton_tol``; a row whose
+t = 1 checkpoint is already within ``newton_tol`` makes no call and ends
+there with 0 steps, as the polish would.  A start pair returns its
+values and Jacobians packed as ``PcpInstance.pair_table`` packs the
+instance's, so a blend is one weighted sum of two tables.
 Tracking failure is recorded as evidence, never as a certificate of
 nonexistence.
 """
@@ -26,7 +30,7 @@ nonexistence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,7 +132,13 @@ def _secant_start(path: list[Checkpoint], t: float) -> np.ndarray:
 
 
 def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig | None) -> list:
-    """Track one path per row: row r starts at t = 0 from x0[r], a root of ``starts[r]``."""
+    """Track one path per row: row r starts at t = 0 from x0[r], a root of ``starts[r]``.
+
+    The rows that reach t = 1 share one polish call at ``newton_tol``; a
+    row whose t = 1 checkpoint residual is already at most ``newton_tol``
+    is left out of it and converges at that checkpoint, re-recorded with
+    0 steps: the polish would re-evaluate the same point at t = 1 and stop.
+    """
     x, newton_tol = np.array(x0, dtype=float), (cfg or SolveConfig()).newton_tol
     pairs = list(dict.fromkeys(starts))
     kind = np.array([pairs.index(s) for s in starts])
@@ -184,7 +194,13 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
         for r in live:
             done.setdefault(r, ("stalled", None, "step attempt budget exhausted"))
     # polish the endpoints down to the certification tolerance; H(., 1) is m,
-    # so a converged polish has natural residual norm at most newton_tol
+    # so a converged polish has natural residual norm at most newton_tol.  A
+    # polish from a checkpoint already within it would re-evaluate that point
+    # at t = 1 and stop at once, so the row ends there with 0 steps instead.
+    for r in range(len(x)):
+        if r not in done and (last := checkpoints[r][-1]).residual <= newton_tol:
+            checkpoints[r][-1] = replace(last, steps=0)
+            done[r] = ("converged", last.x.copy(), "")
     if rows := [r for r in range(len(x)) if r not in done]:
         advance(rows, polish=True)
     return [HomotopyTrace(tuple(c), *done[r][:2], c[-1].t, max_norm[r], done[r][2], rejected[r])
@@ -220,6 +236,9 @@ def track_leading_homotopy(
     The start pair is (f_inf, g_inf), whose min has the trivial root;
     under the leading-pair regularity hypothesis the zero paths stay
     bounded and the endpoint solves the full problem.  Lower-order
-    perturbations of the instance leave the t = 0 system unchanged.
+    perturbations of the instance leave the t = 0 system unchanged.  The
+    pair is ``inst.leading_pair_table``, equal bit for bit to
+    ``inst.leading_pair.pair_table``, so ``leading_pair`` is neither
+    built nor compiled.
     """
-    return _track([inst.leading_pair.pair_table], inst, [np.zeros(inst.n)], cfg)[0]
+    return _track([inst.leading_pair_table], inst, [np.zeros(inst.n)], cfg)[0]

@@ -132,6 +132,34 @@ class PcpInstance:
         return split_pair(self.pair_table(x, jacobians), self.n)
 
     @cached_property
+    def _leading_blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``_pair_terms``' values and Jacobian blocks cut to the leading pair's terms.
+
+        As in ``PolyMap.leading_term_map``, each map keeps the terms of its
+        own degree d and a Jacobian entry the partial terms of degree d - 1;
+        every other term points at the padding row (index -1, coefficient 1.0).
+        """
+        terms, n = self._pair_terms, self.n
+        # a monomial row's degree; the padding row, index -1, gets -1
+        degrees = np.append(terms.exponents.sum(axis=0), -1)
+        top = np.repeat([self.degree_f, self.degree_g], n)
+
+        def cut(block: tuple[np.ndarray, np.ndarray], degree: np.ndarray) -> tuple:
+            rows, coefficients = block
+            keep = degrees[rows] == degree
+            return np.where(keep, rows, -1), np.where(keep[..., None], coefficients, 1.0)
+
+        return cut(terms.values, top), cut(terms.jacobian, np.repeat(top - 1, n))
+
+    def leading_pair_table(self, x, jacobians: bool = False) -> np.ndarray:
+        """``leading_pair.pair_table(x, jacobians)`` bit for bit, from this instance's compile.
+
+        The cut-off terms add the padding row's -0.0, which changes no sum,
+        so neither ``leading_pair`` nor its compile is built.
+        """
+        return self._pair_terms.evaluate(x, *self._leading_blocks[: 1 + jacobians])
+
+    @cached_property
     def leading_pair(self) -> "PcpInstance":
         """Instance formed by the map-level leading terms of f and g."""
         return PcpInstance(self.f.leading_term_map(), self.g.leading_term_map())

@@ -22,7 +22,7 @@ from pcpkit import (
     xref_boundedness_probe,
 )
 import pcpkit.homotopy as homotopy_module
-from pcpkit.enumeration import MAX_NEWTON_ITERS
+from pcpkit.enumeration import MAX_NEWTON_ITERS, damped_newton
 from pcpkit.homotopy import _blend, _track
 from pcpkit.residuals import active_branch, natural_jacobian, pack_pair
 
@@ -36,7 +36,7 @@ FIXTURES = ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair"
 # and the leading homotopy, with each checkpoint's corrector steps and each trace's
 # rejected rounds (numpy 2.4, x86-64);
 # c10-k is trial_instance(2, (2, 2), 0, k), lcp6-s the n = 6 PD LCP
-# affine_instance(*pd_lcp(6, s))
+# affine_instance(*pd_lcp(6, s)), and the deg f != deg g instances of MIXED_DEGREES
 TRACE_DIGESTS = {
     "c10-0": ("67f4b553b631bc7b5d8ebd70ea138b9867a25b3e828f0434d50c7f69f9861998",
               "f9e31535c1136ac47c3e6cd679ca4961e904d5a83ef0d458f85ac0a7ed696719"),
@@ -74,7 +74,15 @@ TRACE_DIGESTS = {
                "9131953f22b766f8009e021015924ce2cfa4285477379bb17771339c1f9fa999"),
     "lcp6-7": ("6f6de4f9ade745eac239010360e91696ffd58083f52a8afd57eb93f6399ac254",
                "2c9b42ab5a74a7da75f87711334efd4146408e3ccd484a22c936e95773ff909f"),
+    "mixed3-0": ("e0ea2f405622909aee5e7691ebd50f70a14402ce89ecd5f9d472de94dd08cf8d",
+                 "8fa4dc5453a14953ab14fe3ac1f5b57494a6b00b999be11e81a01ef5a9ec9cd7"),
+    "mixed2-4": ("d8bb67a5d71e328febe17da72659e8975e6750269675629b28a0c0c63c95c69b",
+                 "297c0d01e283762e1ec6f47af8ec47eedddaf26e757850b09b0f60332ad08561"),
 }
+# (n, degrees of f, degrees of g, seed) of random_instance: the leading pair cuts
+# f and g at different degrees; both leading paths converge, mixed2-4's with no polish
+MIXED_DEGREES = {"mixed3-0": (3, (1, 1, 1), (2, 2, 2), 0),
+                 "mixed2-4": (2, (3, 3), (1, 2), 4)}
 
 
 class TestNaturalHomotopy:
@@ -230,6 +238,10 @@ class TestTraceDigests:
     def test_pd_lcps(self, seed):
         # n = 6, the shape of the benchmark's affine oracles
         assert self.digests(affine_instance(*pd_lcp(6, seed))) == TRACE_DIGESTS[f"lcp6-{seed}"]
+
+    @pytest.mark.parametrize("key", MIXED_DEGREES)
+    def test_mixed_degrees(self, key):
+        assert self.digests(random_instance(*MIXED_DEGREES[key])) == TRACE_DIGESTS[key]
 
 
 class TestRows:
@@ -405,7 +417,51 @@ class TestSecantStart:
             assert np.linalg.norm(c.x - on_ray) <= 1e-12 * np.linalg.norm(on_ray)
 
 
+class TestPolishSkip:
+    """A row already within newton_tol at t = 1 ends there with no polish call."""
+
+    @staticmethod
+    def polish_calls(monkeypatch):
+        # the polish is the one corrector call at newton_tol and MAX_NEWTON_ITERS
+        calls = []
+
+        def counted(values_fn, jacobian_fn, starts, tol, max_iters, **kwargs):
+            if (tol, max_iters) == (CFG.newton_tol, MAX_NEWTON_ITERS):
+                calls.append(len(starts))
+            return damped_newton(values_fn, jacobian_fn, starts, tol, max_iters, **kwargs)
+
+        monkeypatch.setattr(homotopy_module, "damped_newton", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [6, 7])
+    def test_affine_endpoints_skip_the_polish(self, monkeypatch, seed):
+        calls = self.polish_calls(monkeypatch)
+        inst = affine_instance(*pd_lcp(6, seed))
+        for trace in (track_natural_homotopy(inst, np.ones(6), CFG),
+                      track_leading_homotopy(inst, CFG)):
+            last = trace.checkpoints[-1]
+            assert trace.converged and last.t == 1.0 and last.steps == 0
+            assert last.residual <= CFG.newton_tol
+            assert trace.point.tobytes() == last.x.tobytes()
+            assert trace.point is not last.x
+        assert calls == []
+
+    def test_endpoint_above_newton_tol_is_polished(self, monkeypatch):
+        # this leading path's t = 1 corrector ends above newton_tol
+        calls = self.polish_calls(monkeypatch)
+        trace = track_leading_homotopy(random_instance(*MIXED_DEGREES["mixed3-0"]), CFG)
+        assert calls == [1]
+        assert trace.converged and trace.checkpoints[-1].steps >= 1
+        assert trace.checkpoints[-1].residual <= CFG.newton_tol
+
+
 class TestLeadingHomotopy:
+    def test_leading_pair_not_built(self):
+        # the start pair is read off the instance's own compiled table
+        inst = random_instance(*MIXED_DEGREES["mixed2-4"])
+        assert track_leading_homotopy(inst, CFG).converged
+        assert "leading_pair" not in inst.__dict__
+
     def test_homogeneous_instance_constant_path(self, identity_pair):
         trace = track_leading_homotopy(identity_pair, CFG)
         assert trace.converged

@@ -283,6 +283,39 @@ class TestLeadingMinMap:
         )
 
 
+class TestLeadingPairTable:
+    """``leading_pair_table`` equals ``leading_pair.pair_table`` bit for bit."""
+
+    # degrees of f and of g at dimension n; "mixed" has components below their map's degree
+    DEGREES = {
+        "equal": lambda n: ((2,) * n, (2,) * n),
+        "unequal": lambda n: ((1,) * n, (3,) * n),
+        "mixed": lambda n: (tuple(1 + i % 3 for i in range(n)), tuple(3 - i % 2 for i in range(n))),
+    }
+
+    @staticmethod
+    def assert_same_tables(inst, seed):
+        batch = np.random.default_rng(seed).uniform(-2, 2, size=(9, inst.n))
+        batch[1] = 0.0
+        for x in (batch[0], batch, np.asfortranarray(batch)):
+            for jacobians in (False, True):
+                got = inst.leading_pair_table(x, jacobians)
+                want = inst.leading_pair.pair_table(x, jacobians)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", DEGREES)
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_random_instances(self, n, case):
+        for seed in range(3):
+            self.assert_same_tables(random_instance(n, *self.DEGREES[case](n), seed), seed)
+
+    def test_zero_component(self):
+        inst = random_instance(3, (2, 1, 2), (1, 3, 1), 5)
+        f = PolyMap((inst.f.components[0], Polynomial.zero(3), inst.f.components[2]))
+        self.assert_same_tables(PcpInstance(f, inst.g), 5)
+
+
 class TestInstanceValidation:
     def test_arity_mismatch(self):
         with pytest.raises(InputError):
