@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic reports."""
 
+import hashlib
 import json
 import time
 import warnings
@@ -445,6 +446,72 @@ class TestExponentGenerateTrialLemke:
         assert code == 2
         assert captured.err == "error: pivoting finished with inconsistent basis (gap nan)\n"
         assert captured.out == ""
+
+
+# name -> (argv, sha256 of its stdout) (numpy 2.4, x86-64).  inst.json holds
+# random_instance(2, (2, 2), (2, 2), 1), whose sweep certifies the accepted
+# point; every path is relative, so the config echo is the same in any directory
+REPORT_PINS = {
+    "certify-accepted": (
+        ("certify", "inst.json", "--point", "-1.5746210289069646,-0.9110294373868091"),
+        "7f30308859155d85c4b42225b1e23fb9011f7086f733dad7af6c0a908641e464",
+    ),
+    "certify-rejected": (
+        ("certify", "inst.json", "--point", "0,0"),
+        "3e0fad7cc22282f7ed506f19beb7ae394a05191ee825c60492a3fe773cac1857",
+    ),
+    "trial": (
+        ("trial", "--n", "2", "--degrees", "2", "--trials", "5", "--starts", "60"),
+        "d6da3cf3272fc01e263b287db8c0cbd6bed9085cc950b667ff5755b91fd7f444",
+    ),
+    "trial-csv": (
+        ("trial", "--n", "2", "--degrees", "2", "--trials", "5", "--starts", "60", "--csv"),
+        "9e108b046cf36bfea63b15f638c1cea7211d161149e89cdd034e94f5b766cb53",
+    ),
+    # affine trials carry the Lemke fields
+    "trial-affine": (
+        ("trial", "--n", "2", "--degrees", "1", "--trials", "5"),
+        "a69cd77b846e897dae5550eb331fe15f0974699bc8e3b9045bd51d928638e840",
+    ),
+    "lemke-solution": (
+        ("lemke", "solution.json"),
+        "fc8d108bb7a4f738fb8f816c6e56e47f147ce2902923df2273ee4b17906421a6",
+    ),
+    "lemke-ray": (
+        ("lemke", "ray.json"),
+        "22a8f4df2959654c44339e1324fc7cb6bf664b435d5552d632c219ce59ced6bf",
+    ),
+    "lemke-trivial": (
+        ("lemke", "trivial.json"),
+        "a5a983404f12c61baaf1ca79bf826b3f932f52735e75a9710c3c5e490ccb0b95",
+    ),
+    # a report whose fitted exponent is not null
+    "bounds-local": (
+        ("bounds", "inst.json", "--region", "-2,2", "--samples", "4000"),
+        "6795fb093b556f5c4e54bfe21f732f988c7ac98a376e09d2b2ba473466d0880e",
+    ),
+}
+LCP_FILES = {
+    "solution.json": {"M": [[2, 1], [1, 2]], "q": [-1, -1]},
+    "ray.json": {"M": [[0, -1], [1, 0]], "q": [-1, 1]},
+    "trivial.json": {"M": [[1, 0], [0, 1]], "q": [1, 2]},
+}
+
+
+class TestReportPins:
+    """The reports built from records are pinned byte for byte."""
+
+    @pytest.mark.parametrize("name", REPORT_PINS)
+    def test_report_bytes(self, capsys, monkeypatch, tmp_path, name):
+        inst = random_instance(2, (2, 2), (2, 2), 1)
+        (tmp_path / "inst.json").write_text(serialize_instance(inst))
+        for file, problem in LCP_FILES.items():
+            (tmp_path / file).write_text(json.dumps(problem))
+        monkeypatch.chdir(tmp_path)
+        argv, digest = REPORT_PINS[name]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestErrors:
