@@ -140,11 +140,7 @@ class BoundReport:
             # c_best overflows doubles at huge exponents; log10 stays exact
             "c_best": jsonable(self.c_best),
             "log10_c_best": jsonable(self.log10_c_best),
-            "fitted": None if self.fitted is None else {
-                "slope": self.fitted.slope,
-                "intercept": self.fitted.intercept,
-                "r_squared": self.fitted.r_squared,
-            },
+            "fitted": None if self.fitted is None else self.fitted._asdict(),
             "violations": list(self.violations),
             "samples": self.samples,
             "domain": self.domain,

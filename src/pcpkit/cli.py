@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import probes as probes_mod
-from .documents import parse_instance_document, report_document, serialize_instance
+from .documents import parse_instance_document, record_dict, report_document, serialize_instance
 from .enumeration import (
     SolveConfig,
     certify_solution,
@@ -273,14 +273,7 @@ def _cmd_lemke(args) -> int:
     raw = json.loads(Path(args.problem).read_text(encoding="utf-8"))
     if not isinstance(raw, dict) or "M" not in raw or "q" not in raw:
         raise PcpError("lemke input must be a JSON object with keys 'M' and 'q'")
-    result = lemke_lcp(raw["M"], raw["q"])
-    payload = {
-        "status": result.status,
-        "z": None if result.z is None else [float(v) for v in result.z],
-        "w": None if result.w is None else [float(v) for v in result.w],
-        "pivots": result.pivots,
-    }
-    _print_report("lemke", {"problem": args.problem}, payload)
+    _print_report("lemke", {"problem": args.problem}, record_dict(lemke_lcp(raw["M"], raw["q"])))
     return 0
 
 

@@ -20,14 +20,19 @@ canonical documents.
 
 A report document wraps any payload with the command name and a full
 config echo, so every report can be reproduced from its own header.
+A record (a certificate, checkpoint, trace, trial, summary, probe report
+or Lemke result) becomes its payload by one rule, :func:`record_dict`:
+its fields in order, so a record's field order is its report's key order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
+
+import numpy as np
 
 from .exceptions import InputError, ParseError
 from .polynomials import PolyMap, Polynomial
@@ -150,6 +155,20 @@ def serialize_instance(inst: PcpInstance, metadata: dict | None = None) -> str:
     if metadata is not None:
         document["metadata"] = metadata
     return json.dumps(document, indent=2) + "\n"
+
+
+def _json_fields(fields: list[tuple[str, Any]]) -> dict:
+    return {name: value.tolist() if isinstance(value, np.ndarray)
+            else list(value) if isinstance(value, tuple) else value
+            for name, value in fields}
+
+
+def record_dict(record) -> dict:
+    """A dataclass record as a report dict, one key per field in field order.
+
+    Nested records become dicts, and arrays and tuples become lists.
+    """
+    return asdict(record, dict_factory=_json_fields)
 
 
 def report_document(command: str, config: dict, payload: dict) -> str:

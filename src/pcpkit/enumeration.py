@@ -22,6 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .documents import record_dict
 from .exceptions import CertificationError, InputError
 from .polynomials import _as_points, as_point
 from .residuals import (
@@ -101,13 +102,7 @@ class SolutionCertificate:
     min_abs_det_jac: float
 
     def to_dict(self) -> dict:
-        return {
-            "point": [float(v) for v in self.point],
-            "active_set": list(self.active_set),
-            "residual_norm": self.residual_norm,
-            "strict_complementarity": self.strict_complementarity,
-            "min_abs_det_jac": self.min_abs_det_jac,
-        }
+        return record_dict(self)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ enough seed material to reproduce it in isolation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import verify_global_bound
+from .documents import record_dict
 from .enumeration import DEDUPE_RADIUS, SolveConfig, distance_to_solutions, enumerate_solutions
 from .exceptions import InputError, PcpError
 from .lemke import lemke_lcp
@@ -91,13 +92,14 @@ class TrialRecord:
     lemke_agrees: bool | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_dict(self)
 
 
 @dataclass(frozen=True)
 class TrialSummary:
     """Aggregated Monte Carlo results with reproduction seeds."""
 
+    # field order is the report's key order
     n: int
     degrees: tuple[int, ...]
     trials: int
@@ -108,26 +110,12 @@ class TrialSummary:
     strict_rate: float
     r0_rate: float
     lipschitz_rate: float
-    records: tuple[TrialRecord, ...]
     failures: tuple[dict, ...]
     skipped: int
+    records: tuple[TrialRecord, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "degrees": list(self.degrees),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "cardinality_bound": self.cardinality_bound,
-            "counts": list(self.counts),
-            "max_count": self.max_count,
-            "strict_rate": self.strict_rate,
-            "r0_rate": self.r0_rate,
-            "lipschitz_rate": self.lipschitz_rate,
-            "failures": list(self.failures),
-            "skipped": self.skipped,
-            "records": [r.to_dict() for r in self.records],
-        }
+        return record_dict(self)
 
     def csv_rows(self) -> list[dict]:
         return [r.to_dict() for r in self.records]
@@ -208,18 +196,8 @@ def genericity_trial(
         count = len(sols)
         strict_ok = all(c.strict_complementarity for c in sols.certificates)
 
-        try:
-            r0_report = r0_test(
-                inst,
-                samples=R0_SAMPLES,
-                refine_iters=R0_REFINE_ITERS,
-                seed=index,
-                componentwise=True,
-            )
-            r0_ok = r0_report.passed
-        except PcpError as error:
-            r0_ok = False
-            failures.append({"spawn_index": index, "stage": "r0", "error": str(error)})
+        r0_ok = r0_test(inst, samples=R0_SAMPLES, refine_iters=R0_REFINE_ITERS, seed=index,
+                        componentwise=True).passed
 
         bound_report = verify_global_bound(
             inst, sols, LIPSCHITZ_RADII, BOUND_SAMPLES, alpha=1, seed=index

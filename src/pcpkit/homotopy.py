@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .documents import record_dict
 from .enumeration import MAX_NEWTON_ITERS, NewtonStatus, SolveConfig, damped_newton
 from .polynomials import finite_point
 from .residuals import PcpInstance, active_branch, pack_pair, split_pair
@@ -57,8 +58,7 @@ class Checkpoint:
     steps: int
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "x": [float(v) for v in self.x], "residual": self.residual,
-                "steps": self.steps}
+        return record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,21 @@ class HomotopyTrace:
     accepted, the failed endpoint polish included.
     """
 
-    checkpoints: tuple[Checkpoint, ...]
+    # field order is the report's key order
     outcome: str
     point: np.ndarray | None
     final_t: float
     max_point_norm: float
     message: str
     rejected_rounds: int
+    checkpoints: tuple[Checkpoint, ...]
 
     @property
     def converged(self) -> bool:
         return self.outcome == "converged"
 
     def to_dict(self) -> dict:
-        point = None if self.point is None else [float(v) for v in self.point]
-        return {"outcome": self.outcome, "point": point, "final_t": self.final_t,
-                "max_point_norm": self.max_point_norm, "message": self.message,
-                "rejected_rounds": self.rejected_rounds,
-                "checkpoints": [c.to_dict() for c in self.checkpoints]}
+        return record_dict(self)
 
 
 # (p, q) at x, plus (Jp, Jq) when asked, packed as PcpInstance.pair_table packs (f, g)
@@ -203,7 +200,7 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
             done[r] = ("converged", last.x.copy(), "")
     if rows := [r for r in range(len(x)) if r not in done]:
         advance(rows, polish=True)
-    return [HomotopyTrace(tuple(c), *done[r][:2], c[-1].t, max_norm[r], done[r][2], rejected[r])
+    return [HomotopyTrace(*done[r][:2], c[-1].t, max_norm[r], done[r][2], rejected[r], tuple(c))
             for r, c in enumerate(checkpoints)]
 
 

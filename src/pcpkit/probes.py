@@ -9,14 +9,15 @@ re-evaluated against the probed predicate before being reported.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import empirical_exponent_fit
+from .documents import record_dict
 from .enumeration import STEP_SCALES, SolutionSet, first_lowering
-from .exceptions import DegenerateInputError, EmptyRegionError, InputError
+from .exceptions import EmptyRegionError, InputError
 from .polynomials import finite_point
 from .residuals import (
     PcpInstance,
@@ -71,7 +72,7 @@ class ProbeReport:
         return self.verdict == "evidence-pass"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_dict(self)
 
 
 def _report(
@@ -172,8 +173,6 @@ def r0_test(
     if refine_iters < 0:
         raise InputError("refine_iters must be >= 0")
     pair = inst.componentwise_leading_pair if componentwise else inst.leading_pair
-    if pair.f.is_zero or pair.g.is_zero:
-        raise DegenerateInputError("leading pair contains the zero map")
     rng = np.random.default_rng(seed)
     points, values, norms = _sphere_minima(pair, [1.0], samples, 16, refine_iters, rng)
     best_point, best_norm = points[0], float(values[0])

@@ -574,6 +574,56 @@ class TestErrors:
         assert run_command([*head, text]) == 0
         assert capsys.readouterr() == want
 
+    # (argv, its one error line): inst.json holds random_instance(2, (2, 2), (2, 2), 1);
+    # abc, tiny and constants.json change its f, and argparse's refusals print
+    # their usage lines first
+    REFUSALS = [
+        (("solve", "abc.json"), "error: $.f[0][0].coefficient: unparsable coefficient 'abc'"),
+        (("solve", "tiny.json"),
+         "error: $.f[0]: coefficient 1e-310 for (0, 0) is below the magnitude floor 1e-300"),
+        (("solve", "constants.json"), "error: $: f must have degree >= 1"),
+        (("residual", "inst.json", "--point", "1,x"),
+         "pcpkit residual: error: argument --point: expected comma-separated numbers, got '1,x'"),
+        (("generate", "--n", "2", "--degrees", "2,x"),
+         "pcpkit generate: error: argument --degrees: expected comma-separated integers, "
+         "got '2,x'"),
+        (("bounds", "inst.json", "--region", "1,2,3"),
+         "error: --region needs 2 or 4 numbers (low,high per coordinate)"),
+        (("generate", "--n", "2"),
+         "error: generate needs --degrees (or --degrees-f and --degrees-g)"),
+        (("lemke", "list.json"), "error: lemke input must be a JSON object with keys 'M' and 'q'"),
+        (("lemke", "text.json"), "error: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (("probe", "r0", "inst.json", "--samples", "0"), "error: samples must be >= 1"),
+        (("probe", "karamardian", "inst.json", "--c", "1", "--samples", "0"),
+         "error: samples must be >= 1"),
+        (("probe", "pfunction", "inst.json", "--region", "0,1", "--pairs", "0"),
+         "error: pairs must be >= 1"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", REFUSALS, ids=[
+        "coefficient-abc", "coefficient-below-floor", "constant-f", "residual-point",
+        "generate-degrees", "bounds-region", "generate-no-degrees", "lemke-list",
+        "lemke-invalid-json", "r0-samples", "karamardian-samples", "pfunction-pairs"])
+    def test_refusal(self, capsys, monkeypatch, tmp_path, argv, message):
+        document = json.loads(serialize_instance(random_instance(2, (2, 2), (2, 2), 1)))
+        (tmp_path / "inst.json").write_text(json.dumps(document))
+        for name, raw in (("abc", "abc"), ("tiny", "1e-310")):
+            document["f"][0][0]["coefficient"] = raw
+            (tmp_path / f"{name}.json").write_text(json.dumps(document))
+        document["f"] = [[{"coefficient": "1.0", "exponents": [0, 0]}],
+                         [{"coefficient": "2.0", "exponents": [0, 0]}]]
+        (tmp_path / "constants.json").write_text(json.dumps(document))
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "text.json").write_text("not json")
+        monkeypatch.chdir(tmp_path)
+        code = run_command(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        lines = captured.err.splitlines()
+        assert lines[-1] == message
+        assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+        assert captured.out == ""
+
     def test_schema_violation(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1, "n": 2, "f": [], "g": []}')

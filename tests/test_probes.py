@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcpkit import (
-    DegenerateInputError,
     EmptyRegionError,
     InputError,
     PcpInstance,
@@ -234,12 +233,19 @@ class TestR0:
                 assert r0_test(scaled).passed is expected
 
     def test_zero_leading_refused(self):
-        # leading extraction refuses the zero map via the constant component
-        with pytest.raises((DegenerateInputError, InputError)):
-            inst = PcpInstance(
-                PolyMap((Polynomial.constant(1, 1.0),)), PolyMap.identity(1)
-            )
-            r0_test(inst)
+        # a constant map is refused on construction, so no leading pair holds the zero map
+        with pytest.raises(InputError, match="f must have degree >= 1"):
+            PcpInstance(PolyMap((Polynomial.constant(1, 1.0),)), PolyMap.identity(1))
+
+    def test_constant_component(self):
+        # f = (1, x2), g = Id: both leading pairs cut the constant to 0 and build,
+        # and x = (1, 0) solves both
+        f = PolyMap((Polynomial.constant(2, 1.0), Polynomial(2, {(0, 1): 1.0})))
+        inst = PcpInstance(f, PolyMap.identity(2))
+        for componentwise in (False, True):
+            report = r0_test(inst, samples=256, refine_iters=20, componentwise=componentwise)
+            assert report.verdict == "counterexample"
+            assert np.allclose(report.witness["point"], [1.0, 0.0])
 
     def test_componentwise_convention(self):
         # mixed degrees: componentwise leading keeps the affine row alive
