@@ -11,6 +11,7 @@ output.  Exit codes: 0 success, 1 counterexample/rejection under
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -29,7 +30,7 @@ from .enumeration import (
     enumerate_solutions,
 )
 from .exceptions import CertificationError, PcpError
-from .genericity import genericity_trial, random_instance
+from .genericity import TrialRecord, genericity_trial, random_instance
 from .homotopy import track_leading_homotopy, track_natural_homotopy
 from .lemke import lemke_lcp
 from .residuals import min_phi, natural_map, r_residual, residual_norms
@@ -253,13 +254,11 @@ def _cmd_trial(args) -> int:
     degrees = _per_component(args.degrees, args.n)
     cfg = _config(args)
     summary = genericity_trial(args.n, degrees, args.trials, args.seed, cfg)
-    if args.csv:
-        rows = summary.csv_rows()
-        if rows:
-            header = list(rows[0].keys())
-            sys.stdout.write(",".join(header) + "\n")
-            for row in rows:
-                sys.stdout.write(",".join(json.dumps(row[key]) for key in header) + "\n")
+    if args.csv:  # the header is the record type's, so a run with no records prints it too
+        header = [field.name for field in dataclasses.fields(TrialRecord)]
+        sys.stdout.write(",".join(header) + "\n")
+        for row in summary.csv_rows():
+            sys.stdout.write(",".join(json.dumps(row[key]) for key in header) + "\n")
         return 0
     config = {
         "n": args.n, "degrees": degrees, "trials": args.trials, "seed": args.seed,

@@ -136,7 +136,7 @@ def trial_instance(
     """
     degrees = tuple(int(d) for d in degrees)
     seed = trial_seed(master_seed, spawn_index)
-    if all(d == 1 for d in degrees):
+    if len(degrees) == n and all(d == 1 for d in degrees):  # random_instance refuses other lengths
         rng = np.random.default_rng(seed)
         g = PolyMap(tuple(random_polynomial(n, 1, rng) for _ in range(n)))
         return PcpInstance(PolyMap.identity(n), g)
@@ -169,8 +169,8 @@ def genericity_trial(
     master seed by index, so execution order cannot matter.
     """
     degrees = tuple(int(d) for d in degrees)
-    if len(degrees) != n or any(d < 1 for d in degrees):
-        raise InputError("need one positive degree per component")
+    if n < 1 or len(degrees) != n or any(d < 1 for d in degrees):
+        raise InputError("need n >= 1 and one positive degree per component")
     if trials < 1:
         raise InputError("trials must be >= 1")
     cfg = cfg or SolveConfig()

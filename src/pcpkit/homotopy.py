@@ -9,20 +9,21 @@ x_ref with p = q = x - x_ref; the leading-term homotopy starts at 0 with
 the leading pair (f_inf, g_inf), whose min has only the root 0 when the
 leading pair has only the trivial solution, read off the instance's
 own compiled table (``PcpInstance.leading_pair_table``).  Paths are the
-rows of one tracker: a round makes one active-branch semismooth Newton
-call (ties pick f) over the live rows, each at its own t.  Each row's
-corrector starts at the secant through its last two checkpoints,
-x_k + (t - t_k) / (t_k - t_{k-1}) (x_k - x_{k-1}); a row with one
-checkpoint, and the t = 1 polish, start at the last point.  On an affine
-instance the leading homotopy is positively homogeneous in (x, t), so
-its path is a ray and the secant lands on it exactly.  A prediction
-outside the DIVERGENCE_NORM ball starts at the last checkpoint instead:
-only the corrector's own points decide that a path diverged.  The rows
-that reach t = 1 are polished in one call at ``newton_tol``; a row whose
-t = 1 checkpoint is already within ``newton_tol`` makes no call and ends
-there with 0 steps, as the polish would.  A start pair returns its
-values and Jacobians packed as ``PcpInstance.pair_table`` packs the
-instance's, so a blend is one weighted sum of two tables.
+rows of one tracker, which takes H as one callback: a round makes one
+active-branch semismooth Newton call (ties pick f) over the live rows,
+each at its own t.  Each row's corrector starts at the secant through
+its last two checkpoints, x_k + (t - t_k) / (t_k - t_{k-1}) (x_k - x_{k-1});
+a row with one checkpoint, and the t = 1 polish, start at the last
+point.  On an affine instance the leading homotopy is positively
+homogeneous in (x, t), so its path is a ray and the secant lands on it
+exactly.  A prediction outside the DIVERGENCE_NORM ball starts at the
+last checkpoint instead: only the corrector's own points decide that a
+path diverged.  The rows that reach t = 1 are polished in one call at
+``newton_tol``; a row whose t = 1 checkpoint is already within
+``newton_tol`` makes no call and ends there with 0 steps, as the polish
+would.  H returns its values, and its Jacobians when asked, packed as
+``PcpInstance.pair_table`` packs (f, g); so does a start pair, and the
+existence homotopy is one weighted sum of two such tables.
 Tracking failure is recorded as evidence, never as a certificate of
 nonexistence.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -91,26 +92,22 @@ class HomotopyTrace:
 
 # (p, q) at x, plus (Jp, Jq) when asked, packed as PcpInstance.pair_table packs (f, g)
 StartPair = Callable[[np.ndarray, bool], np.ndarray]
+# H(x, t) at the points x of the paths rows, plus H_x when asked, packed the same way
+Homotopy = Callable[[np.ndarray, object, object, bool], np.ndarray]
 
 
-def _blend(start: StartPair, inst: PcpInstance, x: np.ndarray, t, jacobians: bool) -> tuple:
-    """(1-t)(p, q) + t(f, g) at the rows of x, plus Jacobians; t is a float or a column.
+def _existence(start: StartPair, inst: PcpInstance) -> Homotopy:
+    """The existence homotopy (1 - t)(p, q) + t(f, g); t is a float or a column.
 
     One blend of the two packed tables weighs values and Jacobians alike.
+    At t = 0, which the tracker passes as a float, it is the start pair
+    alone: the instance's values are left out, as 0 * inf is nan.
     """
-    table = (1.0 - t) * start(x, jacobians) + t * inst.pair_table(x, jacobians)
-    return split_pair(table, inst.n)
-
-
-def _stacked(pairs: list[StartPair], kind: np.ndarray) -> StartPair:
-    """The start pair of points whose own pair is ``pairs[kind[i]]``."""
-    def start(x: np.ndarray, jacobians: bool) -> np.ndarray:
-        n = x.shape[1]
-        out = np.empty((len(x), 2 * n + 2 * n * n * jacobians))  # split_pair's layout
-        for k in set(kind.tolist()):  # np.unique would import numpy.ma
-            out[kind == k] = pairs[k](x[kind == k], jacobians)
-        return out
-    return start
+    def homotopy(x: np.ndarray, rows, t, jacobians: bool) -> np.ndarray:
+        if isinstance(t, float) and t == 0.0:
+            return start(x, jacobians)
+        return (1.0 - t) * start(x, jacobians) + t * inst.pair_table(x, jacobians)
+    return homotopy
 
 
 def _secant_start(path: list[Checkpoint], t: float) -> np.ndarray:
@@ -128,22 +125,23 @@ def _secant_start(path: list[Checkpoint], t: float) -> np.ndarray:
     return guess if math.sqrt(guess.dot(guess)) <= DIVERGENCE_NORM else last.x
 
 
-def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig | None) -> list:
-    """Track one path per row: row r starts at t = 0 from x0[r], a root of ``starts[r]``.
+def _track(homotopy: Homotopy, x0, cfg: SolveConfig | None) -> list:
+    """Track one path per row: path r starts at t = 0 from x0[r], a root of H(., 0).
 
-    The rows that reach t = 1 share one polish call at ``newton_tol``; a
-    row whose t = 1 checkpoint residual is already at most ``newton_tol``
-    is left out of it and converges at that checkpoint, re-recorded with
-    0 steps: the polish would re-evaluate the same point at t = 1 and stop.
+    ``homotopy(x, rows, t, jacobians)`` is H at the points x, whose paths
+    are ``rows``: an array with one path per point, or one path for all of
+    them.  t is a float when every point shares it (a one-row round, and
+    t = 0) and a column with one t per point otherwise.  The rows that
+    reach t = 1 share one polish call at ``newton_tol``; a row whose t = 1
+    checkpoint residual is already at most ``newton_tol`` is left out of
+    it and converges at that checkpoint, re-recorded with 0 steps: the
+    polish would re-evaluate the same point at t = 1 and stop.
     """
     x, newton_tol = np.array(x0, dtype=float), (cfg or SolveConfig()).newton_tol
-    pairs = list(dict.fromkeys(starts))
-    kind = np.array([pairs.index(s) for s in starts])
-    # H(., 0) is min{p, q}; the instance's values are left out, as 0 * inf is nan.
+    n = x.shape[1]
     # math.sqrt(v.dot(v)) is np.linalg.norm's own formula for a vector, minus its dispatch
-    p, q = split_pair(_stacked(pairs, kind)(x, False), inst.n)
-    checkpoints = [[Checkpoint(0.0, xr.copy(), math.sqrt(hr.dot(hr)), 0)]
-                   for xr, hr in zip(x, np.minimum(p, q))]
+    h0 = np.minimum(*split_pair(homotopy(x, np.arange(len(x)), 0.0, False), n))
+    checkpoints = [[Checkpoint(0.0, xr.copy(), math.sqrt(hr.dot(hr)), 0)] for xr, hr in zip(x, h0)]
     # a row's last checkpoint holds its x and t; ``done`` maps a finished row to its end
     max_norm, step, done = [math.sqrt(xr.dot(xr)) for xr in x], [STEP_INITIAL] * len(x), {}
     rejected = [0] * len(x)
@@ -153,13 +151,12 @@ def _track(starts: Sequence[StartPair], inst: PcpInstance, x0, cfg: SolveConfig 
         t_rows = [1.0 if polish else min(1.0, checkpoints[r][-1].t + step[r]) for r in rows]
         tol, iters = (newton_tol, MAX_NEWTON_ITERS) if polish else (CORRECTOR_TOL, CORRECTOR_ITERS)
 
-        def blend(pts, at, jacobians):
-            if len(rows) == 1:  # one row's start pair and t serve every point
-                return _blend(starts[rows[0]], inst, pts, t_rows[0], jacobians)
-            return _blend(_stacked(pairs, kind[np.take(rows, at)]), inst, pts,
-                          np.array(t_rows)[at, None], jacobians)
-        result = damped_newton(lambda pts, at: np.minimum(*blend(pts, at, False)),
-                               lambda pts, at: active_branch(*blend(pts, at, True))[1],
+        def at_t(pts, at, jacobians):  # a one-row round passes its path and t for every point
+            paths_t = ((rows[0], t_rows[0]) if len(rows) == 1
+                       else (np.take(rows, at), np.array(t_rows)[at, None]))
+            return split_pair(homotopy(pts, *paths_t, jacobians), n)
+        result = damped_newton(lambda pts, at: np.minimum(*at_t(pts, at, False)),
+                               lambda pts, at: active_branch(*at_t(pts, at, True))[1],
                                np.array([_secant_start(checkpoints[r], t)
                                          for r, t in zip(rows, t_rows)]), tol, iters,
                                escape_norm=DIVERGENCE_NORM)
@@ -222,7 +219,7 @@ def track_natural_homotopy(
         shift = x - reference
         return pack_pair(shift, shift, eye, eye) if jacobians else pack_pair(shift, shift)
 
-    return _track([start], inst, [reference], cfg)[0]
+    return _track(_existence(start, inst), [reference], cfg)[0]
 
 
 def track_leading_homotopy(
@@ -238,4 +235,4 @@ def track_leading_homotopy(
     ``inst.leading_pair.pair_table``, so ``leading_pair`` is neither
     built nor compiled.
     """
-    return _track([inst.leading_pair_table], inst, [np.zeros(inst.n)], cfg)[0]
+    return _track(_existence(inst.leading_pair_table, inst), [np.zeros(inst.n)], cfg)[0]

@@ -414,6 +414,17 @@ class TestExponentGenerateTrialLemke:
                             "lipschitz_c,lemke_status,lemke_agrees")
         assert len(lines) == 4
 
+    def test_trial_csv_header_without_records(self, capsys):
+        # the sweep refuses 2^25 subsets, so the one trial is skipped and leaves no record
+        args = ("trial", "--n", "25", "--degrees", "1", "--trials", "1")
+        code, out = run(capsys, *args, "--csv")
+        assert code == 0
+        assert out == ("spawn_index,solution_count,strict_ok,r0_ok,lipschitz_ok,"
+                       "lipschitz_c,lemke_status,lemke_agrees\n")
+        payload = json.loads(run(capsys, *args)[1])["payload"]
+        assert (payload["records"], payload["skipped"]) == ([], 1)
+        assert payload["failures"][0]["stage"] == "enumerate"
+
     def test_lemke(self, capsys, tmp_path):
         path = tmp_path / "lcp.json"
         path.write_text(json.dumps({"M": [[1, 0], [0, 1]], "q": [-1, -1]}))
@@ -598,12 +609,18 @@ class TestErrors:
          "error: samples must be >= 1"),
         (("probe", "pfunction", "inst.json", "--region", "0,1", "--pairs", "0"),
          "error: pairs must be >= 1"),
+        (("trial", "--n", "0", "--degrees", "1", "--trials", "1"),
+         "error: need n >= 1 and one positive degree per component"),
+        (("bounds", "inst.json", "--radii=", "--samples", "5"), "error: need at least one radius"),
+        (("solve", "inst.json", "--seed", "abc"),
+         "pcpkit solve: error: argument --seed: expected a non-negative integer, got 'abc'"),
     ]
 
     @pytest.mark.parametrize("argv, message", REFUSALS, ids=[
         "coefficient-abc", "coefficient-below-floor", "constant-f", "residual-point",
         "generate-degrees", "bounds-region", "generate-no-degrees", "lemke-list",
-        "lemke-invalid-json", "r0-samples", "karamardian-samples", "pfunction-pairs"])
+        "lemke-invalid-json", "r0-samples", "karamardian-samples", "pfunction-pairs", "trial-n",
+        "bounds-no-radius", "solve-seed-text"])
     def test_refusal(self, capsys, monkeypatch, tmp_path, argv, message):
         document = json.loads(serialize_instance(random_instance(2, (2, 2), (2, 2), 1)))
         (tmp_path / "inst.json").write_text(json.dumps(document))
@@ -622,6 +639,7 @@ class TestErrors:
         lines = captured.err.splitlines()
         assert lines[-1] == message
         assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_schema_violation(self, capsys, tmp_path):

@@ -956,6 +956,29 @@ class TestEnumerate:
         gaps = np.diff(sorted(pts))
         assert np.all(gaps > DEDUPE_RADIUS)
 
+    def test_feasible_candidate_failing_certification_is_dropped(self, monkeypatch):
+        # f = x, g = x^2 + (5e-9 - 1) x - 5e-9: the candidate 0 passes the sign
+        # filter, as g(0) = -5e-9 is within FEASIBILITY_TOL, but its residual
+        # 5e-9 is above newton_tol, so certification refuses it
+        inst = PcpInstance(
+            PolyMap((Polynomial(1, {(1,): 1.0}),)),
+            PolyMap((Polynomial(1, {(2,): 1.0, (1,): 5e-9 - 1, (0,): -5e-9}),)),
+        )
+        rejected = []
+
+        def certify(inst, point, cfg):
+            try:
+                return certify_solution(inst, point, cfg)
+            except CertificationError:
+                rejected.append(point.tolist())
+                raise
+
+        monkeypatch.setattr(enumeration, "certify_solution", certify)
+        sols = enumerate_solutions(inst)
+        assert sols.points.tolist() == [[1.0]]
+        assert rejected == [[0.0]]
+        assert -FEASIBILITY_TOL <= inst.g.evaluate([0.0])[0] < 0
+
     def test_determinism(self, hyperbola_pair):
         a = enumerate_solutions(hyperbola_pair, FAST)
         b = enumerate_solutions(hyperbola_pair, FAST)

@@ -82,6 +82,14 @@ class TestRandomInstance:
             random_instance(2, (0, 2), (2, 2), seed=0)
 
 
+class TestTrialInstance:
+    @pytest.mark.parametrize("degrees", [(1, 1, 1), (2, 2, 2)], ids=["affine", "quadratic"])
+    def test_one_degree_per_component(self, degrees):
+        # the affine branch draws g alone; both branches refuse a wrong length
+        with pytest.raises(InputError, match="^one degree per component is required$"):
+            trial_instance(2, degrees, 0, 0)
+
+
 class TestTrialPipeline:
     def test_summary_determinism(self):
         a = genericity_trial(2, (2, 2), 8, seed=3, cfg=FAST)

@@ -23,8 +23,8 @@ from pcpkit import (
 )
 import pcpkit.homotopy as homotopy_module
 from pcpkit.enumeration import MAX_NEWTON_ITERS, damped_newton
-from pcpkit.homotopy import _blend, _track
-from pcpkit.residuals import active_branch, natural_jacobian, pack_pair
+from pcpkit.homotopy import _existence, _track
+from pcpkit.residuals import active_branch, natural_jacobian, pack_pair, split_pair
 
 from test_lemke import affine_instance, pd_lcp
 
@@ -149,6 +149,11 @@ def reference_start(reference, n):
     return start
 
 
+def blend(start, inst, x, t, jacobians):
+    """(f, g), plus (Jf, Jg), of the existence homotopy from ``start`` at x and t."""
+    return split_pair(_existence(start, inst)(x, np.arange(len(x)), t, jacobians), inst.n)
+
+
 class TestBlend:
     """min of the blend of p = q = x - x_ref is (1 - t)(x - x_ref) + t m(x)."""
 
@@ -163,7 +168,7 @@ class TestBlend:
         inst = trial_instance(n, (2,) * n, 0, k)
         x = 3.0 * np.random.default_rng(k).standard_normal((500, n))
         reference = np.full(n, 0.5)
-        blended = np.minimum(*_blend(reference_start(reference, n), inst, x, t, False))
+        blended = np.minimum(*blend(reference_start(reference, n), inst, x, t, False))
         formula = (1.0 - t) * (x - reference) + t * natural_map(inst, x)
         assert np.array_equal(blended.view(np.int64), formula.view(np.int64))
 
@@ -173,7 +178,7 @@ class TestBlend:
         # the rows differ only where the blended values tie while f_i > g_i
         inst = trial_instance(n, (2,) * n, 0, k)
         x = 3.0 * np.random.default_rng(k).standard_normal((500, n))
-        fb, gb, jac_f, jac_g = _blend(reference_start(np.full(n, 0.5), n), inst, x, t, True)
+        fb, gb, jac_f, jac_g = blend(reference_start(np.full(n, 0.5), n), inst, x, t, True)
         blended = active_branch(fb, gb, jac_f, jac_g)[1]
         formula = (1.0 - t) * np.eye(n) + t * natural_jacobian(inst, x)
         untied = fb != gb
@@ -188,12 +193,12 @@ class TestBlend:
         t = self.t_column(rng)
         reference = np.full(n, 0.5)
         start = reference_start(reference, n)
-        blended = np.minimum(*_blend(start, inst, x, t, False))
+        blended = np.minimum(*blend(start, inst, x, t, False))
         formula = (1.0 - t) * (x - reference) + t * natural_map(inst, x)
         assert np.array_equal(blended.view(np.int64), formula.view(np.int64))
         # each row equals that row blended alone at its own t
         for i in range(0, 500, 50):
-            alone = np.minimum(*_blend(start, inst, x[i : i + 1], float(t[i, 0]), False))
+            alone = np.minimum(*blend(start, inst, x[i : i + 1], float(t[i, 0]), False))
             assert np.array_equal(alone[0].view(np.int64), blended[i].view(np.int64))
 
     @pytest.mark.parametrize("n, k", [(2, 0), (2, 7), (3, 2)])
@@ -203,7 +208,7 @@ class TestBlend:
         x = 3.0 * rng.standard_normal((500, n))
         t = self.t_column(rng)
         start = reference_start(np.full(n, 0.5), n)
-        fb, gb, jac_f, jac_g = _blend(start, inst, x, t, True)
+        fb, gb, jac_f, jac_g = blend(start, inst, x, t, True)
         blended = active_branch(fb, gb, jac_f, jac_g)[1]
         tj = t[:, :, None]
         formula = (1.0 - tj) * np.eye(n) + tj * natural_jacobian(inst, x)
@@ -211,7 +216,7 @@ class TestBlend:
         assert np.count_nonzero(untied) > 0.9 * untied.size
         assert np.array_equal(blended[untied].view(np.int64), formula[untied].view(np.int64))
         for i in range(0, 500, 50):
-            alone = _blend(start, inst, x[i : i + 1], float(t[i, 0]), True)
+            alone = blend(start, inst, x[i : i + 1], float(t[i, 0]), True)
             for part, whole in zip(alone, (fb, gb, jac_f, jac_g)):
                 assert np.array_equal(part[0].view(np.int64), whole[i].view(np.int64))
 
@@ -260,10 +265,23 @@ class TestRows:
     def test_both_paths_share_rounds(self, request, fixture, x_ref, outcomes, order):
         inst = request.getfixturevalue(fixture)
         reference = np.array(x_ref)
-        starts = (reference_start(reference, inst.n), inst.leading_pair.pair_table)
+        paths = (_existence(reference_start(reference, inst.n), inst),
+                 _existence(inst.leading_pair.pair_table, inst))
+        kind = np.array(order)  # row r follows paths[kind[r]]
+
+        def mixed(x, rows, t, jacobians):
+            # each path's homotopy at its own points, and its own t when t is a column
+            if np.ndim(rows) == 0:
+                return paths[kind[rows]](x, rows, t, jacobians)
+            table = np.empty((len(x), 2 * inst.n + 2 * inst.n**2 * jacobians))
+            for k, path in enumerate(paths):
+                if (at := kind[rows] == k).any():
+                    table[at] = path(x[at], rows[at], t if np.ndim(t) == 0 else t[at], jacobians)
+            return table
+
         points = (reference, np.zeros(inst.n))
         singles = (track_natural_homotopy(inst, x_ref, CFG), track_leading_homotopy(inst, CFG))
-        rows = _track([starts[i] for i in order], inst, [points[i] for i in order], CFG)
+        rows = _track(mixed, [points[i] for i in order], CFG)
         assert tuple(single.outcome for single in singles) == outcomes
         for row, i in zip(rows, order):
             single = singles[i]
