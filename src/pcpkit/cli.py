@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -456,7 +457,15 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): what is left has no reader.  stdout
+        # goes to devnull so the flush at exit cannot raise again (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

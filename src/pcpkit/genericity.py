@@ -10,7 +10,6 @@ enough seed material to reproduce it in isolation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +20,7 @@ from .documents import record_dict
 from .enumeration import DEDUPE_RADIUS, SolveConfig, distance_to_solutions, enumerate_solutions
 from .exceptions import InputError, PcpError
 from .lemke import lemke_lcp
-from .polynomials import Exponents, PolyMap, Polynomial
+from .polynomials import Exponents, PolyMap, Polynomial, exponents_of_degree
 from .probes import r0_test
 from .residuals import PcpInstance
 
@@ -38,13 +37,7 @@ def monomials_up_to(n: int, degree: int) -> list[Exponents]:
     """All exponent vectors with total degree <= degree, graded-lex order."""
     if n < 1 or degree < 0:
         raise InputError("need n >= 1 and degree >= 0")
-    # stars and bars: the gaps between n - 1 bars among total + n - 1 slots;
-    # bars in lexicographic order give the exponent vectors in that order
-    return [
-        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + n - 1)))
-        for total in range(degree + 1)
-        for bars in itertools.combinations(range(total + n - 1), n - 1)
-    ]
+    return [kappa for total in range(degree + 1) for kappa in exponents_of_degree(n, total)]
 
 
 def random_polynomial(n: int, degree: int, rng: np.random.Generator) -> Polynomial:
@@ -159,8 +152,10 @@ def genericity_trial(
     """Run the generic-claims pipeline over ``trials`` random instances.
 
     Per trial: enumerate the solutions and compare the count against
-    (2d)^n; check strict complementarity at every solution; probe the
-    componentwise leading pair for nonzero solutions; verify the global
+    (2d)^n; check strict complementarity at every solution; decide whether
+    the componentwise leading pair has nonzero solutions (``r0_test``: the
+    resultant rank test, and the sphere search only where that test is
+    inconclusive, with the R0_SAMPLES and R0_REFINE_ITERS budgets); verify the global
     Lipschitz bound (exponent 1) over sphere shells spanning the
     radius-20 ball, passing when the certified constant stays above
     LIPSCHITZ_C_MIN.  Affine trials additionally cross-check

@@ -27,6 +27,8 @@ after construction; every operation is pure.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -45,6 +47,46 @@ COEFFICIENT_FLOOR = 1e-300
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     """Sort key for graded lexicographic term order."""
     return (sum(exponents), exponents)
+
+
+def exponents_of_degree(n: int, total: int) -> list[Exponents]:
+    """Every exponent vector of n variables with entries summing to ``total``, in lex order."""
+    # stars and bars: the gaps between n - 1 bars among total + n - 1 slots;
+    # bars in lexicographic order give the exponent vectors in that order
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + n - 1)))
+        for bars in itertools.combinations(range(total + n - 1), n - 1)
+    ]
+
+
+def degree_columns(exponents: np.ndarray, total: int) -> np.ndarray:
+    """Each row's position in ``exponents_of_degree(n, total)``, by index arithmetic.
+
+    A vector of degree ``total`` read as the digits of one base-(total + 1)
+    integer, first entry most significant, keeps lex order, so a sorted
+    search of the listed vectors' integers finds it.
+    """
+    n = exponents.shape[-1]
+    place = (total + 1) ** np.arange(n - 1, -1, -1)
+    listed = np.array(exponents_of_degree(n, total)).reshape(-1, n) @ place
+    return np.searchsorted(listed, exponents @ place)
+
+
+def macaulay_rows(form: "Polynomial", total: int) -> np.ndarray:
+    """The rows x^alpha * form, |alpha| = total - deg(form), of a homogeneous nonzero form.
+
+    Rows follow the shifts alpha and columns the monomials of degree
+    ``total``, both in ``exponents_of_degree`` order; row alpha holds the
+    form's coefficients at the columns of alpha + kappa.  This is one
+    form's block of a homogeneous Macaulay matrix.
+    """
+    n = form.arity
+    kappa = np.array(list(form.terms)).reshape(-1, n)
+    shifts = np.array(exponents_of_degree(n, total - form.degree)).reshape(-1, n)
+    block = np.zeros((len(shifts), math.comb(total + n - 1, n - 1)))
+    columns = degree_columns(shifts[:, None, :] + kappa, total)
+    block[np.arange(len(shifts))[:, None], columns] = list(form.terms.values())
+    return block
 
 
 def as_point(x, n: int, name: str) -> np.ndarray:

@@ -1,14 +1,19 @@
-"""Sampling probes for the asymptotic hypotheses behind solvability.
+"""Probes for the asymptotic hypotheses behind solvability.
 
-Each probe checks a universally quantified hypothesis by seeded sampling
-(plus local refinement where it pays off) and returns a
-:class:`ProbeReport`.  A passing verdict is explicitly *evidence*, never
-proof; a counterexample verdict carries a witness that has been
-re-evaluated against the probed predicate before being reported.
+Each probe checks a universally quantified hypothesis and returns a
+:class:`ProbeReport`.  The R0 test first decides the hypothesis exactly
+by a rank test of each subset's Macaulay matrix; where that test
+certifies, its pass is a proof up to the stated rounding threshold, and
+the report names the certificate.  Everything else is decided by seeded
+sampling (plus local refinement where it pays off), and a passing
+verdict of a sampled probe is *evidence*, never proof.  A counterexample
+verdict carries a witness that has been re-evaluated against the probed
+predicate before being reported.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,9 +21,9 @@ import numpy as np
 
 from .bounds import empirical_exponent_fit
 from .documents import record_dict
-from .enumeration import STEP_SCALES, SolutionSet, first_lowering
+from .enumeration import STEP_SCALES, SolutionSet, _mask_bits, first_lowering
 from .exceptions import EmptyRegionError, InputError
-from .polynomials import finite_point
+from .polynomials import degree_columns, exponents_of_degree, finite_point, macaulay_rows
 from .residuals import (
     PcpInstance,
     active_branch,
@@ -33,6 +38,11 @@ from .residuals import (
 )
 
 R0_TOL = 1e-8
+# a subset's Macaulay matrix has full rank when sigma_min / sigma_max exceeds
+# R0_RANK_FACTOR * max(rows, columns) * eps (see _rank_test)
+R0_RANK_FACTOR = 10.0
+# the rank test runs while the 2^n subset matrices hold at most this many columns in all
+R0_RANK_MAX_COLUMNS = 1000
 # r0_shifted_pair_probe adds this to every component of g_inf
 R0_SHIFT = 1.0
 # the sphere radii r0_shifted_pair_probe scans: the shifted condition is not scale invariant
@@ -149,6 +159,130 @@ def _sphere_minima(
     return np.where(lower[:, None], refined[rows, best], starts[:, 0]), values, norms
 
 
+def _macaulay_matrices(pair: PcpInstance, on_f: np.ndarray) -> np.ndarray:
+    """Row-normalised Macaulay matrices of subsets whose picked forms share their degrees.
+
+    Row k of ``on_f`` picks f_i (True) or g_i per component i.  Subset k's
+    matrix stacks the picked forms' :func:`macaulay_rows` at degree
+    D = sum(d_i - 1) + 1, in component order.  Every row of a form holds
+    exactly its coefficients, so dividing by their norm gives unit rows
+    (``math.hypot``, which neither overflows nor underflows).
+    Each used form's rows are built once; one ``np.where`` picks them for
+    every subset, as ``enumeration._min_abs_determinant`` picks its rows.
+    """
+    degrees = np.where(on_f[0], pair.f.component_degrees, pair.g.component_degrees)
+    total = int(degrees.sum()) - len(degrees) + 1
+
+    def rows(form):
+        return macaulay_rows(form, total) / math.hypot(*form.terms.values())
+
+    f_rows, g_rows = [], []
+    for f, g, f_used, g_used in zip(
+        pair.f.components, pair.g.components, on_f.any(axis=0), ~on_f.all(axis=0)
+    ):
+        # a component that every subset picks one way gets that form's rows on both sides
+        block_f = rows(f) if f_used else None
+        block_g = rows(g) if g_used else block_f
+        f_rows.append(block_g if block_f is None else block_f)
+        g_rows.append(block_g)
+    owner = np.repeat(np.arange(len(f_rows)), [len(block) for block in f_rows])
+    return np.where(on_f[:, owner, None], np.vstack(f_rows), np.vstack(g_rows))
+
+
+def _null_direction(matrix: np.ndarray, n: int, total: int) -> np.ndarray:
+    """The zero z, up to scale, of a subset system whose Macaulay matrix has nullity 1.
+
+    Its null vector v is then the monomial vector (z^beta) of one simple
+    real zero, since a complex zero would bring its conjugate.  With
+    beta* = argmax |v| and j with beta*_j > 0, z_k = v[beta* - e_j + e_k]
+    up to the factor z_j.  Returned with norm 1 and z_j > 0.
+    """
+    v = np.linalg.svd(matrix)[2][-1]
+    top = np.array(exponents_of_degree(n, total)[int(np.argmax(np.abs(v)))])
+    j = int(np.argmax(top > 0))
+    unit = np.eye(n, dtype=top.dtype)
+    z = v[degree_columns(top - unit[j] + unit, total)]
+    return z * (np.sign(z[j]) / np.linalg.norm(z)) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+
+def _ray_witness(pair: PcpInstance, point: np.ndarray, norm: float) -> dict | None:
+    """The R0 witness rule: a unit point with ||min{f, g}|| <= R0_TOL and feasible signs."""
+    if norm <= R0_TOL and sign_feasible(*pair.evaluate_pair(point), R0_TOL):
+        return {
+            "point": [float(v) for v in point],
+            "residual_norm": norm,
+            "note": "scales to a nonzero solution ray of the leading pair",
+        }
+    return None
+
+
+def _rank_test(pair: PcpInstance) -> tuple[str, float | None, dict | None]:
+    """The resultant test of R0 on a leading pair: (outcome, least margin, witness).
+
+    Subset I's system {f_i on I, g_i off I} is n forms in n variables.  It
+    has a nonzero complex zero exactly when its resultant vanishes, that
+    is when its homogeneous Macaulay matrix (:func:`_macaulay_matrices`)
+    loses column rank (Macaulay 1902; Cox, Little and O'Shea, *Using
+    Algebraic Geometry*, Ch. 3).  The margin of a subset is
+    sigma_min / sigma_max of its matrix; scaling a form scales no unit
+    row, so margins do not see positive rescaling.  The SVD is backward
+    stable: its singular values are those of the matrix plus a
+    perturbation of norm about p(rows, cols) * eps * sigma_max with p a
+    modest multiple of max(rows, cols); the rounding of the unit rows
+    adds at most eps per entry.  A margin above R0_RANK_FACTOR *
+    max(rows, cols) * eps thus proves full rank with a factor-10 safety
+    margin over that bound.
+
+    The outcome is ``"resultant"`` when every subset has full rank: then
+    no nonzero complex point solves any subset system, and the leading
+    pair has only the trivial solution.  It is ``"resultant null
+    vector"`` when a subset of nullity 1 gives a direction (see
+    :func:`_null_direction`) that passes :func:`_ray_witness`, tried with
+    both signs, subsets in mask order.  Otherwise it names why the test
+    is inconclusive: a zero leading form (every subset holding it is
+    rank deficient by construction and is not built), a rank-deficient
+    subset with no witness, or the column cap R0_RANK_MAX_COLUMNS.
+    """
+    n = pair.n
+    # every subset matrix has at least n columns: refuse before building 2^n masks
+    if (1 << n) * n > R0_RANK_MAX_COLUMNS:
+        return "above the column cap", None, None
+    on_f = _mask_bits(np.arange(1 << n), n)
+    zero = [[p.is_zero for p in side.components] for side in (pair.f, pair.g)]
+    masks = np.flatnonzero(~np.where(on_f, *zero).any(axis=1))
+    degrees = np.where(on_f[masks], pair.f.component_degrees, pair.g.component_degrees)
+    patterns, groups = np.unique(degrees, axis=0, return_inverse=True)
+    groups = groups.reshape(-1)
+    totals = patterns.sum(axis=1) - n + 1
+    columns = sum(np.count_nonzero(groups == k) * math.comb(int(t) + n - 1, n - 1)
+                  for k, t in enumerate(totals))
+    if columns > R0_RANK_MAX_COLUMNS:
+        return "above the column cap", None, None
+
+    margins, deficient = np.empty(len(masks)), []
+    for k, total in enumerate(totals):
+        group = np.flatnonzero(groups == k)
+        matrices = _macaulay_matrices(pair, on_f[masks[group]])
+        sigma = np.linalg.svd(matrices, compute_uv=False)
+        threshold = R0_RANK_FACTOR * max(matrices.shape[1:]) * np.finfo(float).eps
+        margins[group] = sigma[:, -1] / sigma[:, 0]
+        nullity = np.count_nonzero(sigma <= threshold * sigma[:, :1], axis=1)
+        deficient += [(masks[m], matrix, int(total), nullity_m)
+                      for m, matrix, nullity_m in zip(group, matrices, nullity) if nullity_m]
+    least = float(margins.min()) if len(masks) else None
+    built_all = len(masks) == 1 << n
+    if built_all and not deficient:
+        return "resultant", least, None
+    for _, matrix, total, nullity in sorted(deficient, key=lambda entry: entry[0]):
+        if nullity == 1:
+            z = _null_direction(matrix, n, total)
+            for point in (z, -z):
+                witness = _ray_witness(pair, point, natural_residual_norm(pair, point))
+                if witness is not None:
+                    return "resultant null vector", least, witness
+    return ("rank deficient" if built_all else "a zero leading form"), least, None
+
+
 def r0_test(
     inst: PcpInstance,
     samples: int = 2048,
@@ -156,27 +290,30 @@ def r0_test(
     seed: int = 0,
     componentwise: bool = False,
 ) -> ProbeReport:
-    """Probe whether the leading pair admits only the trivial solution.
+    """Decide whether the leading pair admits only the trivial solution.
 
-    Minimizes ||min{f_inf, g_inf}|| over the unit sphere: seeded sampling
-    followed by projected gradient refinement of the best candidates.  A
-    sphere point with residual norm at most R0_TOL and feasible signs is
-    a counterexample witness (it scales to a nonzero solution ray of the
-    leading pair); otherwise the attained minimum is the pass evidence.
+    The resultant test (:func:`_rank_test`) runs first, with no sampling.
+    When every subset system of the leading pair has a full-rank Macaulay
+    matrix, the pass is certified: ``statistics["certificate"]`` is
+    ``"resultant"`` with the least margin, and ``samples_used`` is 0.
+    When a subset of nullity 1 yields a witness direction, that is the
+    counterexample (``"resultant null vector"``).  Both verdicts are
+    invariant under positive rescaling of f and g.
 
-    The exact verdict is invariant under positive rescaling of either
-    map; the sampled one can miss a witness once the scales of f and g
-    differ by a factor of 1e3 or more.
+    Otherwise (``"resultant inconclusive"``, with the reason) the sampled
+    search decides: it minimizes ||min{f_inf, g_inf}|| over the unit
+    sphere by seeded sampling and projected gradient refinement of the
+    best candidates.  A sphere point with residual norm at most R0_TOL
+    and feasible signs is a counterexample witness (it scales to a
+    nonzero solution ray of the leading pair); otherwise the attained
+    minimum is the pass evidence.  This search can miss a witness once
+    the scales of f and g differ by a factor of 1e3 or more.
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
     if refine_iters < 0:
         raise InputError("refine_iters must be >= 0")
     pair = inst.componentwise_leading_pair if componentwise else inst.leading_pair
-    rng = np.random.default_rng(seed)
-    points, values, norms = _sphere_minima(pair, [1.0], samples, 16, refine_iters, rng)
-    best_point, best_norm = points[0], float(values[0])
-
     config = {
         "samples": samples,
         "refine_iters": refine_iters,
@@ -184,18 +321,22 @@ def r0_test(
         "componentwise": componentwise,
         "tol": R0_TOL,
     }
+    outcome, margin, witness = _rank_test(pair)
+    if outcome.startswith("resultant"):
+        statistics = {"certificate": outcome, "min_margin": margin}
+        return _report("r0", witness, 0, statistics, config)
+
+    rng = np.random.default_rng(seed)
+    points, values, norms = _sphere_minima(pair, [1.0], samples, 16, refine_iters, rng)
+    best_point, best_norm = points[0], float(values[0])
     statistics = {
+        "certificate": "resultant inconclusive",
+        "inconclusive_reason": outcome,
+        "min_margin": margin,
         "min_residual_on_sphere": best_norm,
         "max_sampled_residual": float(norms.max()),
     }
-    witness = None
-    if best_norm <= R0_TOL and sign_feasible(*pair.evaluate_pair(best_point), R0_TOL):
-        witness = {
-            "point": [float(v) for v in best_point],
-            "residual_norm": best_norm,
-            "note": "scales to a nonzero solution ray of the leading pair",
-        }
-    return _report("r0", witness, samples, statistics, config)
+    return _report("r0", _ray_witness(pair, best_point, best_norm), samples, statistics, config)
 
 
 def r0_shifted_pair_probe(
@@ -233,7 +374,7 @@ def r0_shifted_pair_probe(
     }
     statistics = {
         "base_verdict": base.verdict,
-        "base_min_residual": base.statistics["min_residual_on_sphere"],
+        "base_certificate": base.statistics["certificate"],
         "shifted_min_residual": best_norm,
     }
     witness = base.witness
@@ -243,7 +384,7 @@ def r0_shifted_pair_probe(
             "residual_norm": best_norm,
             "note": "nonzero solution of the positively shifted leading pair",
         }
-    return _report("r0-shifted-pair", witness, samples + total, statistics, config)
+    return _report("r0-shifted-pair", witness, base.samples_used + total, statistics, config)
 
 
 def coercivity_probe(

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -891,3 +895,20 @@ class TestErrors:
                              ids=["leading", "xref"])
     def test_homotopy_extreme_instance_is_quiet(self, capsys, tmp_path, f0, g1, start):
         self.run_quietly(capsys, tmp_path, f0, g1, "homotopy", *start)
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_ends_quietly(self, tmp_path):
+        # the csv rows (about 150 KB) overfill a 64 KB pipe buffer, so rows are
+        # still being written when the reader closes the pipe after the header
+        (tmp_path / "inst.json").write_text(serialize_instance(random_instance(2, (2, 2), (2, 2), 1)))
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        command = ["bounds", "inst.json", "--radii", "1,5", "--samples", "2000", "--csv"]
+        process = subprocess.Popen([sys.executable, "-m", "pcpkit.cli", *command], cwd=tmp_path,
+                                   env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert process.stdout.readline() == b"dist,residual\n"
+        process.stdout.close()
+        err = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=120) == 0
+        assert err == b""  # no BrokenPipeError traceback, nor anything else

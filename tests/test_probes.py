@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,9 +204,11 @@ PROBE_DIGESTS = {
 
 class TestR0:
     def test_affine_pass(self, affine_shift):
+        # the leading pair is (x, x): every subset's Macaulay matrix is the identity
         report = r0_test(affine_shift)
         assert report.passed
-        assert report.statistics["min_residual_on_sphere"] == pytest.approx(1.0, abs=1e-6)
+        assert report.samples_used == 0
+        assert report.statistics == {"certificate": "resultant", "min_margin": 1.0}
 
     def test_swapped_counterexample(self, swapped_linear):
         report = r0_test(swapped_linear)
@@ -222,6 +225,24 @@ class TestR0:
         assert np.linalg.norm(leading_min_map(hyperbola_pair, witness)) <= 1e-8
         # axis directions solve the leading pair; the witness sits on one
         assert min(abs(witness[0]), abs(witness[1])) <= 1e-6
+
+    def test_hyperbola_componentwise_null_vector(self, hyperbola_pair):
+        # the componentwise leading pair (y, xy) vanishes on the x axis; the
+        # null vector of the rank-2 Macaulay matrix reads off (1, 0) with no sampling
+        report = r0_test(hyperbola_pair, componentwise=True)
+        assert report.verdict == "counterexample"
+        assert report.samples_used == 0
+        assert report.statistics == {"certificate": "resultant null vector", "min_margin": 0.0}
+        assert report.witness["point"] == [1.0, 0.0]
+        assert report.witness["residual_norm"] == 0.0
+
+    def test_rescaled_swapped_null_vector(self, swapped_linear):
+        # f x 100 and g x 0.01 leave ||m|| flat at 0.01 on the positive quadrant,
+        # where the sphere search misses the zero; subset {0} holds x1 twice
+        report = r0_test(rescaled(swapped_linear, [100.0, 100.0, 0.01, 0.01]), componentwise=True)
+        assert report.verdict == "counterexample"
+        assert report.statistics["certificate"] == "resultant null vector"
+        assert report.witness["point"] == [0.0, 1.0]
 
     def test_scale_invariance(self, affine_shift, swapped_linear):
         for inst, expected in ((affine_shift, True), (swapped_linear, False)):
@@ -289,13 +310,7 @@ class TestR0Metamorphic:
             "unsolvable_pair",
             "affine_shift",
             "identity_pair",
-            pytest.param("swapped_linear", marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="f scaled by 100 and g by 0.01 leaves ||m|| flat at 0.01 on the "
-                "positive quadrant, and the sphere search misses the 1e-4 wide basin "
-                "of the zero at (1, 0)",
-            )),
+            "swapped_linear",
             "scalar_shift",
         ],
     )
@@ -312,13 +327,109 @@ class TestR0Metamorphic:
     @given(seed=st.integers(0, 2**32 - 1), factors=POSITIVE_FACTORS)
     @settings(max_examples=30, deadline=None)
     def test_random_instances(self, seed, factors):
-        # a sphere minimum between the two regimes could flip under scaling
-        # without either verdict being wrong, so only clear cases are kept
         inst = random_instance(2, [2, 2], [2, 2], seed)
         report = r0_test(inst, componentwise=True)
-        minimum = report.statistics["min_residual_on_sphere"]
-        assume(minimum > 1e-4 or minimum < 1e-12)
-        assert r0_test(rescaled(inst, factors), componentwise=True).verdict == report.verdict
+        scaled = r0_test(rescaled(inst, factors), componentwise=True)
+        if report.statistics["certificate"] == "resultant inconclusive":
+            # a sphere minimum between the two regimes could flip under scaling
+            # without either verdict being wrong, so only clear cases are kept
+            minimum = report.statistics["min_residual_on_sphere"]
+            assume(minimum > 1e-4 or minimum < 1e-12)
+        else:
+            # the resultant verdict is exact: every rescaling keeps it and its certificate
+            assert scaled.statistics["certificate"] == report.statistics["certificate"]
+        assert scaled.verdict == report.verdict
+
+
+class TestResultant:
+    """The Macaulay rank test that decides R0 before any sampling."""
+
+    @staticmethod
+    def sampled(monkeypatch, inst, **kwargs):
+        """r0_test with the rank test capped away, so the sphere search decides."""
+        from pcpkit import probes
+
+        with monkeypatch.context() as patch:
+            patch.setattr(probes, "R0_RANK_MAX_COLUMNS", 0)
+            report = r0_test(inst, **kwargs)
+        assert report.statistics["inconclusive_reason"] == "above the column cap"
+        return report
+
+    def test_certified_criterion_10_instances_pass_the_sampled_test(self, monkeypatch):
+        # every criterion-10 trial certifies, and certified implies the
+        # sampled verdict passes, at the trials' own budgets
+        for k in range(200):
+            inst = trial_instance(2, (2, 2), 0, k)
+            budget = dict(samples=512, refine_iters=80, seed=k, componentwise=True)
+            report = r0_test(inst, **budget)
+            assert report.statistics["certificate"] == "resultant", k
+            assert report.statistics["min_margin"] > 1e-8
+            assert self.sampled(monkeypatch, inst, **budget).passed, k
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("componentwise", [False, True])
+    def test_certified_fixtures_pass_the_sampled_test(
+        self, monkeypatch, request, fixture, componentwise
+    ):
+        inst = request.getfixturevalue(fixture)
+        report = r0_test(inst, componentwise=componentwise)
+        if report.statistics["certificate"] == "resultant":
+            assert self.sampled(monkeypatch, inst, componentwise=componentwise).passed
+
+    def test_huge_coefficients_certify(self):
+        # unit rows from coefficients near 1e300: their norm must not overflow
+        f = PolyMap((Polynomial(2, {(1, 0): 1e300, (0, 1): 1e300}), Polynomial(2, {(0, 1): 1.0})))
+        report = r0_test(PcpInstance(f, PolyMap.identity(2)))
+        assert report.statistics["certificate"] == "resultant"
+        assert report.statistics["min_margin"] > 0.1
+
+    def test_cap_sends_n5_to_the_sampled_path(self):
+        # 32 subsets of 350 x 210 matrices: 6720 columns, above the cap
+        inst = random_instance(5, [2] * 5, [2] * 5, 0)
+        report = r0_test(inst, samples=64, refine_iters=5, componentwise=True)
+        assert report.samples_used == 64
+        assert report.statistics["certificate"] == "resultant inconclusive"
+        assert report.statistics["inconclusive_reason"] == "above the column cap"
+        assert report.statistics["min_margin"] is None
+
+    def test_zero_form_keeps_sampling(self, hyperbola_pair):
+        # the map-level leading pair of the hyperbola is (0, xy): subsets holding
+        # the zero form are rank deficient by construction, so the search decides
+        report = r0_test(hyperbola_pair)
+        assert report.samples_used == 2048
+        assert report.statistics["inconclusive_reason"] == "a zero leading form"
+
+    @pytest.mark.parametrize("degrees_f, degrees_g", [
+        ((1,), (3,)), ((2, 2), (2, 2)), ((1, 3), (2, 1)), ((2, 1, 3), (1, 2, 2)), ((1,) * 4, (2,) * 4),
+    ])
+    def test_stacked_matrices_equal_dict_built_reference(self, degrees_f, degrees_g):
+        from itertools import product
+
+        from pcpkit.enumeration import _mask_bits
+        from pcpkit.probes import _macaulay_matrices
+
+        n = len(degrees_f)
+        pair = random_instance(n, degrees_f, degrees_g, 5).componentwise_leading_pair
+        on_f = _mask_bits(np.arange(1 << n), n)
+        degrees = np.where(on_f, degrees_f, degrees_g)
+        for pattern in {tuple(row) for row in degrees}:
+            group = on_f[(degrees == pattern).all(axis=1)]
+            total = sum(pattern) - n + 1
+            # columns: every exponent vector of degree total, in lex order, found by dict
+            monomials = sorted(e for e in product(range(total + 1), repeat=n) if sum(e) == total)
+            column = {e: k for k, e in enumerate(monomials)}
+            for picks, matrix in zip(group, _macaulay_matrices(pair, group)):
+                rows = []
+                for i, on in enumerate(picks):
+                    form = (pair.f if on else pair.g).components[i]
+                    norm = math.hypot(*form.terms.values())
+                    for alpha in sorted(e for e in product(range(total + 1), repeat=n)
+                                        if sum(e) == total - form.degree):
+                        row = np.zeros(len(monomials))
+                        for kappa, c in form.terms.items():
+                            row[column[tuple(a + b for a, b in zip(alpha, kappa))]] = c / norm
+                        rows.append(row)
+                assert np.array_equal(matrix, np.array(rows))
 
 
 class TestCoercivity:
@@ -533,12 +644,12 @@ class TestPFunction:
 
 
 
-def refuse_sampling(*args, **kwargs):
-    raise AssertionError("sampled before refusing the settings")
+def refuse_work(*args, **kwargs):
+    raise AssertionError("worked before refusing the settings")
 
 
 class TestSettingsRefused:
-    """A non-finite or out-of-range setting is refused before any sampling."""
+    """A non-finite or out-of-range setting is refused before any sampling or rank test."""
 
     @pytest.mark.parametrize("call, name", [
         (lambda inst: xref_boundedness_probe(inst, [0.0, 0.0], float("nan")), "radius"),
@@ -553,7 +664,8 @@ class TestSettingsRefused:
     def test_refused(self, monkeypatch, identity_pair, call, name):
         from pcpkit import probes
 
-        monkeypatch.setattr(probes, "unit_sphere", refuse_sampling)
+        monkeypatch.setattr(probes, "unit_sphere", refuse_work)
+        monkeypatch.setattr(probes, "_rank_test", refuse_work)
         with pytest.raises(InputError, match=f"^{name} must be "):
             call(identity_pair)
 
