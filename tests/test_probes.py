@@ -40,9 +40,9 @@ FIXTURES = ["hyperbola_pair", "unsolvable_pair", "affine_shift", "identity_pair"
 # trial_instance(2, (2, 2), 0, k)
 PROBE_DIGESTS = {
     "c10-0": (
-        "28f23493b8ca89e936106d222703823e3a2d9855d243849b638060e55178db70",
-        "9f42f8e5803545d4c8e5f4a1c20b3212afb18f94d94e242ed1c66f5cb488dab0",
-        "8ae27d7bbcb89f8aec97e63b1c5008ad26b6e3a725917d476aa2f5254fc5a19e",
+        "1397579c425d87c4000757166e369d68abb4a1788a97d8692db310f0ee0c7593",
+        "b6731dadd8200d0c28040011948f37247a0746e573ee7d84b19b4facd136985e",
+        "788ccaddcc9f617718c5b7823418b1f6e4cc7c56d9af75c265c71fbe6dfd2868",
         "1e8fcf5b25f867a9d7da78acc7283faa77074f0a75aec51b7b834e414655febe",
         "afd579a9698a202e88505a4eb6cd0cd8fbdb5c38a924d8ec34410a87550bddbf",
         "0236fc421926f5d19d7841abfbae5fbbbe51b9b33b76e3c64247fd131a1a8b1e",
@@ -50,9 +50,9 @@ PROBE_DIGESTS = {
         "e24554c27e53c1e0cefed095a70b66faee6b525a4c078b264c2de91ea49893e3",
     ),
     "c10-1": (
-        "3d21fbe0791a018139f97f6d2dff8c2194f7f5f7fada4d815baa5ff10987d469",
-        "5fa79365334222efb113f298320609141476cce22d3983095f3cc711551a6504",
-        "97e3b0dbaa050fc371dd5a545318f3fd45570f69721b0c102a3a033a42385a57",
+        "b9db603bf48a4d0467e45102c915f3881c35d20af7c6e32e7bdfa235ff327af0",
+        "2ec1542b0a99f654cf2d809c3e3c33f1058c064afd5ed7eef7019fe74c6901ad",
+        "4d3cfaffefd9df48f74e681c5867fc637fd9c8136ca56349cb8b5e2611d9a0df",
         "f74129605d9ee82adc92fd10936aac6121bb4f7b49dcd9ee92cbdd04f9b04e35",
         "0a190537166387a34dee69d3249abe3327beb5ade44009e80ad13f716d4090eb",
         "8e03cc95447e0f333df2ec61771a9135143b64523647f60ef6350d61c9766039",
@@ -60,9 +60,9 @@ PROBE_DIGESTS = {
         "441ba96dace1da813e156e64c5734a10bc045bbd2f830584af5d90c0308c191d",
     ),
     "c10-2": (
-        "ba6711f53f4da6a26616a7f63e632b84386157276099510bf25a78e2c0c7b979",
-        "a3ea5d8756babf786d805cf810083b58ed035ac06e4a21cf91ad41b5c7b13834",
-        "1d713c4d272eeaba0602d21b53ef4fc741b3f21bf06b4184593b5fa4dcbf42d3",
+        "e14f24bdb94f5730bce1ae355ee74b0be4265e9e67bc256f419f990e47e656ae",
+        "e406d4309a0fe2e6bb87b9531f4af04fbfafed4849319d78648d2e5edc20b99a",
+        "71ae294e5e710838ff680ee49937613a932fcd4d85dc2b3f4c5df689f5513572",
         "b217525ef1a7828167c4bcf726f8b3ca8c844c5352dd58a16869199ad6057b8f",
         "05c38edf1a6162c752693d3c93d091ee468a2463231d9b141f17155ca765ee1e",
         "1aa671ce20864d4b388f1d3fc4773b18b8feb0f476869831806dc34f30e389b4",
@@ -70,9 +70,9 @@ PROBE_DIGESTS = {
         "cab3067a23f1afb96a36e0c7146ff8376f2d1a58ec91e1d845a7543e271633e7",
     ),
     "c10-3": (
-        "5cae35eb6b6303e32b12ec9d419352fbffb32b9ebb0b84d68cad2ea7c25fe97a",
-        "f6d75a10f8569386daa112b51bba2071084f8fc27ccd9b07d834b4c92a91dfbb",
-        "90d5c18dc3976f74d00f36575979b5b4922bb76956a1747e6ecf6ea8360e4a56",
+        "e9f24c116b3c7d0ee3689bbf9d722b5d091266eb31e1568047e26cff97d0c0ad",
+        "9bf7f7242b5625b4edcd8c5c33a2944b4eb14d9eaa24f793ee64e5107e277b32",
+        "17ac3036cee8ce396cef77bcefd07cdae88e2217d25f6f9a9d14dafd66dbce16",
         "855052a7e84ff9e9d37e7d03a4190ebadfc7d290a0ea2c7a7c0f308c16efee1f",
         "b093b80662691686a789ab09209a8470dda8ba1aff1f13792f117b2957ef9197",
         "f97f883c68d009befb6217fe62a3afd5c3e1029269cdff2a98a8a8a6908bd123",
@@ -80,9 +80,9 @@ PROBE_DIGESTS = {
         "4d9b0490c9626c03b89ec9cfcf51762782f9a9016f193c5ddd67bf53b49402c5",
     ),
     "c10-4": (
-        "35e7c7d13b3083f2ea11d2630014632a9b1d8ff5c3e3af14db3a0994f28c4e42",
-        "c9f581ea9c42132c1af4f3c93cf0b722299bb0a25ba869adff643615fd130da8",
-        "8b73758299420916ec1dbf346e65259c8e36e72b1d74c919874d4628856a3a0e",
+        "a6608b5a62b1cf418c974e294cf12035275006175b565a0ac04d799ad1eb84e9",
+        "fb0a5bf140d8bc8005c1ee0ed8af3119290c32d37f1b8db52c4d30fe0c0053fc",
+        "69fd915dd846bf2423b19007ff7955d0848bd17ad34c6a21cd8f1e3c35931f8f",
         "d21a136b4c1593dcff30b8c84a5bd50bd54731ac9843ffc55f61a534fc3101eb",
         "b093b80662691686a789ab09209a8470dda8ba1aff1f13792f117b2957ef9197",
         "4b4abbbe1f86f9ff094490ef860d211d5342c628bee317f9f4f655811fe05d37",
@@ -90,9 +90,9 @@ PROBE_DIGESTS = {
         "4d9b0490c9626c03b89ec9cfcf51762782f9a9016f193c5ddd67bf53b49402c5",
     ),
     "c10-5": (
-        "64a86ac13520abf0e8746aa863274a8430fa0c766afa73fef8f2634ff831091c",
-        "ff0e8bb0e35bcf3ce076a9a03a13e75cba55f0672b6c91dd92e8d837e1df3cd5",
-        "50e42d64467f1b5fbf94d0e86184c1a1e898b81ddc7b375c771c3546b6e3147d",
+        "0bde9234a47fde7aa22b1ffa57d4d6069a467af95f50b63f22fa3adec5e2ecd5",
+        "7ef9656a551fe93732245ec4e2d5a0c41d017384746f84611f66a842b526b516",
+        "9ed09f7766029e221e8ff945c89070d210452821e4f435c2db7722c8afd04f7f",
         "4bd114e84bec0afd58af0318d0997d69df435f3a732d58117c4c4b6f743b644c",
         "b093b80662691686a789ab09209a8470dda8ba1aff1f13792f117b2957ef9197",
         "a0908c0fa952c6944fc09f689e452456d5576ae1a645f89038126d3bb44df3e4",
@@ -100,9 +100,9 @@ PROBE_DIGESTS = {
         "4d9b0490c9626c03b89ec9cfcf51762782f9a9016f193c5ddd67bf53b49402c5",
     ),
     "c10-6": (
-        "270234d572584dcd7a0d747b17baec14953c3ea986e1b836e5c954e00ed92762",
-        "31c2805ad22970f34cba82e1b58a1924e4d0f61711dca6931dc33aacfc24987c",
-        "c9a4d3cf6a3ba130b0c6403bfacbf8fe6337c3ef3fa4589e48cb5737bfcb6330",
+        "88dd6572d9dbd930ac09f51aa67503858412e718bacf0cd6ac6c6886b320a0d3",
+        "cb62420f68a787d1c14f48245eeb055a0f34ee1ee9d9e3b90375730aa41bc951",
+        "cdc6a25a910a0db0d0afba964d7f3d2cb9d90d6eb0f827236e6bc6ccf6e5a430",
         "d61ecae37b5b9a4dbd6ec828520e5110a0724091e37d56e42ee2fe0c0de8cfe4",
         "cbbe04499532e6965fa99a195fea3c9015dcc2237d43f7e6f2f71099fcd3a2b1",
         "4d96e6c2794e8d9efe1797774364584b7b2ea5fea29da0b8be095facfd6800ca",
@@ -110,9 +110,9 @@ PROBE_DIGESTS = {
         "6985659222f5b2bb29e224576a25ef7273d0105652781f268130414b21b47a95",
     ),
     "c10-7": (
-        "f03a16fb99d70df193d9c0de9f025356aff366ec1a8785e8ac42be6a34d80da0",
-        "43a793824ad2568a1e385f3e2ad0eaa5e097b4cb76997a2d4ef9a091cd2e60f8",
-        "0caed561157129919098386adb82f70f93d99fb588d7da4e39ac9564b75be378",
+        "6dbcb57dd176463d3f20b4ab50275f2e9951924185b17db156259360b67ea84a",
+        "d01931371fa88761ecadbbbf998c3d31a3b35441c8ba23f2b2f8bc39a45a3da8",
+        "a148724b9f7ef77dd31213ba0d6d2167cfb6fb2647da17db431dba5066e75912",
         "027efbe9f108e2b4edd72addf1b24267bb5e72640c336cb1a6ab2f792bcc9145",
         "b093b80662691686a789ab09209a8470dda8ba1aff1f13792f117b2957ef9197",
         "38f1a1686f319a9ff0cd5966e7a03cb5b04843f50773138045db106bb0e2a156",
@@ -120,9 +120,9 @@ PROBE_DIGESTS = {
         "4d9b0490c9626c03b89ec9cfcf51762782f9a9016f193c5ddd67bf53b49402c5",
     ),
     "c10-8": (
-        "5f509c1caacfc16413cb1b706c6d4642efe3180018fe24d68aa49d0c2adbbd0a",
-        "a022bc37fdce77716b50d00f53a5f1d4f620b9feb0b5c937dac1bc2277884f9c",
-        "69ccc4f226a9683e283fc0a28cb6bb47694e70bfe4ab04763b79fd69ed4bfc5c",
+        "8f95a7e53b7b04dfab339b1030a26ecd21a442b60f65fe920961c01005f67ef3",
+        "3b0f7f44bbbb8953b7ef46304405171593316aae3eafaece1e516c58e9fcc1ce",
+        "588c62c044d6a93ddcf1d86303dbf8cea9f026fbc3b1051ca0317698fd6e597e",
         "00e90a8e74d453938ce2a216ec56b4d7f27dd1aca9fa764104a0cba2e667490e",
         "b093b80662691686a789ab09209a8470dda8ba1aff1f13792f117b2957ef9197",
         "de982d802e899f3401c77cf0bcf3a59949dfc606438203e6379b16ebc5523dcd",
@@ -130,9 +130,9 @@ PROBE_DIGESTS = {
         "4d9b0490c9626c03b89ec9cfcf51762782f9a9016f193c5ddd67bf53b49402c5",
     ),
     "c10-9": (
-        "057922439bf8a636c398d0094c27092275e44e874302e8859d3418f03cf498a7",
-        "14efb0ceeec3c7b1f9a08db9dd72afbf090489ad68e14174cca277d5c1dd6391",
-        "ca245e87203bc55337b406a702293e8cee2aaa690bea2a257204a2e56c6e2873",
+        "a34ab5202d6ec438b8d53db05429cd7e75f3d5d709f0ed590295770c63b6c10b",
+        "e03509b43438121d4cc02df861a7eac3c089ab657d3fb1fd5fbdbc19d43d0a2a",
+        "5d0f49688f737d690fdcf53e369423ba918b1b466aa47919a0e75b65fb67fa33",
         "061999aaac136f5a9b5f5a53c0dad55a79524f21723bcfba96a76c2c52934f59",
         "b3c4d1868877120a75fb0cb4143bcbe8258ddc06a6b0ec160bb3fd0d559b5a47",
         "5cee122744c0609766f5740aed0145cbe0178a37d7bbc900850455e982dcf87f",
@@ -140,9 +140,9 @@ PROBE_DIGESTS = {
         "1e2d149f8581a5ed8b526f87c47d65e6e4f59ae15283a9ab6de486115a3eff97",
     ),
     "hyperbola_pair": (
-        "a8e668818e73c44f315e1d8c750a7d8463e411aa4794630552ff1658cd0a910e",
-        "8fdd62edfff71965ab8e73053d20e3234b1dd82f52aae2e32c67f9ebe7df86ad",
-        "60263f84e77b45982b51a7608f9e670ad045be231cb620b0cc57d65dc5f318c0",
+        "0e9199d5b7f9db63789efadc87d6f1351c317b5e4b78443e70d74e16dd4ec661",
+        "649fd6c380c4f926b96b95c037e6c110ad2d954adc1a0b68e6a19aa8738c594f",
+        "afeec9d39ec65ff63618b03dd070e9aeaf55cfc145094d119730b88be6dd0a37",
         "398e2ef5f945d3bd50ae35f16049fe71781a6d313ebbefaf20eef7593551aacb",
         "858c5b0694c02b9dce70c821603ceecd514bd65231b4a6f31ebe2527550b0dc3",
         "527c58abf03137fbcba374daabe62b8ecb909dad9fd581710f4503b319f6bebc",
@@ -150,9 +150,9 @@ PROBE_DIGESTS = {
         "88756e120ce5dd1daba23f2fbc4c271c472b4d7d370ae24fe82883b8293be73e",
     ),
     "unsolvable_pair": (
-        "a8e668818e73c44f315e1d8c750a7d8463e411aa4794630552ff1658cd0a910e",
-        "b89c5f4170a1010b0a409c402a9ce069a04ae806fa4a0cf578621cab841524f5",
-        "60263f84e77b45982b51a7608f9e670ad045be231cb620b0cc57d65dc5f318c0",
+        "0e9199d5b7f9db63789efadc87d6f1351c317b5e4b78443e70d74e16dd4ec661",
+        "d64419a35feba61c18818f4db347e996c67b4a0681c65bd238d4912ed9dc29c8",
+        "afeec9d39ec65ff63618b03dd070e9aeaf55cfc145094d119730b88be6dd0a37",
         "d5d853c20cae2c779d61f80ed2d6cca7716a8e5d935480e98833719fbde907b7",
         "af464b58e1933bd2613afe8329c48c04f64aeb485d5c05277616a0503c572293",
         "be4340ae58af84dcf3ff1b3b8d6e244c389b27b003cca29d21b1f4b2aa536935",
@@ -160,9 +160,9 @@ PROBE_DIGESTS = {
         "4d9b0490c9626c03b89ec9cfcf51762782f9a9016f193c5ddd67bf53b49402c5",
     ),
     "affine_shift": (
-        "21dbe63e7fd6a6da5b7cfe52cd187c6ffad31db4f72bbf45b47bb74ce721dbb6",
-        "1e8d55b28ead615184b98404695ec8336342b1a1215929b6884bc17f6f0a3611",
-        "67ca6ba77a7a7413d2be16eb76b9e32cac4531a2adf393b1cd2e6321879f387d",
+        "7b43d0271f4a1d91b0712d502958e8cb65186a9d36c170375ea752016aeed8cd",
+        "7af4da0d1baf60bb91e6165ff42d704da0bfeff40b4ebfd6dc4bd81da81dc82e",
+        "900340662f7f494104af9f6b65ef57421587ed16b14fa9ed734c250fc79fdf70",
         "0f155ad6cd051b945295bf727560599df154ba0182e610fb3c8f4b44a44ae34e",
         "115535e96b02e4e155c4c33f6eb257b26c911ea451ec8dbf40e4384b66ffc743",
         "32f869a644b3a6d253d12e3d116a51d17480d40ad4183c23a7178c18877cf083",
@@ -170,9 +170,9 @@ PROBE_DIGESTS = {
         "88756e120ce5dd1daba23f2fbc4c271c472b4d7d370ae24fe82883b8293be73e",
     ),
     "identity_pair": (
-        "21dbe63e7fd6a6da5b7cfe52cd187c6ffad31db4f72bbf45b47bb74ce721dbb6",
-        "1e8d55b28ead615184b98404695ec8336342b1a1215929b6884bc17f6f0a3611",
-        "67ca6ba77a7a7413d2be16eb76b9e32cac4531a2adf393b1cd2e6321879f387d",
+        "7b43d0271f4a1d91b0712d502958e8cb65186a9d36c170375ea752016aeed8cd",
+        "7af4da0d1baf60bb91e6165ff42d704da0bfeff40b4ebfd6dc4bd81da81dc82e",
+        "900340662f7f494104af9f6b65ef57421587ed16b14fa9ed734c250fc79fdf70",
         "6884d4d8ffc7b3118cb1dfa540cffad4392b3a9b837f072b45cbcaa050764a1a",
         "61fb44007da0fad907e67cd7e23f337ceef6644bf7008f64f37586d1df0fcba2",
         "94318de31276ed95af77f5f6dac54ea6d86d3873103325acd3a905029a8249b4",
@@ -180,9 +180,9 @@ PROBE_DIGESTS = {
         "88756e120ce5dd1daba23f2fbc4c271c472b4d7d370ae24fe82883b8293be73e",
     ),
     "swapped_linear": (
-        "e479e885decc221c46159ff3a90f7d74efdf4643fe6a1af51db84d6d2e4161af",
-        "dc17cae36e547d0d1bdaa9bc2c46d551856fc12cea9d0e924284fdb93ed76714",
-        "0c7713eab7cb078e236a92b9387e91c6d52bc8ccbdc37955caecfe659052253b",
+        "7ab98e4c7fb5445886c599807828a93cf4aa8fc340837b13c099ed4933bc47d4",
+        "d64419a35feba61c18818f4db347e996c67b4a0681c65bd238d4912ed9dc29c8",
+        "9047da8a7beb43b1a31b61b490b47975a50465fe1a5d968cac4449e7ed3c8407",
         "eb1fdaf1cdb65e41d36bf4015e87fb496456298f70f93ac8c6bc151e7fb3ebba",
         "b113a5c2a080ed3941bd624c9f7533b17d1fb1d1f5cdc7e79b4451b3677873e7",
         "b33aa239bb260f71954b33684c15984ad90da81ed0c20406a74248da66ef5fc8",
@@ -190,9 +190,9 @@ PROBE_DIGESTS = {
         "31ef6bbc6e2b4abdc96cdb100412f8907cf9928c5a7773002d0a1b13af584c68",
     ),
     "scalar_shift": (
-        "18f6879422746002c014273c451b9a9ffde14d29f334842a07f4855548d557fa",
-        "db27abe39b3cc15c66d8943a849b13be30566451375b163c361ab03324fcaa39",
-        "dc1ccb5329967b576a8c9beed2366a528c98890587636163af00ea04dc9e2789",
+        "7b43d0271f4a1d91b0712d502958e8cb65186a9d36c170375ea752016aeed8cd",
+        "7af4da0d1baf60bb91e6165ff42d704da0bfeff40b4ebfd6dc4bd81da81dc82e",
+        "ed9c5a4824e37f98d5bdbb52791bc97b7cdbcc4fed9d0bad9221f0cafaf75535",
         "3f2b636d9b6b102453abe008162b8af44b91ef4eb8f6e7a03e2c18d52b813371",
         "00f02d9a1b8ea2b5d2f3159e73e4574c25ddba0124ba196b40b522f9e29d386e",
         "4689ef5b6851c1381b9d36748aae0d1c6bbbaa299ab9f571de0848707cab4388",
