@@ -322,7 +322,7 @@ def r0_test(
         "tol": R0_TOL,
     }
     outcome, margin, witness = _rank_test(pair)
-    if outcome.startswith("resultant"):
+    if outcome in ("resultant", "resultant null vector"):
         statistics = {"certificate": outcome, "min_margin": margin}
         return _report("r0", witness, 0, statistics, config)
 

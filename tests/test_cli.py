@@ -901,7 +901,8 @@ class TestClosedPipe:
     def test_reader_closing_early_ends_quietly(self, tmp_path):
         # the csv rows (about 150 KB) overfill a 64 KB pipe buffer, so rows are
         # still being written when the reader closes the pipe after the header
-        (tmp_path / "inst.json").write_text(serialize_instance(random_instance(2, (2, 2), (2, 2), 1)))
+        inst = random_instance(2, (2, 2), (2, 2), 1)
+        (tmp_path / "inst.json").write_text(serialize_instance(inst))
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         command = ["bounds", "inst.json", "--radii", "1,5", "--samples", "2000", "--csv"]
         process = subprocess.Popen([sys.executable, "-m", "pcpkit.cli", *command], cwd=tmp_path,

@@ -400,7 +400,8 @@ class TestResultant:
         assert report.statistics["inconclusive_reason"] == "a zero leading form"
 
     @pytest.mark.parametrize("degrees_f, degrees_g", [
-        ((1,), (3,)), ((2, 2), (2, 2)), ((1, 3), (2, 1)), ((2, 1, 3), (1, 2, 2)), ((1,) * 4, (2,) * 4),
+        ((1,), (3,)), ((2, 2), (2, 2)), ((1, 3), (2, 1)), ((2, 1, 3), (1, 2, 2)),
+        ((1,) * 4, (2,) * 4),
     ])
     def test_stacked_matrices_equal_dict_built_reference(self, degrees_f, degrees_g):
         from itertools import product
