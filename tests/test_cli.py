@@ -488,6 +488,11 @@ REPORT_PINS = {
         ("trial", "--n", "2", "--degrees", "1", "--trials", "5"),
         "a69cd77b846e897dae5550eb331fe15f0974699bc8e3b9045bd51d928638e840",
     ),
+    # n = 25 is over the sweep's cap: two "enumerate" failures and skipped 2
+    "trial-skipped": (
+        ("trial", "--n", "25", "--degrees", "1", "--trials", "2"),
+        "bc8c1b631e83eef359ffe9139c71694a1835de0249f21b554ce34ac41ad3057e",
+    ),
     "lemke-solution": (
         ("lemke", "solution.json"),
         "fc8d108bb7a4f738fb8f816c6e56e47f147ce2902923df2273ee4b17906421a6",

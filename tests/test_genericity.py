@@ -1,10 +1,13 @@
 """Random instance generation and the Monte Carlo trial pipeline."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from pcpkit import genericity
 from pcpkit import (
     InputError,
+    PivotBudgetError,
     PolyMap,
     SolutionSet,
     SolveConfig,
@@ -148,6 +151,52 @@ class TestTrialPipeline:
         assert 0.0 <= summary.r0_rate <= 1.0
         assert 0.0 <= summary.lipschitz_rate <= 1.0
         assert len(summary.counts) == 10 - summary.skipped
+
+    @staticmethod
+    def _fail_stages(monkeypatch, r0_fails, lemke_fails):
+        """Fail r0_test on the trials in ``r0_fails`` and Lemke on those in ``lemke_fails``."""
+        real_r0, real_lemke = genericity.r0_test, genericity.lemke_lcp
+        lemke_calls = []
+
+        def r0_test(inst, **kwargs):
+            return SimpleNamespace(passed=kwargs["seed"] not in r0_fails
+                                   and real_r0(inst, **kwargs).passed)
+
+        def lemke_lcp(M, q):
+            # affine trials call Lemke once each, in index order
+            lemke_calls.append(len(lemke_calls))
+            if lemke_calls[-1] in lemke_fails:
+                raise PivotBudgetError("pivot budget stub")
+            return real_lemke(M, q)
+
+        monkeypatch.setattr(genericity, "r0_test", r0_test)
+        monkeypatch.setattr(genericity, "lemke_lcp", lemke_lcp)
+
+    def test_failure_entries(self, monkeypatch):
+        self._fail_stages(monkeypatch, r0_fails={1}, lemke_fails={2})
+        summary = genericity_trial(1, (1,), 4, seed=2, cfg=FAST)
+        failures = summary.to_dict()["failures"]
+        assert failures == [
+            {"spawn_index": 1, "stage": "checks", "count": 2, "strict_ok": True,
+             "r0_ok": False, "lipschitz_ok": True, "lemke_agrees": True},
+            {"spawn_index": 2, "stage": "lemke", "error": "pivot budget stub"},
+        ]
+        assert [list(f) for f in failures] == [
+            ["spawn_index", "stage", "count", "strict_ok", "r0_ok", "lipschitz_ok",
+             "lemke_agrees"],
+            ["spawn_index", "stage", "error"],
+        ]
+        assert summary.records[2].lemke_status == "budget-error"
+        assert summary.records[2].lemke_agrees is None
+        assert (summary.strict_rate, summary.r0_rate, summary.lipschitz_rate) == (1.0, 0.75, 1.0)
+        assert summary.counts == (0, 2, 2, 1) and summary.skipped == 0
+
+    def test_lemke_failure_precedes_the_checks_failure(self, monkeypatch):
+        self._fail_stages(monkeypatch, r0_fails={2}, lemke_fails={2})
+        summary = genericity_trial(1, (1,), 4, seed=2, cfg=FAST)
+        assert [(f["spawn_index"], f["stage"]) for f in summary.failures] == [
+            (2, "lemke"), (2, "checks"),
+        ]
 
     def test_csv_rows(self):
         summary = genericity_trial(2, (2, 2), 4, seed=1, cfg=FAST)
