@@ -160,37 +160,27 @@ def _bound_statistics(
     claimed_c: float | None,
 ) -> tuple[float, float, tuple[dict, ...]]:
     """c_best and violations in log space; exact at any exponent size."""
-    positive = dists > 0.0
-    with np.errstate(divide="ignore"):
-        log_d = np.where(positive, np.log(np.where(positive, dists, 1.0)), 0.0)
-        log_res = np.where(residuals > 0.0, np.log(np.maximum(residuals, 1e-320)), -np.inf)
-    if global_form:
-        log_lhs = np.minimum(log_d, alpha * log_d)
-    else:
-        log_lhs = alpha * log_d
-
-    usable = positive
-    if not np.any(usable):
+    usable = np.flatnonzero(dists > 0.0)
+    if not len(usable):
         return np.inf, np.inf, ()
-    log_ratio = log_res[usable] - log_lhs[usable]
-    log_c_best = float(np.min(log_ratio))
+    log_d = np.log(dists[usable])
+    res = residuals[usable]
+    log_res = np.where(res > 0.0, np.log(np.maximum(res, 1e-320)), -np.inf)
+    log_lhs = np.minimum(log_d, alpha * log_d) if global_form else alpha * log_d
+    log_c_best = float(np.min(log_res - log_lhs))
     with np.errstate(over="ignore"):
         c_best = float(np.exp(log_c_best)) if np.isfinite(log_c_best) else 0.0
     log10_c_best = log_c_best / np.log(10.0) if np.isfinite(log_c_best) else -np.inf
-
-    violations: list[dict] = []
-    if claimed_c is not None:
-        log_claim = np.log(claimed_c)
-        breach = usable & (log_res < log_claim + log_lhs)
-        for k in np.flatnonzero(breach):
-            violations.append(
-                {
-                    "point": [float(v) for v in points[k]],
-                    "dist": float(dists[k]),
-                    "residual": float(residuals[k]),
-                }
-            )
-    return c_best, float(log10_c_best), tuple(violations)
+    breach = () if claimed_c is None else usable[log_res < np.log(claimed_c) + log_lhs]
+    violations = tuple(
+        {
+            "point": [float(v) for v in points[k]],
+            "dist": float(dists[k]),
+            "residual": float(residuals[k]),
+        }
+        for k in breach
+    )
+    return c_best, float(log10_c_best), violations
 
 
 def _near_solution_fit(dists: np.ndarray, residuals: np.ndarray) -> ExponentFit | None:

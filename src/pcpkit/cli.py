@@ -91,8 +91,18 @@ def _config(args) -> SolveConfig:
     return SolveConfig(**{k: v for k, v in settings.items() if v is not None})
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; a file that cannot be read as UTF-8 text is a PcpError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as error:  # missing, a directory, unreadable
+        raise PcpError(str(error)) from None
+    except UnicodeDecodeError as error:
+        raise PcpError(f"{path}: not UTF-8 text (byte {error.start}: {error.reason})") from None
+
+
 def _load_instance(path: str):
-    return parse_instance_document(Path(path).read_text(encoding="utf-8"))
+    return parse_instance_document(_read_text(path))
 
 
 def _print_report(command: str, config: dict, payload: dict) -> None:
@@ -270,7 +280,7 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_lemke(args) -> int:
-    raw = json.loads(Path(args.problem).read_text(encoding="utf-8"))
+    raw = json.loads(_read_text(args.problem))
     if not isinstance(raw, dict) or "M" not in raw or "q" not in raw:
         raise PcpError("lemke input must be a JSON object with keys 'M' and 'q'")
     _print_report("lemke", {"problem": args.problem}, record_dict(lemke_lcp(raw["M"], raw["q"])))
@@ -445,9 +455,6 @@ def run_command(argv) -> int:
         # values that overflow to inf or nan still exit 2 in report_document
         with np.errstate(over="ignore", invalid="ignore"):
             return args.handler(args)
-    except FileNotFoundError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except json.JSONDecodeError as error:
         print(f"error: invalid JSON: {error}", file=sys.stderr)
         return 2

@@ -166,10 +166,6 @@ class NewtonResult(NamedTuple):
         """Rows neither abandoned nor escaped: converged or at the iteration cap."""
         return self.status <= NewtonStatus.ITERATION_CAP
 
-    @property
-    def escaped(self) -> np.ndarray:
-        return self.status == NewtonStatus.ESCAPED
-
 
 def first_lowering(trial_norms: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of a (rows, rungs) ladder with a finite rung below ``norms``, and that rung.

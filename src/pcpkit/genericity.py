@@ -136,12 +136,6 @@ def trial_instance(
     return random_instance(n, degrees, degrees, seed)
 
 
-def _affine_lcp_data(inst: PcpInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (M, q) from an affine g via exact evaluation."""
-    _, q, _, M = inst.evaluate_pair(np.zeros(inst.n), jacobians=True)
-    return M, q
-
-
 def genericity_trial(
     n: int,
     degrees: Sequence[int],
@@ -169,41 +163,34 @@ def genericity_trial(
     if trials < 1:
         raise InputError("trials must be >= 1")
     cfg = cfg or SolveConfig()
-    d = max(degrees)
-    bound = (2 * d) ** n
+    bound = (2 * max(degrees)) ** n
     affine = all(deg == 1 for deg in degrees)
 
     records: list[TrialRecord] = []
     failures: list[dict] = []
-    skipped = 0
+
+    def fail(index: int, stage: str, **fields) -> None:
+        failures.append({"spawn_index": index, "stage": stage, **fields})
 
     for index in range(trials):
         inst = trial_instance(n, degrees, seed, index)
         try:
             sols = enumerate_solutions(inst, cfg)
         except PcpError as error:
-            skipped += 1
-            failures.append(
-                {"spawn_index": index, "stage": "enumerate", "error": str(error)}
-            )
+            fail(index, "enumerate", error=str(error))
             continue
-
-        count = len(sols)
-        strict_ok = all(c.strict_complementarity for c in sols.certificates)
 
         r0_ok = r0_test(inst, samples=R0_SAMPLES, refine_iters=R0_REFINE_ITERS, seed=index,
                         componentwise=True).passed
 
-        bound_report = verify_global_bound(
+        lipschitz_c = verify_global_bound(
             inst, sols, LIPSCHITZ_RADII, BOUND_SAMPLES, alpha=1, seed=index
-        )
-        lipschitz_c = bound_report.c_best
-        lipschitz_ok = bool(lipschitz_c >= LIPSCHITZ_C_MIN)
+        ).c_best
 
-        lemke_status = None
-        lemke_agrees = None
+        lemke_status = lemke_agrees = None
         if affine:
-            M, q = _affine_lcp_data(inst)
+            # g is affine, so its value and Jacobian at the origin are q and M
+            _, q, _, M = inst.evaluate_pair(np.zeros(n), jacobians=True)
             try:
                 result = lemke_lcp(M, q)
                 lemke_status = result.status
@@ -211,40 +198,27 @@ def genericity_trial(
                     lemke_agrees = bool(distance_to_solutions(sols, result.z) <= DEDUPE_RADIUS)
             except PcpError as error:
                 lemke_status = "budget-error"
-                failures.append(
-                    {"spawn_index": index, "stage": "lemke", "error": str(error)}
-                )
+                fail(index, "lemke", error=str(error))
 
         record = TrialRecord(
             spawn_index=index,
-            solution_count=count,
-            strict_ok=strict_ok,
+            solution_count=len(sols),
+            strict_ok=all(c.strict_complementarity for c in sols.certificates),
             r0_ok=r0_ok,
-            lipschitz_ok=lipschitz_ok,
+            lipschitz_ok=bool(lipschitz_c >= LIPSCHITZ_C_MIN),
             lipschitz_c=lipschitz_c,
             lemke_status=lemke_status,
             lemke_agrees=lemke_agrees,
         )
         records.append(record)
-        if count > bound or not strict_ok or not r0_ok or not lipschitz_ok \
-                or lemke_agrees is False:
-            failures.append(
-                {
-                    "spawn_index": index,
-                    "stage": "checks",
-                    "count": count,
-                    "strict_ok": strict_ok,
-                    "r0_ok": r0_ok,
-                    "lipschitz_ok": lipschitz_ok,
-                    "lemke_agrees": lemke_agrees,
-                }
-            )
+        checks = {f: getattr(record, f) for f in ("strict_ok", "r0_ok", "lipschitz_ok", "lemke_agrees")}
+        if record.solution_count > bound or False in checks.values():  # lemke_agrees None passes
+            fail(index, "checks", count=record.solution_count, **checks)
 
     counts = tuple(r.solution_count for r in records)
-    completed = len(records)
 
-    def rate(flags) -> float:
-        return float(sum(flags) / completed) if completed else 0.0
+    def rate(field: str) -> float:
+        return float(sum(getattr(r, field) for r in records) / len(records)) if records else 0.0
 
     return TrialSummary(
         n=n,
@@ -253,11 +227,11 @@ def genericity_trial(
         master_seed=seed,
         cardinality_bound=bound,
         counts=counts,
-        max_count=max(counts) if counts else 0,
-        strict_rate=rate(r.strict_ok for r in records),
-        r0_rate=rate(r.r0_ok for r in records),
-        lipschitz_rate=rate(r.lipschitz_ok for r in records),
+        max_count=max(counts, default=0),
+        strict_rate=rate("strict_ok"),
+        r0_rate=rate("r0_ok"),
+        lipschitz_rate=rate("lipschitz_ok"),
         records=tuple(records),
         failures=tuple(failures),
-        skipped=skipped,
+        skipped=trials - len(records),
     )

@@ -539,6 +539,24 @@ class TestErrors:
         code, _ = run(capsys, "solve", "/nonexistent/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [("solve",), ("lemke",), ("probe", "r0")],
+                             ids=["solve", "lemke", "probe-r0"])
+    @pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+    def test_unreadable_input_file(self, capsys, tmp_path, command, unreadable):
+        # one error line and exit 2, not a traceback
+        path = tmp_path
+        if unreadable == "non-utf8":
+            path = tmp_path / "latin1.json"
+            path.write_bytes('{"M": [[1]], "q": ["\u00e9"]}'.encode("latin-1"))
+        code = run_command([*command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        if unreadable == "non-utf8":
+            reason = "byte 20: invalid continuation byte"
+            assert captured.err == f"error: {path}: not UTF-8 text ({reason})\n"
+
     def test_unknown_flag(self, capsys):
         code, _ = run(capsys, "solve", "--bogus")
         assert code == 2

@@ -139,7 +139,7 @@ class TestDampedNewton:
     def test_converges_and_counts_steps(self):
         values, jacobian = self.cubic(8.0)
         result = damped_newton(values, jacobian, np.array([[1.0], [2.0], [5.0]]), 1e-12, 50)
-        assert result.alive.all() and not result.escaped.any()
+        assert result.alive.all() and not (result.status == NewtonStatus.ESCAPED).any()
         assert np.all(result.status == NewtonStatus.CONVERGED)
         assert np.allclose(result.points[:, 0], 2.0)
         assert np.all(result.norms <= 1e-12)
@@ -157,13 +157,14 @@ class TestDampedNewton:
         values, jacobian = self.cubic(8.0)
         result = damped_newton(values, jacobian, np.array([[np.inf], [1.0]]), 1e-12, 50)
         assert list(result.status) == [NewtonStatus.NON_FINITE, NewtonStatus.CONVERGED]
-        assert list(result.alive) == [False, True] and not result.escaped.any()
+        assert list(result.alive) == [False, True]
+        assert not (result.status == NewtonStatus.ESCAPED).any()
 
     def test_escape_ball(self):
         values, jacobian = self.cubic(1e21)
         result = damped_newton(values, jacobian, np.array([[1e5]]), 1e-6, 50, escape_norm=1e6)
         assert result.status[0] == NewtonStatus.ESCAPED
-        assert result.escaped[0] and not result.alive[0]
+        assert not result.alive[0]
         assert np.linalg.norm(result.points[0]) > 1e6
 
     @pytest.mark.parametrize("escape_norm, status", [
@@ -192,7 +193,7 @@ class TestDampedNewton:
         result = damped_newton(values, jacobian, np.array([[0.0], [1.0]]), 1e-12, 50)
         assert list(result.status) == [NewtonStatus.ILL_CONDITIONED, NewtonStatus.CONVERGED]
         assert list(result.alive) == [False, True]
-        assert not result.escaped.any()
+        assert not (result.status == NewtonStatus.ESCAPED).any()
 
     def test_singular_row_in_a_batch(self):
         # x_i^3 = 8 at n = 3: the Jacobian at the origin is exactly 0, which
@@ -253,7 +254,7 @@ class TestDampedNewton:
         jacobian = lambda x, rows: 2.0 * x[:, :, None]  # noqa: E731
         result = damped_newton(values, jacobian, np.array([[1e-12]]), 1e-12, 50)
         assert result.status[0] == NewtonStatus.NO_DESCENT
-        assert not result.alive[0] and not result.escaped[0]
+        assert not result.alive[0] and result.status[0] != NewtonStatus.ESCAPED
         assert result.steps[0] == 0
         assert result.points[0, 0] == 1e-12
 
@@ -275,7 +276,7 @@ class TestDampedNewton:
         assert result.status[0] == NewtonStatus.STALLED
         assert result.steps[0] == STALL_WINDOW
         assert result.norms[0] == pytest.approx(1.0, abs=1e-5)
-        assert not result.alive[0] and not result.escaped[0]
+        assert not result.alive[0] and result.status[0] != NewtonStatus.ESCAPED
 
 
 def reference_damped_newton(values_fn, jacobian_fn, starts, tol, max_iters, escape_norm=np.inf):

@@ -1,5 +1,6 @@
 """Random instance generation and the Monte Carlo trial pipeline."""
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -156,16 +157,15 @@ class TestTrialPipeline:
     def _fail_stages(monkeypatch, r0_fails, lemke_fails):
         """Fail r0_test on the trials in ``r0_fails`` and Lemke on those in ``lemke_fails``."""
         real_r0, real_lemke = genericity.r0_test, genericity.lemke_lcp
-        lemke_calls = []
+        # affine trials call Lemke once each, in index order
+        lemke_index = itertools.count()
 
         def r0_test(inst, **kwargs):
             return SimpleNamespace(passed=kwargs["seed"] not in r0_fails
                                    and real_r0(inst, **kwargs).passed)
 
         def lemke_lcp(M, q):
-            # affine trials call Lemke once each, in index order
-            lemke_calls.append(len(lemke_calls))
-            if lemke_calls[-1] in lemke_fails:
+            if next(lemke_index) in lemke_fails:
                 raise PivotBudgetError("pivot budget stub")
             return real_lemke(M, q)
 
